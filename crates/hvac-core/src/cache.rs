@@ -187,13 +187,6 @@ impl CacheManager {
         self.store.size_of(path)
     }
 
-    /// Read a byte range of a resident file, updating recency. `None` = miss.
-    pub fn read_at(&self, path: &Path, offset: u64, len: usize) -> Option<Bytes> {
-        let out = self.store.read_at(path, offset, len)?;
-        self.policy.lock().on_access(path);
-        Some(out)
-    }
-
     /// Read a whole resident file, updating recency. `None` = miss.
     pub fn read_all(&self, path: &Path) -> Option<Bytes> {
         let out = self.store.get(path)?;
@@ -247,7 +240,6 @@ mod tests {
         assert!(m.contains(p));
         assert_eq!(m.size_of(p), Some(ByteSize(10)));
         assert_eq!(m.read_all(p).unwrap().len(), 10);
-        assert_eq!(m.read_at(p, 5, 100).unwrap().len(), 5);
         assert_eq!(m.read_all(Path::new("/nope")), None);
     }
 

@@ -22,11 +22,10 @@ use crate::view::ViewHandle;
 use bytes::Bytes;
 use hvac_hash::pathhash::{hash_job_path, mix64};
 use hvac_hash::placement::{make_placement, Placement};
+use hvac_net::bulk::{chunk_ranges, reassemble_bulk_pooled};
 use hvac_net::fabric::{Fabric, Reply};
-use hvac_net::pipeline::pipelined_fetch_pooled;
 use hvac_net::plan::{coalesce_plan, BatchItem, PlanEntry};
 use hvac_net::pool::BufferPool;
-use hvac_net::reassemble_bulk_pooled;
 use hvac_net::sq::{SqEntry, SqPool, SubmissionQueue};
 use hvac_pfs::FileStore;
 use hvac_sync::{classes, OrderedMutex};
@@ -54,16 +53,12 @@ pub struct HvacClientOptions {
     /// issues.
     pub retry: RetryPolicy,
     /// Reads larger than this are split into chunk RPCs of at most this many
-    /// bytes (Mercury's RDMA-sized bulk pieces).
+    /// bytes (Mercury's RDMA-sized bulk pieces), tiled from the read's
+    /// offset.
     pub bulk_chunk: usize,
-    /// How many chunk RPCs of one read are kept in flight at once.
+    /// Dispatch workers of the client's submission pool: how many RPCs of
+    /// one multi-RPC read (chunks or batches) are in flight at once.
     pub bulk_window: usize,
-    /// Use the zero-copy data plane: pooled reassembly buffers on the read
-    /// hot path, plus coalesced + batched segment reads
-    /// ([`HvacClient::read_file_segmented`]). `false` pins the legacy
-    /// one-RPC-per-segment path — the baseline the latency harness compares
-    /// against.
-    pub zero_copy: bool,
     /// Adjacent same-home segments are merged into one read range of at most
     /// this many bytes (0 disables coalescing).
     pub coalesce_max: u64,
@@ -91,8 +86,7 @@ impl HvacClientOptions {
             instances_per_node,
             retry: RetryPolicy::default(),
             bulk_chunk: hvac_net::BULK_CHUNK_SIZE,
-            bulk_window: hvac_net::DEFAULT_PIPELINE_WINDOW,
-            zero_copy: true,
+            bulk_window: hvac_net::DEFAULT_SQ_DEPTH,
             coalesce_max: 1 << 20,
             batch_max: 16,
             job_id: JobId::from_env(),
@@ -159,10 +153,11 @@ pub struct HvacClient {
     /// every replica is exhausted. `None` = error out instead (the pre-§III-H
     /// behaviour, and the only option for pure-RPC embeddings).
     pfs_fallback: Option<Arc<dyn FileStore>>,
-    /// Slab pool for zero-copy reassembly: pipelined chunk buffers and
-    /// batched-read assembly recycle slabs instead of allocating per read.
+    /// Slab pool for reassembly: chunked and batched reads recycle slabs
+    /// instead of allocating per read.
     pool: BufferPool,
-    /// Persistent dispatch workers for batched segmented reads: every
+    /// Persistent dispatch workers for every multi-RPC read (chunked
+    /// whole-file reads and batched segmented reads): every
     /// [`SubmissionQueue`] this client builds shares them, so the hot path
     /// never pays a per-read thread spawn.
     sq: SqPool,
@@ -589,7 +584,7 @@ impl HvacClient {
 
     /// Clamp a request to the size recorded at open time, so an oversized
     /// `len` (POSIX allows `read(fd, buf, SIZE_MAX)`) never plans an
-    /// absurd chunk pipeline — it just short-reads like the syscall would.
+    /// absurd number of chunks — it just short-reads like the syscall would.
     fn clamp_len(size: u64, offset: u64, len: usize) -> usize {
         len.min(size.saturating_sub(offset).try_into().unwrap_or(usize::MAX))
     }
@@ -693,12 +688,14 @@ impl HvacClient {
     }
 
     /// Fetch one chunk of a read: a `Read` RPC over the replica ladder (the
-    /// full deadline/retry/failover/breaker treatment per chunk), degrading
-    /// to direct PFS access for just this chunk when every replica is
-    /// exhausted. Each chunk re-resolves its home through the current view,
-    /// so a membership change mid-pipeline redirects only the chunks that
-    /// actually hit a stale home. Counts only `degraded_reads`; the logical
-    /// read's `reads`/`bytes` are accounted once by [`Self::read_path_at`].
+    /// full hedge/deadline/retry/failover/breaker treatment), degrading to
+    /// direct PFS access for just this chunk when every replica is
+    /// exhausted. It serves a read that fits one chunk, and re-reads a chunk
+    /// of a larger read whose planned RPC failed; each call re-resolves the
+    /// home through the current view, so a membership change redirects only
+    /// the chunks that actually hit a stale home. Counts only
+    /// `degraded_reads`; the logical read's `reads`/`bytes` are accounted
+    /// once by [`Self::read_path_at`].
     fn fetch_chunk(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
         let req = Request::Read {
             path: path.to_path_buf(),
@@ -723,26 +720,127 @@ impl HvacClient {
         }
     }
 
-    /// One logical read: reads that fit in `bulk_chunk` issue a single RPC;
-    /// larger ones are pipelined as a bounded window of concurrent chunk
-    /// RPCs reassembled in offset order ([`pipelined_fetch_pooled`]). With
-    /// `zero_copy` on, the reassembly buffer comes from (and returns to)
-    /// the client's slab pool instead of the allocator.
+    /// One logical read. A read that fits in `bulk_chunk` (a 0-byte read at
+    /// EOF included) is a single inline [`Self::fetch_chunk`] call at any
+    /// offset, so it keeps the whole ladder, hedging included; a larger one
+    /// goes through [`Self::read_chunked`].
     fn read_path_at(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
-        let pool = self.options.zero_copy.then_some(&self.pool);
-        let data = pipelined_fetch_pooled(
-            offset,
-            len,
-            self.options.bulk_chunk,
-            self.options.bulk_window,
-            |chunk_off, chunk_len| self.fetch_chunk(path, chunk_off, chunk_len),
-            pool,
-        )?;
+        let data = if len <= self.options.bulk_chunk {
+            self.fetch_chunk(path, offset, len)?
+        } else {
+            self.read_chunked(path, offset, len)?
+        };
         self.metrics.reads.fetch_add(1, Ordering::Relaxed);
         self.metrics
             .bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         Ok(data)
+    }
+
+    /// A read longer than one chunk: plan → submit → collect. The read
+    /// becomes a one-file plan of `Read` chunks of at most `bulk_chunk`
+    /// bytes, tiled from its own offset and addressed to the file's home in
+    /// the current view, submitted through [`Self::submit_and_collect`];
+    /// a failed, lost, stale-view or short chunk is re-read through
+    /// [`Self::fetch_chunk`]. Like batches, chunk RPCs skip hedging and
+    /// breaker bookkeeping until they fall back to the ladder.
+    fn read_chunked(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
+        if offset.checked_add(len as u64).is_none() {
+            return Err(HvacError::InvalidConfig(format!(
+                "read of {len} bytes at offset {offset} overflows u64"
+            )));
+        }
+        let view = self.view.snapshot();
+        let home = self
+            .replica_addrs_in(&view, path)
+            .into_iter()
+            .next()
+            .unwrap_or_default();
+        let plan: Vec<(u64, usize)> = chunk_ranges(len, self.options.bulk_chunk)
+            .map(|r| (offset + r.start as u64, r.len()))
+            .collect();
+        let entries = plan
+            .iter()
+            .map(|&(at, n)| {
+                let req = Request::Read {
+                    path: path.to_path_buf(),
+                    offset: at,
+                    len: n as u64,
+                };
+                (home.clone(), req)
+            })
+            .collect();
+        let chunks = self.submit_and_collect(
+            view.epoch(),
+            entries,
+            |slot, resp, bulk| {
+                (matches!(resp, Response::Data { .. }) && bulk.len() == plan[slot].1)
+                    .then_some(bulk)
+            },
+            |slot| self.fetch_chunk(path, plan[slot].0, plan[slot].1),
+        )?;
+        // lockgraph: acquires NET_POOL
+        Ok(reassemble_bulk_pooled(&chunks, &self.pool))
+    }
+
+    /// Submit one plan's RPCs — a `(destination, request)` per entry,
+    /// stamped with view `epoch` — on the client's [`SqPool`] and collect
+    /// one value per entry, in entry order. Completions are taken by slot,
+    /// never by `user_data`:
+    /// a lost or timed-out dispatch carries a sentinel tag. A stale-view
+    /// reply installs the newer view; `accept` validates every other reply
+    /// for its slot. A failed, lost, stale or rejected entry counts one
+    /// `batch_fallbacks` and is re-read through `fallback`, the full
+    /// per-RPC ladder, in entry order — so the error returned is that of the
+    /// first entry whose ladder fails, and later entries are not retried.
+    fn submit_and_collect<T>(
+        &self,
+        epoch: u64,
+        entries: Vec<(String, Request)>,
+        accept: impl Fn(usize, Response, Bytes) -> Option<T>,
+        fallback: impl Fn(usize) -> Result<T>,
+    ) -> Result<Vec<T>> {
+        let n = entries.len();
+        let mut sq = SubmissionQueue::with_pool(&self.sq);
+        for (slot, (dest, req)) in entries.into_iter().enumerate() {
+            sq.prep(SqEntry {
+                dest,
+                payload: req.encode_ctx(epoch, self.options.job_id)?,
+                deadline: self.options.retry.rpc_timeout,
+                user_data: slot as u64,
+            });
+        }
+        let mut completions = sq.submit_and_wait().into_iter();
+        (0..n)
+            .map(|slot| {
+                let accepted = completions
+                    .next()
+                    .and_then(|c| c.result.ok())
+                    .and_then(|reply| self.decode_plan_reply(reply))
+                    .and_then(|(resp, bulk)| accept(slot, resp, bulk));
+                match accepted {
+                    Some(value) => Ok(value),
+                    None => {
+                        self.metrics.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
+                        fallback(slot)
+                    }
+                }
+            })
+            .collect()
+    }
+
+    /// Decode one plan reply into its response and bulk. `None` for an
+    /// undecodable header, or for a stale-view redirect — whose newer view
+    /// is installed here, so the fallback re-resolves under it.
+    fn decode_plan_reply(&self, reply: Reply) -> Option<(Response, Bytes)> {
+        match Response::decode(reply.header).ok()? {
+            Response::StaleView { view } => {
+                self.metrics.view_refreshes.fetch_add(1, Ordering::Relaxed);
+                self.view.install(Arc::new(view));
+                None
+            }
+            resp => Some((resp, reply.bulk.unwrap_or_default())),
+        }
     }
 
     /// Read a whole file at **segment granularity** (the §III-E alternative
@@ -756,41 +854,17 @@ impl HvacClient {
         }
         let size = self.stat(path)?;
         self.metrics.opens.fetch_add(1, Ordering::Relaxed);
-        let data = if self.options.zero_copy {
-            self.read_segmented_batched(path, size, segment_size)?
-        } else {
-            self.read_segmented_sequential(path, size, segment_size)?
-        };
+        let data = self.read_segmented_batched(path, size, segment_size)?;
         self.metrics.closes.fetch_add(1, Ordering::Relaxed);
         Ok(data)
     }
 
-    /// The legacy segmented read: one `ReadSegment` RPC per segment, issued
-    /// sequentially through the full retry/failover/degrade ladder.
-    fn read_segmented_sequential(
-        &self,
-        path: &Path,
-        size: u64,
-        segment_size: u64,
-    ) -> Result<Bytes> {
-        let mut assembled = bytes::BytesMut::with_capacity(size as usize);
-        let mut offset = 0u64;
-        let mut seg_index = 0u64;
-        while offset < size {
-            let len = segment_size.min(size - offset);
-            let data = self.read_one_segment(path, seg_index, offset, len)?;
-            assembled.extend_from_slice(&data);
-            offset += len;
-            seg_index += 1;
-        }
-        Ok(assembled.freeze())
-    }
-
-    /// One segment through the per-segment ladder: `call_with_view` with the
-    /// segment's own placement (each segment re-resolves its home, so a
-    /// mid-file membership change redirects only later segments), degrading
-    /// to direct PFS access for just this segment when every replica is
-    /// exhausted. Strict on length: a short segment is a protocol error.
+    /// One segment through the per-segment ladder — the fallback of a failed
+    /// batch: `call_with_view` with the segment's own placement (each
+    /// segment re-resolves its home, so a mid-file membership change
+    /// redirects only later segments), degrading to direct PFS access for
+    /// just this segment when every replica is exhausted. Strict on length:
+    /// a short segment is a protocol error.
     fn read_one_segment(
         &self,
         path: &Path,
@@ -844,12 +918,12 @@ impl HvacClient {
         }
     }
 
-    /// The zero-copy segmented read: plan → batch → submit.
+    /// The segmented read: plan → batch → submit.
     ///
     /// [`coalesce_plan`] merges adjacent same-home segments into contiguous
     /// ranges (≤ `coalesce_max`), ranges are grouped per destination into
     /// batches of ≤ `batch_max`, and every batch ships as **one**
-    /// [`Request::Batch`] RPC through the [`SubmissionQueue`] (up to
+    /// [`Request::Batch`] RPC through [`Self::submit_and_collect`] (up to
     /// `bulk_window` in flight). Batches are all-or-nothing on the server;
     /// any failed, stale, or malformed batch reply is re-read segment by
     /// segment through [`Self::read_one_segment`] — the full ladder — so the
@@ -879,121 +953,86 @@ impl HvacClient {
                 }
             }
         }
-        let mut sq = SubmissionQueue::with_pool(&self.sq);
-        for (b, (dest, idxs)) in batches.iter().enumerate() {
-            let items: Vec<BatchItem> = idxs
-                .iter()
-                .map(|&i| BatchItem {
-                    path: path_str.to_string(),
-                    offset: plan[i].offset,
-                    len: plan[i].len,
-                })
-                .collect();
-            sq.prep(SqEntry {
-                dest: dest.clone(),
-                payload: Request::Batch { items }.encode_ctx(view.epoch(), self.options.job_id)?,
-                deadline: self.options.retry.rpc_timeout,
-                user_data: b as u64,
-            });
-            self.metrics.batch_rpcs.fetch_add(1, Ordering::Relaxed);
-        }
-        let mut slots: Vec<Option<Bytes>> = vec![None; plan.len()];
-        // Completions come back in submission order (slot `b` answers batch
-        // `b`), which holds even for sentinel completions from a lost or
-        // timed-out dispatch, whose `user_data` is u64::MAX rather than a
-        // batch index — never index `batches` by `user_data`.
-        for (b, c) in sq.submit_and_wait().into_iter().enumerate() {
-            let Some((_, idxs)) = batches.get(b) else {
-                break;
-            };
-            debug_assert!(
-                c.result.is_err() || c.user_data == b as u64,
-                "completion {b} tagged {}",
-                c.user_data
-            );
-            let expected: Vec<u64> = idxs.iter().map(|&i| plan[i].len).collect();
-            match c
-                .result
-                .ok()
-                .and_then(|r| self.split_batch_reply(r, &expected))
-            {
-                Some(parts) => {
-                    for (&i, part) in idxs.iter().zip(parts) {
-                        self.metrics.reads.fetch_add(1, Ordering::Relaxed);
-                        self.metrics
-                            .bytes
-                            .fetch_add(part.len() as u64, Ordering::Relaxed);
-                        slots[i] = Some(part);
-                    }
+        let entries = batches
+            .iter()
+            .map(|(dest, idxs)| {
+                let items = idxs
+                    .iter()
+                    .map(|&i| BatchItem {
+                        path: path_str.to_string(),
+                        offset: plan[i].offset,
+                        len: plan[i].len,
+                    })
+                    .collect();
+                self.metrics.batch_rpcs.fetch_add(1, Ordering::Relaxed);
+                (dest.clone(), Request::Batch { items })
+            })
+            .collect();
+        let answers = self.submit_and_collect(
+            view.epoch(),
+            entries,
+            |b, resp, bulk| {
+                let parts = Self::split_batch_reply(resp, bulk, &batches[b].1, &plan)?;
+                for part in &parts {
+                    self.metrics.reads.fetch_add(1, Ordering::Relaxed);
+                    self.metrics
+                        .bytes
+                        .fetch_add(part.len() as u64, Ordering::Relaxed);
                 }
-                None => {
-                    // The batch failed as a unit; re-read each of its ranges
-                    // segment by segment through the full ladder.
-                    self.metrics.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    for &i in idxs {
-                        slots[i] =
-                            Some(self.read_entry_by_segments(path, &plan[i], segment_size)?);
-                    }
-                }
-            }
-        }
-        let mut chunks = Vec::with_capacity(slots.len());
-        for (i, slot) in slots.into_iter().enumerate() {
-            match slot {
-                Some(part) => chunks.push(part),
-                None => {
-                    // No completion ever surfaced for this range's batch
-                    // (abandoned submit, lost worker); re-read it through
-                    // the full ladder rather than failing the whole read.
-                    self.metrics.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
-                    chunks.push(self.read_entry_by_segments(path, &plan[i], segment_size)?);
-                }
+                Some(parts)
+            },
+            |b| {
+                batches[b]
+                    .1
+                    .iter()
+                    .map(|&i| self.read_entry_by_segments(path, &plan[i], segment_size))
+                    .collect()
+            },
+        )?;
+        let mut chunks = vec![Bytes::new(); plan.len()];
+        for ((_, idxs), parts) in batches.iter().zip(answers) {
+            for (&i, part) in idxs.iter().zip(parts) {
+                chunks[i] = part;
             }
         }
         // lockgraph: acquires NET_POOL
         Ok(reassemble_bulk_pooled(&chunks, &self.pool))
     }
 
-    /// Validate and split one batch reply into per-range payloads. Returns
-    /// `None` on anything other than a well-formed full answer — an error
-    /// reply, a stale view (installed here so the fallback re-resolves under
-    /// the newer epoch), a length mismatch — and the caller falls back.
-    fn split_batch_reply(&self, reply: Reply, expected: &[u64]) -> Option<Vec<Bytes>> {
-        match Response::decode(reply.header.clone()).ok()? {
-            Response::Batch { lens } => {
-                if lens.len() != expected.len() {
-                    return None;
-                }
-                let bulk = reply.bulk.unwrap_or_default();
-                let total: u64 = lens.iter().map(|&l| u64::from(l)).sum();
-                if bulk.len() as u64 != total {
-                    return None;
-                }
-                let mut parts = Vec::with_capacity(lens.len());
-                let mut at = 0usize;
-                for (j, &l) in lens.iter().enumerate() {
-                    if u64::from(l) != expected[j] {
-                        return None;
-                    }
-                    parts.push(bulk.slice(at..at + l as usize));
-                    at += l as usize;
-                }
-                Some(parts)
-            }
-            Response::StaleView { view } => {
-                self.metrics.view_refreshes.fetch_add(1, Ordering::Relaxed);
-                self.view.install(Arc::new(view));
-                None
-            }
-            _ => None,
+    /// Split one batch reply into the payloads of plan entries `idxs`.
+    /// Returns `None` on anything other than a well-formed full answer — an
+    /// error reply or any length mismatch — and the caller falls back.
+    fn split_batch_reply(
+        resp: Response,
+        bulk: Bytes,
+        idxs: &[usize],
+        plan: &[PlanEntry<String>],
+    ) -> Option<Vec<Bytes>> {
+        let Response::Batch { lens } = resp else {
+            return None;
+        };
+        let expected = idxs.iter().map(|&i| plan[i].len);
+        let total: u64 = expected.clone().sum();
+        if !lens.iter().map(|&l| u64::from(l)).eq(expected.clone()) || bulk.len() as u64 != total {
+            return None;
         }
+        let mut at = 0usize;
+        Some(
+            expected
+                .map(|len| {
+                    let part = bulk.slice(at..at + len as usize);
+                    at += len as usize;
+                    part
+                })
+                .collect(),
+        )
     }
 
     /// Fallback for one coalesced range: read its segments individually
     /// through [`Self::read_one_segment`] (retry, failover, hedging, PFS
-    /// degrade — everything the legacy path has) and reassemble from the
-    /// slab pool. Ranges planned from offset 0 start on segment boundaries,
-    /// so each piece is exactly the segment the legacy path would cache.
+    /// degrade — the whole ladder) and reassemble from the slab pool.
+    /// Ranges planned from offset 0 start on segment boundaries, so each
+    /// piece is exactly the segment a batch item would have cached.
     fn read_entry_by_segments(
         &self,
         path: &Path,
@@ -1113,7 +1152,7 @@ mod tests {
     use crate::cache::CacheManager;
     use crate::eviction::make_policy;
     use crate::server::{HvacServer, HvacServerOptions};
-    use hvac_pfs::{FileStore, MemStore};
+    use hvac_pfs::{FileMeta, FileStore, MemStore, StoreStats};
     use hvac_storage::LocalStore;
     use hvac_types::{ByteSize, EvictionPolicyKind};
 
@@ -1361,8 +1400,8 @@ mod tests {
     #[test]
     fn large_reads_pipeline_chunk_rpcs_and_stay_byte_exact() {
         let (pfs, fabric, servers, _client) = setup2(1);
-        // Rebuild the client with a tiny chunk so every file (>= 64 B)
-        // pipelines; window 3 keeps several chunk RPCs in flight.
+        // Rebuild the client with a tiny chunk so every file (>= 64 B) is a
+        // multi-chunk plan; 3 dispatch workers keep several chunks in flight.
         let mut opts = HvacClientOptions::new("/gpfs/set", 3, 1);
         opts.bulk_chunk = 16;
         opts.bulk_window = 3;
@@ -1372,14 +1411,14 @@ mod tests {
             assert_eq!(client.read_file(&p).unwrap(), pfs.read_all(&p).unwrap());
         }
         // Each file produced several chunk RPCs server-side, but the client
-        // counted one logical read per file (plus the EOF-probing read that
-        // read_file's pread avoids by sizing from open).
+        // counted one logical read per file, and no chunk fell back.
         let server_reads: u64 = servers
             .iter()
             .map(|(s, _)| s.metrics().snapshot().reads)
             .sum();
         assert!(server_reads >= 8 * 4, "chunk RPCs issued: {server_reads}");
         assert_eq!(client.metrics().snapshot().1, 8);
+        assert_eq!(client.metrics().full_snapshot().batch_fallbacks, 0);
     }
 
     #[test]
@@ -1501,26 +1540,22 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_and_legacy_segmented_reads_agree() {
-        let (pfs, fabric, _servers, zc_client) = setup2(1);
-        let mut legacy_opts = HvacClientOptions::new("/gpfs/set", 3, 1);
-        legacy_opts.zero_copy = false;
-        let legacy_client = HvacClient::new(fabric, legacy_opts).unwrap();
+    fn segmented_reads_match_the_pfs_across_segment_sizes() {
+        let (pfs, _f, _s, client) = setup2(1);
         for i in 0..8 {
             let p = sample(i);
             let expected = pfs.read_all(&p).unwrap();
             for seg in [7u64, 16, 64, 1024] {
-                let zc = zc_client.read_file_segmented(&p, seg).unwrap();
-                let legacy = legacy_client.read_file_segmented(&p, seg).unwrap();
-                assert_eq!(zc, expected, "zero-copy path, segment {seg}");
-                assert_eq!(legacy, expected, "legacy path, segment {seg}");
+                assert_eq!(
+                    client.read_file_segmented(&p, seg).unwrap(),
+                    expected,
+                    "segment {seg}"
+                );
             }
         }
-        assert_eq!(
-            legacy_client.metrics().full_snapshot().batch_rpcs,
-            0,
-            "legacy arm never batches"
-        );
+        let s = client.metrics().full_snapshot();
+        assert!(s.batch_rpcs >= 8, "every read batched: {s:?}");
+        assert_eq!(s.batch_fallbacks, 0, "{s:?}");
     }
 
     #[test]
@@ -1547,6 +1582,305 @@ mod tests {
             HvacClient::new(fabric, opts),
             Err(HvacError::InvalidConfig(_))
         ));
+    }
+
+    /// A client on `setup2`'s allocation that reads in `chunk`-byte chunks
+    /// with `workers` dispatch workers.
+    fn chunked_client(fabric: &Arc<Fabric>, chunk: usize, workers: usize) -> HvacClient {
+        let mut opts = HvacClientOptions::new("/gpfs/set", 3, 1);
+        opts.bulk_chunk = chunk;
+        opts.bulk_window = workers;
+        HvacClient::new(fabric.clone(), opts).unwrap()
+    }
+
+    fn server_reads(servers: &ServerSet) -> u64 {
+        servers
+            .iter()
+            .map(|(s, _)| s.metrics().snapshot().reads)
+            .sum()
+    }
+
+    #[test]
+    fn chunked_reads_round_trip_across_windows_and_chunk_sizes() {
+        let (pfs, fabric, _servers, _client) = setup2(1);
+        for chunk in [1usize, 13, 100, 1 << 14] {
+            for workers in [1usize, 2, 4, 16] {
+                let client = chunked_client(&fabric, chunk, workers);
+                for i in 0..3 {
+                    let p = sample(i);
+                    assert_eq!(
+                        client.read_file(&p).unwrap(),
+                        pfs.read_all(&p).unwrap(),
+                        "chunk={chunk} workers={workers}"
+                    );
+                }
+                assert_eq!(client.metrics().full_snapshot().batch_fallbacks, 0);
+            }
+        }
+    }
+
+    #[test]
+    fn chunked_reads_recycle_pool_slabs() {
+        let (pfs, fabric, _servers, _client) = setup2(1);
+        let client = chunked_client(&fabric, 16, 4);
+        for _ in 0..3 {
+            for i in 0..4 {
+                let p = sample(i);
+                assert_eq!(client.read_file(&p).unwrap(), pfs.read_all(&p).unwrap());
+            }
+        }
+        let stats = client.pool.stats();
+        assert_eq!(stats.in_flight(), 0, "every reassembly slab came home");
+        assert!(stats.pool_hits >= 2, "reads recycled the slab: {stats:?}");
+    }
+
+    #[test]
+    fn chunked_pread_honours_offset_and_short_reads_at_eof() {
+        let (pfs, fabric, _servers, _client) = setup2(1);
+        let client = chunked_client(&fabric, 16, 4);
+        let p = sample(4);
+        let expected = pfs.read_all(&p).unwrap();
+        let size = expected.len();
+        let fd = client.open(&p).unwrap();
+        // Unaligned offset, length far past EOF: clamped to the file.
+        assert_eq!(
+            client.pread(fd, 10, size + 500).unwrap(),
+            expected.slice(10..)
+        );
+        assert_eq!(client.pread(fd, 3, 40).unwrap(), expected.slice(3..43));
+        assert_eq!(
+            client.pread(fd, size as u64 - 5, 100).unwrap(),
+            expected.slice(size - 5..)
+        );
+        assert!(client.pread(fd, size as u64, 100).unwrap().is_empty());
+        assert!(client.pread(fd, size as u64 + 7, 100).unwrap().is_empty());
+        client.close(fd).unwrap();
+    }
+
+    #[test]
+    fn one_chunk_read_is_a_single_read_rpc_at_any_offset() {
+        let (pfs, fabric, servers, _client) = setup2(1);
+        let client = chunked_client(&fabric, 16, 4);
+        let p = sample(1);
+        let size = pfs.read_all(&p).unwrap().len() as u64;
+        let fd = client.open(&p).unwrap();
+        // (offset, len, RPCs): chunks tile from the read's own offset, so a
+        // read of at most one chunk is one RPC however it is aligned, and a
+        // 0-byte read at or past EOF still asks the server once.
+        for (offset, len, rpcs) in [
+            (0, 16, 1),
+            (5, 16, 1),
+            (15, 2, 1),
+            (size - 3, 16, 1),
+            (size, 0, 1),
+            (size, 9, 1),
+            (5, 17, 2),
+            (1, 48, 3),
+        ] {
+            let before = server_reads(&servers);
+            client.pread(fd, offset, len).unwrap();
+            assert_eq!(
+                server_reads(&servers) - before,
+                rpcs,
+                "pread at {offset} of {len} bytes"
+            );
+        }
+        client.close(fd).unwrap();
+    }
+
+    #[test]
+    fn multi_chunk_read_returns_the_lowest_offset_chunk_error() {
+        let (_pfs, fabric, _servers, _client) = setup2(1);
+        let client = chunked_client(&fabric, 16, 4);
+        let p = sample(2);
+        let fd = client.open(&p).unwrap();
+        let size = client.fd_size(fd).unwrap();
+        let chunks = size.div_ceil(16);
+        assert!(chunks >= 4, "a multi-chunk read: {chunks} chunks");
+        for addr in client.replica_addrs(&p) {
+            fabric.set_down(&addr, true);
+        }
+        let failed_before = fabric.stats().failed_calls.load(Ordering::Relaxed);
+        // No PFS fallback: every chunk RPC fails, and the fallback ladder
+        // runs in offset order, so the read returns the error of the chunk
+        // at offset 0 and never walks the ladder for a later chunk.
+        let err = client.pread(fd, 0, size as usize).unwrap_err();
+        assert!(matches!(err, HvacError::ServerDown(_)), "{err:?}");
+        assert_eq!(client.metrics().full_snapshot().batch_fallbacks, 1);
+        assert_eq!(
+            fabric.stats().failed_calls.load(Ordering::Relaxed) - failed_before,
+            chunks + 1,
+            "one RPC per chunk, then one ladder attempt for the first chunk"
+        );
+    }
+
+    /// A PFS whose `read_at` fails at every offset from `fail_from` on.
+    struct FailingTail {
+        inner: Arc<MemStore>,
+        fail_from: u64,
+    }
+
+    impl FileStore for FailingTail {
+        fn open_meta(&self, path: &Path) -> Result<FileMeta> {
+            self.inner.open_meta(path)
+        }
+
+        fn read_all(&self, path: &Path) -> Result<Bytes> {
+            self.inner.read_all(path)
+        }
+
+        fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
+            if offset >= self.fail_from {
+                return Err(HvacError::Rpc(format!("read at {offset} failed")));
+            }
+            self.inner.read_at(path, offset, len)
+        }
+
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+
+        fn list(&self, prefix: &Path) -> Result<Vec<PathBuf>> {
+            self.inner.list(prefix)
+        }
+
+        fn stats(&self) -> &StoreStats {
+            self.inner.stats()
+        }
+    }
+
+    #[test]
+    fn first_failed_chunk_error_wins_deterministically() {
+        let (pfs, fabric, _servers, _client) = setup2(1);
+        let mut client = chunked_client(&fabric, 16, 4);
+        client.set_pfs_fallback(Arc::new(FailingTail {
+            inner: pfs,
+            fail_from: 32,
+        }));
+        let p = sample(2);
+        let fd = client.open(&p).unwrap();
+        let size = client.fd_size(fd).unwrap();
+        assert!(size > 48, "chunks past the failing one: {size} bytes");
+        for addr in client.replica_addrs(&p) {
+            fabric.set_down(&addr, true);
+        }
+        // Every chunk RPC fails and degrades to the PFS: the chunks at 0 and
+        // 16 are served from it, and the read returns the error of the chunk
+        // at 32, the first whose fallback fails.
+        match client.pread(fd, 0, size as usize).unwrap_err() {
+            HvacError::Rpc(msg) => assert_eq!(msg, "read at 32 failed"),
+            other => panic!("unexpected {other:?}"),
+        }
+        let s = client.metrics().full_snapshot();
+        assert_eq!(s.batch_fallbacks, 3, "{s:?}");
+        assert_eq!(s.degraded_reads, 2, "{s:?}");
+    }
+
+    #[test]
+    fn chunk_offset_overflow_is_a_typed_error_not_a_wrap() {
+        // A range whose end overflows u64 must surface as a typed error
+        // before any chunk is planned; wrapping would read from offset ~0.
+        let (_pfs, fabric, servers, _client) = setup2(1);
+        let client = chunked_client(&fabric, 64, 4);
+        let err = client
+            .read_path_at(&sample(0), u64::MAX - 10, 1024)
+            .unwrap_err();
+        assert!(matches!(err, HvacError::InvalidConfig(_)), "got {err:?}");
+        assert_eq!(server_reads(&servers), 0, "no RPC was issued");
+    }
+
+    /// An encoded `Stat` of `sample(i)`, for driving the replica ladder
+    /// directly.
+    fn stat_request(i: u32) -> Bytes {
+        Request::Stat { path: sample(i) }
+            .encode_ctx(0, JobId::DEFAULT)
+            .unwrap()
+    }
+
+    fn stat_size(reply: Reply) -> u64 {
+        match Response::decode(reply.header).unwrap() {
+            Response::Stat { size } => size,
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn plain_call() {
+        // A healthy replica answers the ladder with exactly one RPC.
+        let (pfs, fabric, _s, client) = setup2(1);
+        let addrs = client.replica_addrs(&sample(0));
+        let rpcs_before = fabric.stats().rpcs.load(Ordering::Relaxed);
+        let reply = client.call_replicas(&addrs, &stat_request(0)).unwrap();
+        assert_eq!(
+            stat_size(reply),
+            pfs.read_all(&sample(0)).unwrap().len() as u64
+        );
+        assert_eq!(fabric.stats().rpcs.load(Ordering::Relaxed) - rpcs_before, 1);
+        let s = client.metrics().full_snapshot();
+        assert_eq!((s.failovers, s.retries, s.timeouts), (0, 0, 0), "{s:?}");
+    }
+
+    #[test]
+    fn failover_skips_down_primary() {
+        let (_pfs, fabric, _s, client) = setup2(2);
+        let addrs = client.replica_addrs(&sample(3));
+        fabric.set_down(&addrs[0], true);
+        client.call_replicas(&addrs, &stat_request(3)).unwrap();
+        assert_eq!(client.metrics().full_snapshot().failovers, 1);
+    }
+
+    #[test]
+    fn failover_exhausted_returns_server_down() {
+        let (_pfs, _f, _s, client) = setup2(1);
+        let err = client
+            .call_replicas(&["x".into(), "y".into()], &stat_request(0))
+            .unwrap_err();
+        assert!(matches!(err, HvacError::ServerDown(_)), "{err:?}");
+    }
+
+    #[test]
+    fn hung_primary_fails_over_to_replica() {
+        let (_pfs, fabric, _s, client) = setup_with(2, |o| {
+            o.retry.rpc_timeout = Duration::from_millis(25);
+            o.retry.max_attempts = 1;
+        });
+        let addrs = client.replica_addrs(&sample(3));
+        fabric
+            .fault_injector()
+            .set(&addrs[0], hvac_net::FaultSpec::always_hang(11));
+        let start = Instant::now();
+        client.call_replicas(&addrs, &stat_request(3)).unwrap();
+        let s = client.metrics().full_snapshot();
+        assert_eq!(s.failovers, 1, "failover counted: {s:?}");
+        assert!(s.timeouts >= 1, "{s:?}");
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "one hung replica costs one deadline, not a hang"
+        );
+    }
+
+    #[test]
+    fn empty_replica_set_is_config_error() {
+        let (_pfs, _f, _s, client) = setup2(1);
+        assert!(matches!(
+            client.call_replicas(&[], &stat_request(0)),
+            Err(HvacError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn healthy_primary_never_fails_over() {
+        let (_pfs, _f, servers, client) = setup2(2);
+        let addrs = client.replica_addrs(&sample(3));
+        for _ in 0..5 {
+            client.call_replicas(&addrs, &stat_request(3)).unwrap();
+        }
+        assert_eq!(client.metrics().full_snapshot().failovers, 0);
+        let home = servers
+            .iter()
+            .position(|(_, ep)| ep.addr() == addrs[0])
+            .unwrap();
+        assert_eq!(servers[home].0.metrics().snapshot().stats_ops, 5);
     }
 
     #[test]

@@ -70,15 +70,12 @@ pub struct ClusterOptions {
     /// file is exhausted (the §III-H degradation ladder's last rung). On by
     /// default — HVAC's contract is that the epoch completes.
     pub pfs_fallback: bool,
-    /// Bulk chunk size for client reads (reads larger than this are
-    /// pipelined as chunk RPCs).
+    /// Bulk chunk size for client reads (reads larger than this are split
+    /// into chunk RPCs).
     pub bulk_chunk: usize,
-    /// In-flight chunk RPC window per pipelined read.
+    /// Dispatch workers per client: how many RPCs of one multi-RPC read
+    /// (chunks or batches) are in flight at once.
     pub bulk_window: usize,
-    /// Zero-copy data plane for every client: pooled reassembly buffers
-    /// plus coalesced + batched segmented reads. Off = the legacy
-    /// one-RPC-per-segment baseline.
-    pub zero_copy: bool,
     /// Per-client cap on a coalesced read range (0 disables coalescing).
     pub coalesce_max: u64,
     /// Per-client cap on ranges per batch RPC.
@@ -136,8 +133,7 @@ impl ClusterOptions {
             retry: RetryPolicy::default(),
             pfs_fallback: true,
             bulk_chunk: hvac_net::BULK_CHUNK_SIZE,
-            bulk_window: hvac_net::DEFAULT_PIPELINE_WINDOW,
-            zero_copy: true,
+            bulk_window: hvac_net::DEFAULT_SQ_DEPTH,
             coalesce_max: 1 << 20,
             batch_max: 16,
             rebalance: true,
@@ -204,18 +200,10 @@ impl ClusterOptions {
         self
     }
 
-    /// Set the bulk chunk size and in-flight window for pipelined reads.
+    /// Set the bulk chunk size and the per-client dispatch worker count.
     pub fn bulk_transfer(mut self, chunk: usize, window: usize) -> Self {
         self.bulk_chunk = chunk;
         self.bulk_window = window;
-        self
-    }
-
-    /// Enable or disable the zero-copy data plane (pooled buffers,
-    /// coalesced + batched segmented reads). `false` pins the legacy path —
-    /// the baseline arm of the latency harness.
-    pub fn zero_copy(mut self, enabled: bool) -> Self {
-        self.zero_copy = enabled;
         self
     }
 
@@ -282,8 +270,8 @@ impl ClusterOptions {
                 self.replication
             )));
         }
-        // A zero chunk or window would trip `pipelined_fetch`'s internal
-        // invariant deep in the read path; reject it at configuration time.
+        // A zero chunk or window would trip `chunk_ranges`'s assertion deep
+        // in the read path; reject it at configuration time.
         if self.bulk_chunk == 0 {
             return Err(HvacError::InvalidConfig("bulk_chunk must be >= 1".into()));
         }
@@ -344,32 +332,10 @@ impl Cluster {
         }
         let n_servers = nodes.iter().map(|s| s.servers.len()).sum();
         let view = ViewHandle::new(ClusterView::initial(n_servers, options.instances_per_node)?);
-        let mut clients = Vec::new();
-        for _node in 0..options.nodes {
-            for _c in 0..options.clients_per_node {
-                let mut client = HvacClient::new(
-                    fabric.clone(),
-                    HvacClientOptions {
-                        dataset_dir: options.dataset_dir.clone(),
-                        placement: options.placement,
-                        replication: options.replication,
-                        n_servers,
-                        instances_per_node: options.instances_per_node,
-                        retry: options.retry.clone(),
-                        bulk_chunk: options.bulk_chunk,
-                        bulk_window: options.bulk_window,
-                        zero_copy: options.zero_copy,
-                        coalesce_max: options.coalesce_max,
-                        batch_max: options.batch_max,
-                        job_id: options.job_id,
-                    },
-                )?;
-                if options.pfs_fallback {
-                    client.set_pfs_fallback(pfs.clone());
-                }
-                clients.push(Arc::new(client));
-            }
-        }
+        let n_clients = options.nodes as usize * options.clients_per_node as usize;
+        let clients = (0..n_clients)
+            .map(|_| Self::build_client(&fabric, &pfs, &options, n_servers, options.job_id))
+            .collect::<Result<Vec<_>>>()?;
         Ok(Self {
             fabric,
             pfs,
@@ -665,26 +631,43 @@ impl Cluster {
     /// node caches. The client mirrors every data-path option of the
     /// built-in ranks; only the tenant identity differs.
     pub fn client_for_job(&self, job: JobId) -> Result<Arc<HvacClient>> {
-        let options = &self.options;
+        Self::build_client(
+            &self.fabric,
+            &self.pfs,
+            &self.options,
+            self.n_servers(),
+            job,
+        )
+    }
+
+    /// One client of tenant `job` over `n_servers` instances, with every
+    /// data-path option taken from `options` and the PFS fallback armed
+    /// when `options.pfs_fallback` says so.
+    fn build_client(
+        fabric: &Arc<Fabric>,
+        pfs: &Arc<dyn FileStore>,
+        options: &ClusterOptions,
+        n_servers: usize,
+        job: JobId,
+    ) -> Result<Arc<HvacClient>> {
         let mut client = HvacClient::new(
-            self.fabric.clone(),
+            fabric.clone(),
             HvacClientOptions {
                 dataset_dir: options.dataset_dir.clone(),
                 placement: options.placement,
                 replication: options.replication,
-                n_servers: self.n_servers(),
+                n_servers,
                 instances_per_node: options.instances_per_node,
                 retry: options.retry.clone(),
                 bulk_chunk: options.bulk_chunk,
                 bulk_window: options.bulk_window,
-                zero_copy: options.zero_copy,
                 coalesce_max: options.coalesce_max,
                 batch_max: options.batch_max,
                 job_id: job,
             },
         )?;
         if options.pfs_fallback {
-            client.set_pfs_fallback(self.pfs.clone());
+            client.set_pfs_fallback(pfs.clone());
         }
         Ok(Arc::new(client))
     }
@@ -1049,9 +1032,9 @@ mod tests {
 
     #[test]
     fn zero_bulk_transfer_knobs_rejected_as_config_errors() {
-        // Regression: a zero chunk or window used to reach the assertion
-        // inside `pipelined_fetch` on the first large read; now both are
-        // typed `InvalidConfig` errors at construction time.
+        // Regression: a zero chunk or window used to reach a chunking
+        // assertion on the first large read; now both are typed
+        // `InvalidConfig` errors at construction time.
         let pfs = dataset_pfs(1, 8);
         let chunk0 = ClusterOptions::new(2, 1).bulk_transfer(0, 4);
         assert!(matches!(

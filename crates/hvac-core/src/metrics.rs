@@ -431,11 +431,12 @@ pub struct ClientMetrics {
     pub hedges: AtomicU64,
     /// Hedged calls where the backup replica answered first.
     pub hedge_wins: AtomicU64,
-    /// Batch RPCs issued on the zero-copy read path (each bundling several
+    /// Batch RPCs issued by segmented reads (each bundling several
     /// coalesced segment ranges for one destination).
     pub batch_rpcs: AtomicU64,
-    /// Batches that failed (or returned malformed lengths) and were re-read
-    /// through the per-segment retry/failover ladder instead.
+    /// Planned RPCs — batches of a segmented read, chunks of a multi-chunk
+    /// read — that failed, were lost, bounced with a stale view or came
+    /// back malformed, and were re-read through the retry/failover ladder.
     pub batch_fallbacks: AtomicU64,
 }
 
@@ -470,9 +471,9 @@ pub struct ClientMetricsSnapshot {
     pub hedges: u64,
     /// Hedged calls won by the backup replica.
     pub hedge_wins: u64,
-    /// Batch RPCs issued on the zero-copy read path.
+    /// Batch RPCs issued by segmented reads.
     pub batch_rpcs: u64,
-    /// Batches re-read through the per-segment ladder after a failure.
+    /// Planned batches or chunks re-read through the ladder after a failure.
     pub batch_fallbacks: u64,
 }
 

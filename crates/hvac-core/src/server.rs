@@ -20,9 +20,10 @@ use crate::view::ViewHandle;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use hvac_hash::pathhash::{hash_path, tenant_key};
+use hvac_net::bulk::reassemble_bulk_pooled;
 use hvac_net::fabric::{Fabric, Reply, RpcHandler, ServerEndpoint};
 use hvac_net::pool::BufferPool;
-use hvac_net::reassemble_bulk_pooled;
+use hvac_pfs::store::slice_read_at;
 use hvac_pfs::FileStore;
 use hvac_storage::default_shard_count;
 use hvac_sync::{classes, OrderedMutex, OrderedMutexGuard};
@@ -471,16 +472,18 @@ impl HvacServer {
                     Err(e) => (Response::from_error(&e), None),
                 }
             }
-            Request::Read { path, offset, len } => match self.read(job, &path, offset, len) {
-                Ok((total_size, cache_hit, data)) => (
-                    Response::Data {
-                        total_size,
-                        cache_hit,
-                    },
-                    Some(data),
-                ),
-                Err(e) => (Response::from_error(&e), None),
-            },
+            Request::Read { path, offset, len } => {
+                match self.read(job, &path, &tenant_key(job, &path), None, offset, len) {
+                    Ok((total_size, cache_hit, data)) => (
+                        Response::Data {
+                            total_size,
+                            cache_hit,
+                        },
+                        Some(data),
+                    ),
+                    Err(e) => (Response::from_error(&e), None),
+                }
+            }
             Request::Close { path: _ } => {
                 // Out-of-band teardown (§III-D step ⑧). The server keeps no
                 // per-descriptor state, so this is purely an accounting ping.
@@ -587,51 +590,8 @@ impl HvacServer {
         offset: u64,
         len: u64,
     ) -> Result<(bool, Bytes)> {
-        self.metrics.reads.fetch_add(1, Ordering::Relaxed);
-        let Some(_grant) = self.admit(job, len) else {
-            // Over-limit tenant: degrade to the PFS ladder (§III-G) rather
-            // than queueing behind well-behaved tenants' device reads.
-            let (_, hit, data) = self.pfs_bypass_read(job, path, offset, len)?;
-            return Ok((hit, data));
-        };
         let key = segment_key(&tenant_key(job, path), offset, len);
-        for _ in 0..4 {
-            let was_hit = match self.mover.ensure_cached(
-                &self.cache,
-                &self.metrics,
-                path,
-                &key,
-                Some((offset, len)),
-            ) {
-                Ok(hit) => hit,
-                Err(HvacError::CapacityExhausted { .. }) => {
-                    let (_, hit, data) = self.pfs_bypass_read(job, path, offset, len)?;
-                    return Ok((hit, data));
-                }
-                Err(other) => return Err(other),
-            };
-            match self.cache.read_all(&key) {
-                Some(data) => {
-                    if was_hit {
-                        self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.metrics
-                        .served_bytes
-                        .fetch_add(data.len() as u64, Ordering::Relaxed);
-                    self.metrics.tenant_read(job.0, data.len() as u64);
-                    return Ok((was_hit, data));
-                }
-                None => continue, // evicted between ensure and read
-            }
-        }
-        // Every retry lost the race to eviction (cache thrashing). Serve
-        // from the PFS directly rather than failing the read — degraded,
-        // not dead — and count the event honestly instead of guessing a
-        // hit/miss classification.
-        self.metrics.eviction_races.fetch_add(1, Ordering::Relaxed);
-        let (_, hit, data) = self.pfs_bypass_read(job, path, offset, len)?;
+        let (_, hit, data) = self.read(job, path, &key, Some((offset, len)), 0, len)?;
         Ok((hit, data))
     }
 
@@ -660,53 +620,65 @@ impl HvacServer {
         Ok((total_size, false, data))
     }
 
-    fn read(&self, job: JobId, path: &Path, offset: u64, len: u64) -> Result<(u64, bool, Bytes)> {
+    /// Serve `len` bytes at offset `at` of cache entry `key`, returning the
+    /// entry's size, whether the read was a hit, and the bytes. The entry
+    /// holds `copy` (offset, length) of `path` — the whole file when `None`
+    /// — and a miss waits for the data mover to copy it in from the PFS. A
+    /// freshly cached entry can be evicted before it is read back under
+    /// heavy churn, so the ensure+read pair is retried; a read that waited
+    /// on any PFS copy counts as a miss. A shed tenant, a refused insert, or
+    /// four lost eviction races serve the range straight from the PFS.
+    fn read(
+        &self,
+        job: JobId,
+        path: &Path,
+        key: &Path,
+        copy: Option<(u64, u64)>,
+        at: u64,
+        len: u64,
+    ) -> Result<(u64, bool, Bytes)> {
         self.metrics.reads.fetch_add(1, Ordering::Relaxed);
+        let pfs_offset = copy.map_or(at, |(start, _)| start + at);
         let Some(_grant) = self.admit(job, len) else {
-            return self.pfs_bypass_read(job, path, offset, len);
+            // Over-limit tenant: degrade to the PFS ladder (§III-G) rather
+            // than queueing behind well-behaved tenants' device reads.
+            return self.pfs_bypass_read(job, path, pfs_offset, len);
         };
-        let key = tenant_key(job, path);
-        // A freshly-cached file can in principle be evicted before we read
-        // it back under heavy churn; retry the ensure+read pair a few times.
         let mut cache_hit = true;
         for _ in 0..4 {
             let was_hit =
                 match self
                     .mover
-                    .ensure_cached(&self.cache, &self.metrics, path, &key, None)
+                    .ensure_cached(&self.cache, &self.metrics, path, key, copy)
                 {
                     Ok(hit) => hit,
                     Err(HvacError::CapacityExhausted { .. }) => {
-                        return self.pfs_bypass_read(job, path, offset, len);
+                        return self.pfs_bypass_read(job, path, pfs_offset, len);
                     }
                     Err(other) => return Err(other),
                 };
             cache_hit &= was_hit;
-            let total_size = match self.cache.size_of(&key) {
-                Some(sz) => sz.bytes(),
-                None => continue, // evicted already; refetch
+            let Some(entry) = self.cache.read_all(key) else {
+                continue; // evicted already; refetch
             };
-            match self.cache.read_at(&key, offset, len as usize) {
-                Some(data) => {
-                    if cache_hit {
-                        self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-                    }
-                    self.metrics
-                        .served_bytes
-                        .fetch_add(data.len() as u64, Ordering::Relaxed);
-                    self.metrics.tenant_read(job.0, data.len() as u64);
-                    return Ok((total_size, cache_hit, data));
-                }
-                None => continue,
+            let data = slice_read_at(&entry, at, len as usize);
+            if cache_hit {
+                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+            } else {
+                self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
             }
+            self.metrics
+                .served_bytes
+                .fetch_add(data.len() as u64, Ordering::Relaxed);
+            self.metrics.tenant_read(job.0, data.len() as u64);
+            return Ok((entry.len() as u64, cache_hit, data));
         }
-        // All 4 ensure+read attempts lost the eviction race: fall back to a
-        // PFS bypass read so the client still gets its bytes, and record
-        // the thrash event in its own counter.
+        // Every retry lost the race to eviction (cache thrashing). Serve
+        // from the PFS directly rather than failing the read — degraded,
+        // not dead — and count the event honestly instead of guessing a
+        // hit/miss classification.
         self.metrics.eviction_races.fetch_add(1, Ordering::Relaxed);
-        self.pfs_bypass_read(job, path, offset, len)
+        self.pfs_bypass_read(job, path, pfs_offset, len)
     }
 }
 
@@ -760,20 +732,64 @@ impl Drop for DataMover {
 mod tests {
     use super::*;
     use crate::eviction::make_policy;
-    use hvac_pfs::MemStore;
+    use hvac_pfs::{FileMeta, MemStore, StoreStats};
     use hvac_storage::LocalStore;
     use hvac_types::{ByteSize, EvictionPolicyKind};
+    use std::time::{Duration, Instant};
 
-    fn setup(cap: u64) -> (Arc<MemStore>, Arc<HvacServer>) {
+    fn dataset() -> Arc<MemStore> {
         let pfs = Arc::new(MemStore::new());
         pfs.synthesize_dataset(Path::new("/data"), 16, |_| 100);
+        pfs
+    }
+
+    fn server_over(pfs: Arc<dyn FileStore>, cap: u64) -> Arc<HvacServer> {
         let cache = Arc::new(CacheManager::new(
             LocalStore::in_memory(ByteSize(cap)),
             make_policy(EvictionPolicyKind::Random, 1),
         ));
-        let server =
-            HvacServer::new(cache, pfs.clone(), HvacServerOptions::default(), "test").unwrap();
-        (pfs, server)
+        HvacServer::new(cache, pfs, HvacServerOptions::default(), "test").unwrap()
+    }
+
+    fn setup(cap: u64) -> (Arc<MemStore>, Arc<HvacServer>) {
+        let pfs = dataset();
+        (pfs.clone(), server_over(pfs, cap))
+    }
+
+    /// A PFS whose whole-file reads park until the test sends on the gate,
+    /// holding a data-mover copy in flight for as long as the test needs.
+    struct GatedStore {
+        inner: Arc<MemStore>,
+        gate: Receiver<()>,
+    }
+
+    impl FileStore for GatedStore {
+        fn open_meta(&self, path: &Path) -> Result<FileMeta> {
+            self.inner.open_meta(path)
+        }
+
+        fn read_all(&self, path: &Path) -> Result<Bytes> {
+            // Bounded, so a test that never opens the gate fails its
+            // assertions instead of hanging.
+            let _ = self.gate.recv_timeout(Duration::from_secs(30));
+            self.inner.read_all(path)
+        }
+
+        fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
+            self.inner.read_at(path, offset, len)
+        }
+
+        fn exists(&self, path: &Path) -> bool {
+            self.inner.exists(path)
+        }
+
+        fn list(&self, prefix: &Path) -> Result<Vec<PathBuf>> {
+            self.inner.list(prefix)
+        }
+
+        fn stats(&self) -> &StoreStats {
+            self.inner.stats()
+        }
     }
 
     fn sample(i: u32) -> PathBuf {
@@ -884,7 +900,15 @@ mod tests {
 
     #[test]
     fn concurrent_first_reads_copy_once() {
-        let (pfs, server) = setup(100_000);
+        let pfs = dataset();
+        let (open_gate, gate) = bounded(1);
+        let server = server_over(
+            Arc::new(GatedStore {
+                inner: pfs.clone(),
+                gate,
+            }),
+            100_000,
+        );
         let p = sample(5);
         let mut joins = Vec::new();
         for _ in 0..16 {
@@ -900,6 +924,15 @@ mod tests {
                 bulk.unwrap().len()
             }));
         }
+        // The first racer's copy is parked in the gated PFS read. Open the
+        // gate only once the other 15 have all parked on that copy in the
+        // in-flight table, so the dedup path runs on every schedule.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while server.metrics().dedup_waits.load(Ordering::Relaxed) < 15 && Instant::now() < deadline
+        {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        open_gate.send(()).unwrap();
         for j in joins {
             assert_eq!(j.join().unwrap(), 100);
         }

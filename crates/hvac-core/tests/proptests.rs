@@ -1,16 +1,20 @@
 //! Property-based tests for hvac-core: protocol totality, eviction-policy
-//! invariants under arbitrary operation sequences, cache capacity safety.
+//! invariants under arbitrary operation sequences, cache capacity safety,
+//! and chunked client reads against a loopback cluster.
 
 use bytes::Bytes;
 use hvac_core::cache::CacheManager;
 use hvac_core::eviction::make_policy;
 use hvac_core::intercept::{normalize, DatasetMatcher};
 use hvac_core::protocol::{Request, Response};
+use hvac_core::{Cluster, ClusterOptions};
+use hvac_pfs::{FileStore, MemStore};
 use hvac_storage::LocalStore;
-use hvac_types::{ByteSize, EvictionPolicyKind};
+use hvac_types::{ByteSize, EvictionPolicyKind, TransportKind};
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn arb_path() -> impl Strategy<Value = PathBuf> {
     "[a-zA-Z0-9_./ -]{1,64}".prop_map(|s| PathBuf::from(format!("/{s}")))
@@ -133,6 +137,44 @@ proptest! {
             }
             prop_assert!(mgr.store().used().bytes() <= capacity);
         }
+    }
+
+    /// `pread` over a 2-node loopback cluster returns exactly the PFS bytes
+    /// for any file size, chunk size, offset and length, reads past EOF
+    /// included. The read is `max(1, ceil(n / bulk_chunk))` `Read` RPCs for
+    /// the `n` bytes left after clamping to the file, so a read of at most
+    /// `bulk_chunk` bytes is exactly one RPC at any offset.
+    #[test]
+    fn chunked_pread_matches_the_pfs_and_small_reads_are_one_rpc(
+        size in 0usize..6000,
+        bulk_chunk in 16usize..2048,
+        offset in 0u64..6500,
+        len in 0usize..7000,
+    ) {
+        let pfs = Arc::new(MemStore::new());
+        let path = pfs.synthesize_dataset(Path::new("/gpfs/prop"), 1, |_| size).remove(0);
+        let cluster = Cluster::new(
+            pfs.clone(),
+            ClusterOptions::new(2, 1)
+                .dataset_dir("/gpfs/prop")
+                .transport(TransportKind::Loopback)
+                .bulk_transfer(bulk_chunk, 3)
+                .rebalance(false)
+                .repair(false),
+        )
+        .unwrap();
+        let client = cluster.client(0);
+        let fd = client.open(&path).unwrap();
+        let reads_before = cluster.aggregate_metrics().reads;
+        let got = client.pread(fd, offset, len).unwrap();
+        prop_assert_eq!(got, pfs.read_at(&path, offset, len).unwrap());
+        let rpcs = cluster.aggregate_metrics().reads - reads_before;
+        let clamped = len.min(size.saturating_sub(offset as usize));
+        prop_assert_eq!(rpcs, clamped.div_ceil(bulk_chunk).max(1) as u64);
+        if len <= bulk_chunk {
+            prop_assert_eq!(rpcs, 1);
+        }
+        prop_assert_eq!(client.metrics().full_snapshot().batch_fallbacks, 0);
     }
 
     #[test]

@@ -17,19 +17,18 @@
 //! * [`socket`] — the socket transport: endpoint resolution (config/env),
 //!   per-destination connection pooling with request-id multiplexing, and
 //!   the server accept/worker core,
-//! * [`client`] — the blocking [`RpcClient`] used by HVAC clients,
 //! * [`fault`] — the seeded [`FaultInjector`] (per-endpoint drop / delay /
 //!   hang / error-reply schedules) driving the hung-server tests,
-//! * [`bulk`] — chunked bulk-transfer framing mirroring Mercury's separation
-//!   of RPC metadata from payload,
-//! * [`pipeline`] — bounded-window pipelining of chunk fetches, so large
-//!   reads overlap their chunk RPCs the way Mercury overlaps RDMA gets,
-//! * [`pool`] — the reference-counted slab [`BufferPool`] behind the
-//!   zero-copy data plane (return-to-pool on last `Bytes` drop),
+//! * [`bulk`] — chunk tiling and pooled reassembly of large reads,
+//!   mirroring Mercury's separation of RPC metadata from payload,
+//! * [`pool`] — the reference-counted slab [`BufferPool`](pool::BufferPool)
+//!   behind the zero-copy data plane (return-to-pool on last `Bytes` drop),
 //! * [`plan`] — the adjacent-segment coalescer and per-destination batch
 //!   planner plus the batch payload codec,
-//! * [`sq`] — an io_uring-shaped [`SubmissionQueue`] for issuing batched
-//!   small RPCs per destination.
+//! * [`sq`] — an io_uring-shaped [`SubmissionQueue`](sq::SubmissionQueue)
+//!   on a persistent [`SqPool`](sq::SqPool) of dispatch workers: every
+//!   multi-RPC read (bulk chunks, per-destination batches) is submitted
+//!   through it.
 //!
 //! The loopback fabric moves real bytes between real threads; latency and
 //! bandwidth of the modeled interconnect are accounted (for reporting)
@@ -38,25 +37,16 @@
 //! fabric works unchanged on both.
 
 pub mod bulk;
-pub mod client;
 pub mod fabric;
 pub mod fault;
 pub mod framing;
-pub mod pipeline;
 pub mod plan;
 pub mod pool;
 pub mod socket;
 pub mod sq;
 pub mod wire;
 
-pub use bulk::{chunk_bulk, reassemble_bulk, reassemble_bulk_pooled, BULK_CHUNK_SIZE};
-pub use client::RpcClient;
-pub use fabric::{Fabric, FabricStats, Reply, RpcHandler, ServerEndpoint};
-pub use fault::{FaultAction, FaultInjector, FaultSpec};
-pub use pipeline::{pipelined_fetch, pipelined_fetch_pooled, DEFAULT_PIPELINE_WINDOW};
-pub use plan::{coalesce_plan, decode_batch_items, encode_batch_items, BatchItem, PlanEntry};
-pub use pool::{BufferPool, PoolStats, PooledBuf};
-pub use socket::{
-    endpoints_from_env, parse_endpoint_list, EndpointUri, SocketConfig, SocketFamily,
-};
-pub use sq::{Completion, SqEntry, SqPool, SubmissionQueue};
+pub use bulk::BULK_CHUNK_SIZE;
+pub use fabric::{Fabric, Reply, RpcHandler};
+pub use fault::{FaultInjector, FaultSpec};
+pub use sq::DEFAULT_SQ_DEPTH;

@@ -55,7 +55,7 @@ pub struct PlanEntry<D> {
 ///
 /// `len == 0` yields an empty plan. Panics if `segment_size` is zero or the
 /// range end overflows `u64` (the caller validates its options, mirroring
-/// `pipelined_fetch`).
+/// [`chunk_ranges`](crate::bulk::chunk_ranges)).
 pub fn coalesce_plan<D, F>(
     offset: u64,
     len: u64,

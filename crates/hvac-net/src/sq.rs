@@ -1,12 +1,13 @@
-//! Submission-queue API for small-RPC batching.
+//! Submission-queue API for multi-RPC reads.
 //!
 //! io_uring replaced one-syscall-per-I/O with a prepared queue of
 //! submission entries drained by persistent kernel workers; this module
-//! gives the HVAC client the same shape for small RPCs: `prep` entries
-//! into a [`SubmissionQueue`], then `submit_and_wait` drains them —
-//! dispatching up to the pool's worker count concurrently — and returns
-//! one [`Completion`] per entry, matched by the caller's `user_data` tag
-//! exactly like a CQE.
+//! gives the HVAC client the same shape for the RPCs of one read — the
+//! chunks of a large whole-file read and the per-destination batches of a
+//! segmented one: `prep` entries into a [`SubmissionQueue`], then
+//! `submit_and_wait` drains them — dispatching up to the pool's worker
+//! count concurrently — and returns one [`Completion`] per entry, in
+//! submission order, tagged with the caller's `user_data` like a CQE.
 //!
 //! Keeping the io_uring signature (prep / submit_and_wait / user_data) is
 //! deliberate: a future liburing backend slots in behind this API without
@@ -34,8 +35,9 @@ use std::time::{Duration, Instant};
 
 use crate::fabric::{Fabric, Reply};
 
-/// Default number of in-flight RPCs per `submit_and_wait`.
-pub const DEFAULT_SQ_DEPTH: usize = 8;
+/// Default number of dispatch workers per client [`SqPool`], which bounds
+/// how many RPCs of one submit are in flight at once.
+pub const DEFAULT_SQ_DEPTH: usize = 4;
 
 /// One prepared RPC: `payload` to `dest`, answered within `deadline`.
 #[derive(Debug, Clone)]
@@ -197,16 +199,6 @@ pub struct SubmissionQueue {
 }
 
 impl SubmissionQueue {
-    /// Create a standalone queue with its own private `depth`-worker pool.
-    /// Callers on a hot path should build one [`SqPool`] up front and use
-    /// [`SubmissionQueue::with_pool`] per batch instead.
-    pub fn new(fabric: Arc<Fabric>, depth: usize) -> Result<Self> {
-        Ok(Self {
-            pool: SqPool::new(fabric, depth)?,
-            entries: Vec::new(),
-        })
-    }
-
     /// Create a queue over an existing pool. Costs nothing: the queue is a
     /// prep buffer, and dispatch concurrency lives in the shared pool.
     pub fn with_pool(pool: &SqPool) -> Self {
@@ -329,7 +321,8 @@ mod tests {
     #[test]
     fn completions_come_back_in_submission_order() {
         let (fabric, _servers) = fabric_with_echo(&["s0", "s1"]);
-        let mut sq = SubmissionQueue::new(fabric, 4).unwrap();
+        let pool = SqPool::new(fabric, 4).unwrap();
+        let mut sq = SubmissionQueue::with_pool(&pool);
         for i in 0..16u64 {
             sq.prep(SqEntry {
                 dest: format!("s{}", i % 2),
@@ -352,7 +345,8 @@ mod tests {
     #[test]
     fn one_failure_does_not_poison_the_batch() {
         let (fabric, _servers) = fabric_with_echo(&["s0"]);
-        let mut sq = SubmissionQueue::new(fabric, 3).unwrap();
+        let pool = SqPool::new(fabric, 3).unwrap();
+        let mut sq = SubmissionQueue::with_pool(&pool);
         // The middle entry targets an endpoint that was never registered,
         // so only it fails; the batch's other completions are unaffected.
         for (i, dest) in ["s0", "nowhere", "s0"].iter().enumerate() {
@@ -372,7 +366,8 @@ mod tests {
     #[test]
     fn empty_and_single_entry_submits_avoid_dispatch() {
         let (fabric, _servers) = fabric_with_echo(&["s0"]);
-        let mut sq = SubmissionQueue::new(fabric, 8).unwrap();
+        let pool = SqPool::new(fabric, 8).unwrap();
+        let mut sq = SubmissionQueue::with_pool(&pool);
         assert!(sq.submit_and_wait().is_empty());
         sq.prep(SqEntry {
             dest: "s0".into(),
@@ -392,7 +387,8 @@ mod tests {
     #[test]
     fn queue_is_reusable_after_submit() {
         let (fabric, _servers) = fabric_with_echo(&["s0"]);
-        let mut sq = SubmissionQueue::new(fabric, 2).unwrap();
+        let pool = SqPool::new(fabric, 2).unwrap();
+        let mut sq = SubmissionQueue::with_pool(&pool);
         for round in 0..3u64 {
             for i in 0..4u64 {
                 sq.prep(SqEntry {

@@ -1,12 +1,13 @@
 //! Property-based tests for the RPC substrate: codec totality, bulk
-//! chunking round-trips, pipelined reassembly, and fabric behaviour under
-//! arbitrary payloads.
+//! chunking round-trips, and fabric behaviour under arbitrary payloads.
+//! Chunked reads end to end are property-tested against a loopback
+//! cluster in `hvac-core`'s proptests.
 
 use bytes::{Bytes, BytesMut};
-use hvac_net::bulk::{chunk_bulk, reassemble_bulk};
+use hvac_net::bulk::{chunk_ranges, reassemble_bulk_pooled};
 use hvac_net::fabric::{Fabric, Reply, RpcHandler};
 use hvac_net::framing;
-use hvac_net::pipeline::pipelined_fetch;
+use hvac_net::pool::BufferPool;
 use hvac_net::wire;
 use hvac_types::HvacError;
 use proptest::prelude::*;
@@ -52,7 +53,9 @@ proptest! {
     #[test]
     fn bulk_chunking_round_trips(payload in proptest::collection::vec(any::<u8>(), 0..10_000), chunk in 1usize..4096) {
         let payload = Bytes::from(payload);
-        let chunks = chunk_bulk(&payload, chunk);
+        let chunks: Vec<Bytes> = chunk_ranges(payload.len(), chunk)
+            .map(|r| payload.slice(r))
+            .collect();
         // Every chunk respects the size bound...
         for c in &chunks {
             prop_assert!(c.len() <= chunk);
@@ -61,30 +64,7 @@ proptest! {
         // ...the count is exact...
         prop_assert_eq!(chunks.len(), payload.len().div_ceil(chunk));
         // ...and reassembly is lossless.
-        prop_assert_eq!(reassemble_bulk(&chunks), payload);
-    }
-
-    #[test]
-    fn pipelined_fetch_round_trips_any_payload(
-        payload in proptest::collection::vec(any::<u8>(), 0..10_000),
-        chunk in 1usize..4096,
-        window in 1usize..9,
-        offset in 0u64..256,
-    ) {
-        // A pipelined chunked read over an in-memory "file" must return the
-        // exact bytes a single contiguous read would — for any payload
-        // (including empty), any chunk size, and any window width. Requests
-        // deliberately overrun EOF to exercise short-read reassembly.
-        let data = Bytes::from(payload);
-        let fetch = |off: u64, len: usize| {
-            let start = (off as usize).min(data.len());
-            let end = (start + len).min(data.len());
-            Ok(data.slice(start..end))
-        };
-        let len = data.len() + 512; // always runs past EOF
-        let out = pipelined_fetch(offset, len, chunk, window, fetch).unwrap();
-        let expected = data.slice((offset as usize).min(data.len())..);
-        prop_assert_eq!(out, expected);
+        prop_assert_eq!(reassemble_bulk_pooled(&chunks, &BufferPool::new()), payload);
     }
 
     #[test]

@@ -23,7 +23,7 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// A deterministic 3 MiB payload: large enough to pipeline chunk RPCs.
+/// A deterministic 3 MiB payload: large enough to split into chunk RPCs.
 fn payload() -> Vec<u8> {
     (0..3 * 1024 * 1024u32)
         .map(|i| (i * 131 + 17) as u8)

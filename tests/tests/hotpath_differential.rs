@@ -1,12 +1,14 @@
-//! Differential hot-path tier: the zero-copy data plane (pooled buffers,
-//! coalesced ranges, batched RPCs) and the legacy path must be
-//! byte-identical for **every read shape** — whole-file, pipelined bulk,
-//! segmented, coalesced, batched — on every transport, clean and under
-//! drop/delay/crash faults.
+//! Differential hot-path tier: the client's one read path (plan → submit
+//! on the client's dispatch pool, with the per-RPC ladder as fallback) must
+//! return the synthesized ground truth for **every read shape** —
+//! whole-file, multi-chunk bulk, segmented, coalesced, batched — on every
+//! transport, clean and under drop/delay/crash faults.
 //!
-//! Every assertion compares three ways: against the synthesized ground
-//! truth, and between the two arms, so a bug that corrupts both arms the
-//! same way still trips the ground-truth check.
+//! Each file is read through both arms of that path: a whole-file read
+//! (one RPC, or a plan of chunk RPCs when the file exceeds `bulk_chunk`)
+//! and a segmented read (a plan of per-destination batch RPCs). Both arms
+//! are checked against the ground truth, so they also agree with each
+//! other.
 
 use hvac_core::cluster::{Cluster, ClusterOptions};
 use hvac_net::FaultSpec;
@@ -49,63 +51,53 @@ fn dataset() -> Arc<MemStore> {
 
 fn build(
     transport: TransportKind,
-    zero_copy: bool,
     tweak: impl FnOnce(ClusterOptions) -> ClusterOptions,
 ) -> (Arc<MemStore>, Cluster) {
     let pfs = dataset();
     let options = tweak(
         ClusterOptions::new(4, 1)
             .dataset_dir("/gpfs/train")
-            .transport(transport)
-            .zero_copy(zero_copy),
+            .transport(transport),
     );
     let cluster = Cluster::new(pfs.clone(), options).unwrap();
     (pfs, cluster)
 }
 
-/// Read every file through both shapes on `cluster` and return the bytes
-/// so the caller can difference the two arms.
-fn read_all(cluster: &Cluster, rank: usize, tag: &str) -> Vec<(Vec<u8>, Vec<u8>)> {
+/// Read every file through both arms — whole-file and segmented — on
+/// `cluster`, checking each against the synthesized ground truth.
+fn read_all(cluster: &Cluster, rank: usize, tag: &str) {
     let client = cluster.client(rank);
-    SIZES
-        .iter()
-        .enumerate()
-        .map(|(i, &size)| {
-            let p = sample(i as u64);
-            let whole = client.read_file(&p).unwrap_or_else(|e| {
-                panic!("{tag}: whole-file read of {} failed: {e}", p.display())
-            });
-            let segmented = client
-                .read_file_segmented(&p, SEG)
-                .unwrap_or_else(|e| panic!("{tag}: segmented read of {} failed: {e}", p.display()));
-            let expected = MemStore::sample_content(i as u64, size);
-            assert_eq!(whole, expected, "{tag}: whole-file bytes of file {i}");
-            assert_eq!(segmented, expected, "{tag}: segmented bytes of file {i}");
-            (whole.to_vec(), segmented.to_vec())
-        })
-        .collect()
+    for (i, &size) in SIZES.iter().enumerate() {
+        let p = sample(i as u64);
+        let whole = client
+            .read_file(&p)
+            .unwrap_or_else(|e| panic!("{tag}: whole-file read of {} failed: {e}", p.display()));
+        let segmented = client
+            .read_file_segmented(&p, SEG)
+            .unwrap_or_else(|e| panic!("{tag}: segmented read of {} failed: {e}", p.display()));
+        let expected = MemStore::sample_content(i as u64, size);
+        assert_eq!(whole, expected, "{tag}: whole-file bytes of file {i}");
+        assert_eq!(segmented, expected, "{tag}: segmented bytes of file {i}");
+    }
 }
 
-/// Clean differential sweep: whole-file + pipelined bulk (8 KiB chunks) +
-/// segmented (coalesced/batched vs sequential) on every transport.
+/// Clean sweep: whole-file + multi-chunk bulk (8 KiB chunks) + segmented
+/// (coalesced and batched) on every transport.
 #[test]
 fn all_read_shapes_agree_across_arms_and_transports() {
     for transport in TRANSPORTS {
-        // Small bulk chunks force the pipelined multi-chunk path on
-        // whole-file reads; segmented reads batch per destination.
-        let (_p1, zc) = build(transport, true, |o| o.bulk_transfer(8 * 1024, 4));
-        let (_p2, legacy) = build(transport, false, |o| o.bulk_transfer(8 * 1024, 4));
-        let a = read_all(&zc, 0, &format!("{transport:?}/zero-copy"));
-        let b = read_all(&legacy, 0, &format!("{transport:?}/legacy"));
-        assert_eq!(a, b, "{transport:?}: arms disagree");
+        // Small bulk chunks turn whole-file reads of the larger files into
+        // chunk plans; segmented reads batch per destination.
+        let (_pfs, cluster) = build(transport, |o| o.bulk_transfer(8 * 1024, 4));
+        read_all(&cluster, 0, &format!("{transport:?}/clean"));
+        let s = cluster.client(0).metrics().full_snapshot();
         assert!(
-            zc.client(0).metrics().full_snapshot().batch_rpcs >= 1,
-            "{transport:?}: zero-copy arm never batched"
+            s.batch_rpcs >= 1,
+            "{transport:?}: segmented reads never batched"
         );
         assert_eq!(
-            legacy.client(0).metrics().full_snapshot().batch_rpcs,
-            0,
-            "{transport:?}: legacy arm must not batch"
+            s.batch_fallbacks, 0,
+            "{transport:?}: a healthy cluster never falls back"
         );
     }
 }
@@ -116,21 +108,14 @@ fn all_read_shapes_agree_across_arms_and_transports() {
 #[test]
 fn coalesced_single_destination_reads_are_exact() {
     for transport in TRANSPORTS {
-        let pfs = dataset();
-        let mk = |zero_copy| {
-            Cluster::new(
-                pfs.clone(),
-                ClusterOptions::new(1, 1)
-                    .dataset_dir("/gpfs/train")
-                    .transport(transport)
-                    .zero_copy(zero_copy),
-            )
-            .unwrap()
-        };
-        let (zc, legacy) = (mk(true), mk(false));
-        let a = read_all(&zc, 0, &format!("{transport:?}/coalesced/zero-copy"));
-        let b = read_all(&legacy, 0, &format!("{transport:?}/coalesced/legacy"));
-        assert_eq!(a, b, "{transport:?}: single-node arms disagree");
+        let cluster = Cluster::new(
+            dataset(),
+            ClusterOptions::new(1, 1)
+                .dataset_dir("/gpfs/train")
+                .transport(transport),
+        )
+        .unwrap();
+        read_all(&cluster, 0, &format!("{transport:?}/coalesced"));
     }
 }
 
@@ -139,11 +124,8 @@ fn coalesced_single_destination_reads_are_exact() {
 #[test]
 fn batched_reads_with_coalescing_disabled_are_exact() {
     for transport in TRANSPORTS {
-        let (_p1, zc) = build(transport, true, |o| o.coalesce_batch(0, 2));
-        let (_p2, legacy) = build(transport, false, |o| o.coalesce_batch(0, 2));
-        let a = read_all(&zc, 1, &format!("{transport:?}/batched/zero-copy"));
-        let b = read_all(&legacy, 1, &format!("{transport:?}/batched/legacy"));
-        assert_eq!(a, b, "{transport:?}: batching arms disagree");
+        let (_pfs, cluster) = build(transport, |o| o.coalesce_batch(0, 2));
+        read_all(&cluster, 1, &format!("{transport:?}/batched"));
     }
 }
 
@@ -176,58 +158,61 @@ fn arm_drop_delay(cluster: &Cluster) {
     }
 }
 
-/// Drop + delay faults on every endpoint: the zero-copy arm's batch RPCs
-/// fail probabilistically and must fall back to the per-segment ladder
-/// without ever returning wrong bytes.
+/// Drop + delay faults on every endpoint: chunk and batch RPCs fail
+/// probabilistically and must fall back to the per-RPC ladder without ever
+/// returning wrong bytes. 8 KiB bulk chunks make the larger whole-file
+/// reads multi-chunk plans, so their fallback runs under faults too.
 #[test]
 fn drop_and_delay_faults_stay_byte_exact_on_both_arms() {
     for transport in TRANSPORTS {
-        for zero_copy in [true, false] {
-            let (_pfs, cluster) = build(transport, zero_copy, |o| {
-                o.replication(2).retry_policy(fault_retry())
-            });
-            // Warm pass (clean) so the dataset is cached, then arm faults.
-            read_all(&cluster, 0, &format!("{transport:?}/warm"));
-            arm_drop_delay(&cluster);
-            for pass in 0..3 {
-                read_all(
-                    &cluster,
-                    pass % 2,
-                    &format!("{transport:?}/faulted/zc={zero_copy}/pass{pass}"),
-                );
-            }
-            assert!(
-                cluster.fabric().fault_injector().injected() > 0,
-                "{transport:?}: the fault plan never fired"
+        let (_pfs, cluster) = build(transport, |o| {
+            o.replication(2)
+                .retry_policy(fault_retry())
+                .bulk_transfer(8 * 1024, 4)
+        });
+        // Warm pass (clean) so the dataset is cached, then arm faults.
+        read_all(&cluster, 0, &format!("{transport:?}/warm"));
+        arm_drop_delay(&cluster);
+        for pass in 0..3 {
+            read_all(
+                &cluster,
+                pass % 2,
+                &format!("{transport:?}/faulted/pass{pass}"),
             );
         }
+        assert!(
+            cluster.fabric().fault_injector().injected() > 0,
+            "{transport:?}: the fault plan never fired"
+        );
     }
 }
 
 /// Crash-stop a node mid-workload: with k=2 replication the surviving
-/// replica (or the PFS rung) must keep every shape byte-exact on both arms.
+/// replica (or the PFS rung) must keep every shape byte-exact. Every plan
+/// entry homed on the crashed node fails fast, so each crashed pass must
+/// fall back to the ladder at least once.
 #[test]
 fn crash_faults_stay_byte_exact_on_both_arms() {
     for transport in TRANSPORTS {
-        for zero_copy in [true, false] {
-            let (_pfs, cluster) = build(transport, zero_copy, |o| {
-                o.replication(2).retry_policy(fault_retry()).repair(false)
-            });
-            read_all(&cluster, 0, &format!("{transport:?}/pre-crash"));
-            cluster.crash_node(1).unwrap();
-            for pass in 0..2 {
-                read_all(
-                    &cluster,
-                    pass,
-                    &format!("{transport:?}/crashed/zc={zero_copy}/pass{pass}"),
-                );
-            }
-            cluster.restart_node(1).unwrap();
-            read_all(
-                &cluster,
-                1,
-                &format!("{transport:?}/post-restart/zc={zero_copy}"),
+        let (_pfs, cluster) = build(transport, |o| {
+            o.replication(2)
+                .retry_policy(fault_retry())
+                .repair(false)
+                .bulk_transfer(8 * 1024, 4)
+        });
+        read_all(&cluster, 0, &format!("{transport:?}/pre-crash"));
+        cluster.crash_node(1).unwrap();
+        for pass in 0..2 {
+            let client = cluster.client(pass);
+            let before = client.metrics().full_snapshot().batch_fallbacks;
+            read_all(&cluster, pass, &format!("{transport:?}/crashed/pass{pass}"));
+            let fallbacks = client.metrics().full_snapshot().batch_fallbacks - before;
+            assert!(
+                fallbacks > 0,
+                "{transport:?}: crashed pass {pass} never fell back to the ladder"
             );
         }
+        cluster.restart_node(1).unwrap();
+        read_all(&cluster, 1, &format!("{transport:?}/post-restart"));
     }
 }

@@ -16,7 +16,7 @@
 //! 4. **Module docs required** — every `.rs` file under a `src/` tree
 //!    must open with a `//!` doc comment.
 //! 5. **Stripe modules are hvac-sync-only** — the lock-striped hot-path
-//!    modules (sharded store, striped inflight table, bulk pipeline) must
+//!    modules (sharded store, striped inflight table, RPC dispatch pool) must
 //!    synchronize exclusively through `hvac_sync` ordered primitives or
 //!    `std::sync::atomic`; unordered blocking primitives (`Condvar`,
 //!    `Barrier`, `OnceLock`, ...) are banned there, and each module must
@@ -209,7 +209,7 @@ fn is_std_sync_import_of_locks(line: &str) -> bool {
 const STRIPE_MODULES: &[&str] = &[
     "crates/hvac-storage/src/localstore.rs",
     "crates/hvac-core/src/server.rs",
-    "crates/hvac-net/src/pipeline.rs",
+    "crates/hvac-net/src/sq.rs",
 ];
 
 /// Blocking sync primitives with no lock-order story; banned in stripe
@@ -502,7 +502,7 @@ mod tests {
                     "//! doc\nuse hvac_sync::OrderedRwLock;\n",
                 ),
                 file(
-                    "crates/hvac-net/src/pipeline.rs",
+                    "crates/hvac-net/src/sq.rs",
                     "//! doc\nuse std::sync::atomic::AtomicUsize;\n",
                 ),
             ]
@@ -526,7 +526,7 @@ mod tests {
                 "//! doc\nuse hvac_sync::OrderedRwLock;\n",
             ),
             file(
-                "crates/hvac-net/src/pipeline.rs",
+                "crates/hvac-net/src/sq.rs",
                 "//! doc\nuse std::sync::atomic::AtomicBool;\n",
             ),
         ];
@@ -544,7 +544,7 @@ mod tests {
                 "//! doc\nuse hvac_sync::OrderedRwLock;\n",
             ),
             file(
-                "crates/hvac-net/src/pipeline.rs",
+                "crates/hvac-net/src/sq.rs",
                 "//! doc\nuse std::sync::atomic::AtomicBool;\n",
             ),
         ];
