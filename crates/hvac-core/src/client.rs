@@ -2,8 +2,9 @@
 //!
 //! The client is what the `LD_PRELOAD` shim (or an embedding application)
 //! talks to. It keeps a descriptor table for intercepted files, computes the
-//! home server of each path by hashing (§III-E), and forwards
-//! `<open, read, close>` as RPCs.
+//! home server of each path by hashing (§III-E), and forwards `open` (a
+//! `Stat`) and `read` as RPCs; `close` is local bookkeeping. The per-sample
+//! [`HvacClient::read_file`] fuses the whole transaction into one `Read`.
 //!
 //! Failure semantics (§III-H, extended here): every RPC carries a per-call
 //! deadline from the client's [`RetryPolicy`]; transient failures (typed
@@ -551,18 +552,26 @@ impl HvacClient {
         self.call_with_view(req, |view| self.replica_addrs_in(view, path))
     }
 
-    /// Open a dataset file; returns an HVAC descriptor.
-    pub fn open(&self, path: &Path) -> Result<u64> {
-        if !self.intercepts(path) {
-            self.metrics
-                .passthrough_opens
-                .fetch_add(1, Ordering::Relaxed);
-            return Err(HvacError::Protocol(format!(
-                "{} is outside the dataset directory {}",
-                path.display(),
-                self.matcher.root().display()
-            )));
+    /// Refuse a path outside the dataset directory (the shim falls back to
+    /// the real libc call for it), counting it as a passthrough open.
+    fn check_intercepted(&self, path: &Path) -> Result<()> {
+        if self.intercepts(path) {
+            return Ok(());
         }
+        self.metrics
+            .passthrough_opens
+            .fetch_add(1, Ordering::Relaxed);
+        Err(HvacError::Protocol(format!(
+            "{} is outside the dataset directory {}",
+            path.display(),
+            self.matcher.root().display()
+        )))
+    }
+
+    /// Open a dataset file; returns an HVAC descriptor. Open keeps its
+    /// `Stat` RPC, because POSIX reports a missing file at open time.
+    pub fn open(&self, path: &Path) -> Result<u64> {
+        self.check_intercepted(path)?;
         let size = self.stat(path)?;
         let fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
         self.fds.lock().insert(
@@ -627,15 +636,15 @@ impl HvacClient {
         self.with_fd(fd, |of| of.size)
     }
 
-    /// Close a descriptor, sending the out-of-band teardown RPC (§III-D ⑧).
+    /// Close a descriptor. The server keeps no per-descriptor state, so
+    /// this sends no RPC — a deviation from the out-of-band teardown of
+    /// §III-D step ⑧ (DESIGN.md §3).
     pub fn close(&self, fd: u64) -> Result<()> {
-        let path = {
-            let mut fds = self.fds.lock();
-            fds.remove(&fd).ok_or(HvacError::BadFd(fd as i32))?.path
-        };
+        self.fds
+            .lock()
+            .remove(&fd)
+            .ok_or(HvacError::BadFd(fd as i32))?;
         self.metrics.closes.fetch_add(1, Ordering::Relaxed);
-        // Teardown is advisory; a down server must not fail the close.
-        let _ = self.call(&path, &Request::Close { path: path.clone() });
         Ok(())
     }
 
@@ -671,14 +680,17 @@ impl HvacClient {
         }
     }
 
+    /// The armed PFS fallback store.
+    fn fallback_store(&self) -> Result<&Arc<dyn FileStore>> {
+        self.pfs_fallback
+            .as_ref()
+            .ok_or_else(|| HvacError::InvalidConfig("no PFS fallback armed".into()))
+    }
+
     /// Serve one read directly from the PFS (the degradation ladder's last
     /// rung). Byte-identical to what a server-side miss would return.
     fn degraded_read(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
-        let pfs = self
-            .pfs_fallback
-            .as_ref()
-            .ok_or_else(|| HvacError::InvalidConfig("no PFS fallback armed".into()))?;
-        let data = pfs.read_at(path, offset, len)?;
+        let data = self.fallback_store()?.read_at(path, offset, len)?;
         self.metrics.degraded_reads.fetch_add(1, Ordering::Relaxed);
         self.metrics.reads.fetch_add(1, Ordering::Relaxed);
         self.metrics
@@ -693,10 +705,11 @@ impl HvacClient {
     /// exhausted. It serves a read that fits one chunk, and re-reads a chunk
     /// of a larger read whose planned RPC failed; each call re-resolves the
     /// home through the current view, so a membership change redirects only
-    /// the chunks that actually hit a stale home. Counts only
-    /// `degraded_reads`; the logical read's `reads`/`bytes` are accounted
-    /// once by [`Self::read_path_at`].
-    fn fetch_chunk(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
+    /// the chunks that actually hit a stale home. Returns the bytes and,
+    /// when a server answered, the file's size from the reply (`None` for a
+    /// chunk served from the PFS). Counts only `degraded_reads`; the logical
+    /// read's `reads`/`bytes` are accounted once by its caller.
+    fn fetch_chunk(&self, path: &Path, offset: u64, len: usize) -> Result<(Bytes, Option<u64>)> {
         let req = Request::Read {
             path: path.to_path_buf(),
             offset,
@@ -708,16 +721,27 @@ impl HvacClient {
                 let pfs = self.pfs_fallback.as_ref().ok_or(e)?;
                 let data = pfs.read_at(path, offset, len)?;
                 self.metrics.degraded_reads.fetch_add(1, Ordering::Relaxed);
-                return Ok(data);
+                return Ok((data, None));
             }
             Err(e) => return Err(e),
         };
         match Response::decode(reply.header)?.into_result()? {
-            Response::Data { .. } => Ok(reply.bulk.unwrap_or_default()),
+            Response::Data { total_size, .. } => {
+                Ok((reply.bulk.unwrap_or_default(), Some(total_size)))
+            }
             other => Err(HvacError::Protocol(format!(
                 "unexpected read reply: {other:?}"
             ))),
         }
+    }
+
+    /// Account one logical read of `data` and hand it back.
+    fn count_read(&self, data: Bytes) -> Bytes {
+        self.metrics.reads.fetch_add(1, Ordering::Relaxed);
+        self.metrics
+            .bytes
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        data
     }
 
     /// One logical read. A read that fits in `bulk_chunk` (a 0-byte read at
@@ -726,15 +750,12 @@ impl HvacClient {
     /// goes through [`Self::read_chunked`].
     fn read_path_at(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
         let data = if len <= self.options.bulk_chunk {
-            self.fetch_chunk(path, offset, len)?
+            self.fetch_chunk(path, offset, len)?.0
         } else {
-            self.read_chunked(path, offset, len)?
+            // lockgraph: acquires NET_POOL
+            reassemble_bulk_pooled(&self.read_chunked(path, offset, len)?, &self.pool)
         };
-        self.metrics.reads.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        Ok(data)
+        Ok(self.count_read(data))
     }
 
     /// A read longer than one chunk: plan → submit → collect. The read
@@ -743,8 +764,9 @@ impl HvacClient {
     /// the current view, submitted through [`Self::submit_and_collect`];
     /// a failed, lost, stale-view or short chunk is re-read through
     /// [`Self::fetch_chunk`]. Like batches, chunk RPCs skip hedging and
-    /// breaker bookkeeping until they fall back to the ladder.
-    fn read_chunked(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
+    /// breaker bookkeeping until they fall back to the ladder. Returns the
+    /// chunks in offset order.
+    fn read_chunked(&self, path: &Path, offset: u64, len: usize) -> Result<Vec<Bytes>> {
         if offset.checked_add(len as u64).is_none() {
             return Err(HvacError::InvalidConfig(format!(
                 "read of {len} bytes at offset {offset} overflows u64"
@@ -770,17 +792,15 @@ impl HvacClient {
                 (home.clone(), req)
             })
             .collect();
-        let chunks = self.submit_and_collect(
+        self.submit_and_collect(
             view.epoch(),
             entries,
             |slot, resp, bulk| {
                 (matches!(resp, Response::Data { .. }) && bulk.len() == plan[slot].1)
                     .then_some(bulk)
             },
-            |slot| self.fetch_chunk(path, plan[slot].0, plan[slot].1),
-        )?;
-        // lockgraph: acquires NET_POOL
-        Ok(reassemble_bulk_pooled(&chunks, &self.pool))
+            |slot| Ok(self.fetch_chunk(path, plan[slot].0, plan[slot].1)?.0),
+        )
     }
 
     /// Submit one plan's RPCs — a `(destination, request)` per entry,
@@ -1135,14 +1155,36 @@ impl HvacClient {
         Ok(submitted)
     }
 
-    /// Convenience: `<open, read-entire-file, close>` — the exact transaction
-    /// the paper's DL profile shows per training sample (§III-F).
+    /// `<open, read-entire-file, close>` — the exact transaction the
+    /// paper's DL profile shows per training sample (§III-F) — as one
+    /// `Read` of the first `bulk_chunk` bytes through the full
+    /// [`Self::fetch_chunk`] ladder. The reply's `total_size` stands in for
+    /// the open-time `Stat`, `close` sends nothing, and only a file longer
+    /// than one chunk fetches the rest, through [`Self::read_chunked`]. A
+    /// head served from the PFS takes the size from a short head, or else
+    /// from one `open_meta`; the rest then degrades chunk by chunk.
     pub fn read_file(&self, path: &Path) -> Result<Bytes> {
-        let fd = self.open(path)?;
-        let size = self.fd_size(fd)?;
-        let result = self.pread(fd, 0, size as usize);
-        self.close(fd)?;
-        result
+        self.check_intercepted(path)?;
+        let chunk = self.options.bulk_chunk;
+        let (head, total_size) = self.fetch_chunk(path, 0, chunk)?;
+        let size = match total_size {
+            Some(size) => size,
+            None if head.len() < chunk => head.len() as u64,
+            None => self.fallback_store()?.open_meta(path)?.size,
+        };
+        self.metrics.opens.fetch_add(1, Ordering::Relaxed);
+        let done = head.len() as u64;
+        let data = if size > done {
+            let rest = usize::try_from(size - done).unwrap_or(usize::MAX);
+            let mut chunks = vec![head];
+            chunks.extend(self.read_chunked(path, done, rest)?);
+            // lockgraph: acquires NET_POOL
+            reassemble_bulk_pooled(&chunks, &self.pool)
+        } else {
+            head
+        };
+        self.metrics.closes.fetch_add(1, Ordering::Relaxed);
+        Ok(self.count_read(data))
     }
 }
 
@@ -1266,6 +1308,43 @@ mod tests {
     }
 
     #[test]
+    fn read_file_of_a_missing_path_is_not_found_after_one_rpc() {
+        let (_pfs, fabric, servers, client) = setup2(1);
+        let p = Path::new("/gpfs/set/absent.bin");
+        let rpcs = || fabric.stats().rpcs.load(Ordering::Relaxed);
+        let stats_ops = || -> u64 {
+            servers
+                .iter()
+                .map(|(s, _)| s.metrics().snapshot().stats_ops)
+                .sum()
+        };
+        let before = rpcs();
+        let err = client.read_file(p).unwrap_err();
+        assert!(matches!(err, HvacError::Remote { code: 2, .. }), "{err:?}");
+        assert_eq!(rpcs() - before, 1, "one fused read RPC");
+        assert_eq!(stats_ops(), 0, "no stat");
+        // `open` still reports ENOENT itself, from its stat.
+        let before = rpcs();
+        let err = client.open(p).unwrap_err();
+        assert!(matches!(err, HvacError::Remote { code: 2, .. }), "{err:?}");
+        assert_eq!(rpcs() - before, 1);
+        assert_eq!(stats_ops(), 1);
+        let (opens, reads, _, closes, _, _) = client.metrics().snapshot();
+        assert_eq!((opens, reads, closes), (0, 0, 0), "nothing was opened");
+    }
+
+    #[test]
+    fn close_sends_no_rpc() {
+        let (_pfs, fabric, _servers, client) = setup2(1);
+        let fd = client.open(&sample(0)).unwrap();
+        let before = fabric.stats().rpcs.load(Ordering::Relaxed);
+        client.close(fd).unwrap();
+        assert_eq!(fabric.stats().rpcs.load(Ordering::Relaxed), before);
+        assert!(matches!(client.close(fd), Err(HvacError::BadFd(_))));
+        assert_eq!(client.metrics().snapshot().3, 1, "the close is counted");
+    }
+
+    #[test]
     fn reads_are_distributed_across_homes() {
         let (_pfs, _f, servers, client) = setup2(1);
         for i in 0..24 {
@@ -1381,9 +1460,9 @@ mod tests {
         let p = sample(3);
         let addrs = client.replica_addrs(&p);
         fabric.set_down(&addrs[0], true);
-        // Each read_file issues stat + read + close against the dead
-        // primary; after breaker_threshold consecutive failures the breaker
-        // opens and later calls skip straight to the replica.
+        // Each read_file issues one read against the dead primary; after
+        // breaker_threshold consecutive failures the breaker opens and
+        // later calls skip straight to the replica.
         for _ in 0..4 {
             client.read_file(&p).unwrap();
         }
@@ -1507,9 +1586,9 @@ mod tests {
         );
         let t0 = Instant::now();
         assert_eq!(client.read_file(&p).unwrap(), expected);
-        // read_file is three RPCs (stat, read, close); each hedges after
-        // 20 ms and the backup answers immediately, so the whole thing
-        // finishes far below even one injected 200 ms delay.
+        // read_file is one read RPC; it hedges after 20 ms and the backup
+        // answers immediately, so the whole thing finishes far below even
+        // one injected 200 ms delay.
         assert!(
             t0.elapsed() < Duration::from_millis(150),
             "backup should win the race: took {:?}",

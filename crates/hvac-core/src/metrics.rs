@@ -11,9 +11,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// hashes to.
 #[derive(Debug, Default)]
 pub struct StripeCounters {
-    /// `ensure_cached` calls that found the key already resident.
+    /// Read lookups that found the key already resident.
     pub hits: AtomicU64,
-    /// `ensure_cached` calls that had to wait for (or start) a PFS copy.
+    /// Read lookups that had to wait for (or start) a PFS copy.
     pub misses: AtomicU64,
     /// Stripe-lock acquisitions that found the stripe held (`try_lock`
     /// failed and the caller fell back to a blocking lock).
@@ -160,16 +160,12 @@ pub struct ServerMetrics {
     pub dedup_waits: AtomicU64,
     /// Stat RPCs answered.
     pub stats_ops: AtomicU64,
-    /// Close RPCs answered.
-    pub closes: AtomicU64,
     /// Files accepted for background prefetch.
     pub prefetches: AtomicU64,
-    /// Reads served straight from the PFS because the cache refused
-    /// admission (file too large, or a pinned MinIO-style cache is full).
+    /// Reads served without caching: the cache refused the fetched bytes
+    /// (file too large, or a pinned MinIO-style cache is full), or QoS shed
+    /// the read to the PFS.
     pub pfs_bypass_reads: AtomicU64,
-    /// Reads that lost the ensure/read race to eviction on every retry and
-    /// fell back to a PFS bypass read (cache thrashing under churn).
-    pub eviction_races: AtomicU64,
     /// Batch RPCs answered (each bundling several segment reads into one
     /// frame; the per-item reads are still counted in `reads`).
     pub batch_rpcs: AtomicU64,
@@ -277,14 +273,16 @@ pub struct ServerMetricsSnapshot {
     pub dedup_waits: u64,
     /// Stat RPCs answered.
     pub stats_ops: u64,
-    /// Close RPCs answered.
+    /// Retired, always 0: `close` sends no RPC. Kept so readers of the
+    /// snapshot still build.
     pub closes: u64,
     /// Files accepted for background prefetch.
     pub prefetches: u64,
-    /// Reads served straight from the PFS (cache bypass).
+    /// Reads served without caching (refused insert or QoS shed).
     pub pfs_bypass_reads: u64,
-    /// Reads that lost every ensure/read retry to eviction and were served
-    /// via PFS bypass instead.
+    /// Retired, always 0: a miss is served from the bytes the data mover
+    /// fetched, so it can no longer lose a race to eviction. Kept so
+    /// readers of the snapshot still build.
     pub eviction_races: u64,
     /// Batch RPCs answered (per-item reads are still counted in `reads`).
     pub batch_rpcs: u64,
@@ -326,10 +324,10 @@ impl ServerMetrics {
             evictions: self.evictions.load(Ordering::Relaxed),
             dedup_waits: self.dedup_waits.load(Ordering::Relaxed),
             stats_ops: self.stats_ops.load(Ordering::Relaxed),
-            closes: self.closes.load(Ordering::Relaxed),
+            closes: 0,
             prefetches: self.prefetches.load(Ordering::Relaxed),
             pfs_bypass_reads: self.pfs_bypass_reads.load(Ordering::Relaxed),
-            eviction_races: self.eviction_races.load(Ordering::Relaxed),
+            eviction_races: 0,
             batch_rpcs: self.batch_rpcs.load(Ordering::Relaxed),
             stale_view_redirects: self.stale_view_redirects.load(Ordering::Relaxed),
             migrated_files: self.migrated_files.load(Ordering::Relaxed),
@@ -369,10 +367,8 @@ impl ServerMetricsSnapshot {
         self.evictions += other.evictions;
         self.dedup_waits += other.dedup_waits;
         self.stats_ops += other.stats_ops;
-        self.closes += other.closes;
         self.prefetches += other.prefetches;
         self.pfs_bypass_reads += other.pfs_bypass_reads;
-        self.eviction_races += other.eviction_races;
         self.batch_rpcs += other.batch_rpcs;
         self.stale_view_redirects += other.stale_view_redirects;
         self.migrated_files += other.migrated_files;

@@ -1,13 +1,17 @@
 //! The client↔server wire protocol.
 //!
-//! Four operations cover the paper's intercepted I/O profile
-//! (`<open, read, close>` plus the stat that `open` needs):
+//! Three operations cover the paper's intercepted I/O profile
+//! (`<open, read, close>` plus job teardown):
 //!
 //! * [`Request::Stat`] — size lookup at `open` time,
 //! * [`Request::Read`] — ranged read; the reply carries data as a bulk
-//!   payload (Mercury's RPC/bulk split),
-//! * [`Request::Close`] — the out-of-band teardown RPC of §III-D step ⑧,
+//!   payload (Mercury's RPC/bulk split) and the file's size, so a
+//!   whole-file read needs no `Stat`,
 //! * [`Request::Purge`] — job teardown: drop the node's cache contents.
+//!
+//! `close` sends nothing: the server keeps no per-descriptor state, so the
+//! out-of-band teardown RPC of §III-D step ⑧ would only be an accounting
+//! ping. Its wire tag 3 is retired and never reused.
 //!
 //! Messages are encoded with the explicit little-endian codec from
 //! [`hvac_net::wire`]. Structural versioning is unnecessary — client and
@@ -34,7 +38,7 @@ pub const JOB_FLAG: u64 = 1 << 63;
 
 const TAG_STAT: u8 = 1;
 const TAG_READ: u8 = 2;
-const TAG_CLOSE: u8 = 3;
+// Tag 3 was `Close`; retired, never reuse it.
 const TAG_PURGE: u8 = 4;
 const TAG_PREFETCH: u8 = 5;
 const TAG_READ_SEGMENT: u8 = 6;
@@ -65,11 +69,6 @@ pub enum Request {
         offset: u64,
         /// Maximum bytes to return.
         len: u64,
-    },
-    /// Signal that a client closed its descriptor for `path`.
-    Close {
-        /// Application-space file path.
-        path: PathBuf,
     },
     /// Drop all cached data (job teardown).
     Purge,
@@ -121,7 +120,7 @@ pub enum Response {
         /// the file had to be fetched from the PFS first).
         cache_hit: bool,
     },
-    /// Generic success (close/purge).
+    /// Generic success (purge/prefetch).
     Ok,
     /// The request's membership epoch was older than the server's: the
     /// request was **not** served. The server's current view rides along so
@@ -193,10 +192,6 @@ impl Request {
                 b.extend_from_slice(&offset.to_le_bytes());
                 b.extend_from_slice(&len.to_le_bytes());
             }
-            Request::Close { path } => {
-                b.extend_from_slice(&[TAG_CLOSE]);
-                wire::put_str(&mut b, path_to_str(path)?)?;
-            }
             Request::Purge => b.extend_from_slice(&[TAG_PURGE]),
             Request::Prefetch { paths } => {
                 b.extend_from_slice(&[TAG_PREFETCH]);
@@ -258,9 +253,6 @@ impl Request {
                 let len = wire::get_u64(buf)?;
                 Ok(Request::Read { path, offset, len })
             }
-            TAG_CLOSE => Ok(Request::Close {
-                path: PathBuf::from(wire::get_str(buf)?),
-            }),
             TAG_PURGE => Ok(Request::Purge),
             TAG_PREFETCH => {
                 let n = wire::get_u32(buf)? as usize;
@@ -500,9 +492,6 @@ mod tests {
                 offset: 123,
                 len: 4096,
             },
-            Request::Close {
-                path: PathBuf::from("/z"),
-            },
             Request::Purge,
             Request::Prefetch { paths: vec![] },
             Request::Prefetch {
@@ -571,6 +560,19 @@ mod tests {
         assert!(Response::decode(Bytes::new()).is_err());
         // Truncated read request
         assert!(Request::decode(Bytes::from_static(&[TAG_READ, 1, 0, 0, 0, b'x'])).is_err());
+    }
+
+    #[test]
+    fn retired_close_tag_is_rejected() {
+        // Tag 3 was `Close`: a frame carrying it is an unknown request.
+        let mut b = BytesMut::new();
+        b.extend_from_slice(&0u64.to_le_bytes());
+        b.extend_from_slice(&[3]);
+        wire::put_str(&mut b, "/z").unwrap();
+        match Request::decode(b.freeze()) {
+            Err(HvacError::Protocol(msg)) => assert_eq!(msg, "unknown request tag 3"),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! **data-mover threads**. RPC handler threads enqueue copy work and wait;
 //! the mover fetches the file from the PFS exactly once even when many
 //! clients race for it (the paper's "mutex lock on shared queue to ...
-//! avoid repeated copying"), inserts it into the node's cache, and wakes all
-//! waiters. Servers never talk to each other — a file's home is computed by
+//! avoid repeated copying"), inserts it into the node's cache, and hands the
+//! fetched bytes to all waiters, which serve them without reading the cache
+//! back. Servers never talk to each other — a file's home is computed by
 //! every client independently.
 //!
 //! Multiple instances on one node (HVAC (2×1), (4×1)) share the node's
@@ -60,7 +61,23 @@ impl Default for HvacServerOptions {
     }
 }
 
-type CopyResult = std::result::Result<(), Arc<HvacError>>;
+/// How a read found its cache entry's bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Found {
+    /// Resident in the node cache: a hit.
+    Resident,
+    /// Copied in from the PFS by the data mover: a miss.
+    Copied,
+    /// Fetched from the PFS by the data mover but refused by the cache (the
+    /// entry is larger than the device or the tenant's quota, a pinned
+    /// MinIO cache is full, or the backing store failed the write): a miss,
+    /// served without being cached.
+    Refused,
+}
+
+/// What a data-mover copy hands its waiters: the bytes it fetched from the
+/// PFS, and whether the cache admitted them.
+type CopyResult = std::result::Result<(Bytes, Found), Arc<HvacError>>;
 
 struct CopyJob {
     /// Application-space source path on the PFS.
@@ -118,10 +135,19 @@ impl InflightTable {
         }
     }
 
-    /// Whether no copy is in flight anywhere (stripes inspected one at a
-    /// time; the answer is advisory, which is all drain polling needs).
-    fn is_empty(&self) -> bool {
-        self.stripes.iter().all(|stripe| stripe.lock().is_empty())
+    /// Join every copy in flight as one more waiter (stripes locked one at
+    /// a time). Each receiver fires when its copy finishes or a crash-stop
+    /// aborts it.
+    fn watch_all(&self) -> Vec<Receiver<CopyResult>> {
+        let mut watches = Vec::new();
+        for stripe in &self.stripes {
+            for waiters in stripe.lock().values_mut() {
+                let (tx, rx) = bounded(1);
+                waiters.push(tx);
+                watches.push(rx);
+            }
+        }
+        watches
     }
 
     /// Crash-stop: drain every stripe (strictly one at a time) and error
@@ -184,23 +210,28 @@ impl DataMover {
                         if job.generation != generation.load(Ordering::Relaxed) {
                             continue;
                         }
-                        // Step ⑥ of §III-D: copy PFS -> node-local store.
-                        let result: CopyResult = (|| {
-                            let data = match job.range {
-                                None => pfs.read_all(&job.path).map_err(Arc::new)?,
-                                Some((offset, len)) => pfs
-                                    .read_at(&job.path, offset, len as usize)
-                                    .map_err(Arc::new)?,
+                        // Step ⑥ of §III-D: copy PFS -> node-local store,
+                        // then hand the fetched bytes to every waiter. A
+                        // refused insert still serves them: one PFS read
+                        // per miss, cached or not.
+                        let fetched = match job.range {
+                            None => pfs.read_all(&job.path),
+                            Some((offset, len)) => pfs.read_at(&job.path, offset, len as usize),
+                        };
+                        let result: CopyResult = fetched.map_err(Arc::new).map(|data| {
+                            let found = match cache.insert(&job.key, data.clone()) {
+                                Ok(outcome) => {
+                                    let n = data.len() as u64;
+                                    let evicted = outcome.evicted.len() as u64;
+                                    metrics.pfs_copies.fetch_add(1, Ordering::Relaxed);
+                                    metrics.pfs_bytes.fetch_add(n, Ordering::Relaxed);
+                                    metrics.evictions.fetch_add(evicted, Ordering::Relaxed);
+                                    Found::Copied
+                                }
+                                Err(_) => Found::Refused,
                             };
-                            let n = data.len() as u64;
-                            let outcome = cache.insert(&job.key, data).map_err(Arc::new)?;
-                            metrics.pfs_copies.fetch_add(1, Ordering::Relaxed);
-                            metrics.pfs_bytes.fetch_add(n, Ordering::Relaxed);
-                            metrics
-                                .evictions
-                                .fetch_add(outcome.evicted.len() as u64, Ordering::Relaxed);
-                            Ok(())
-                        })();
+                            (data, found)
+                        });
                         let idx = inflight.stripe_of(&job.key);
                         let waiters = inflight
                             .lock(idx, &metrics)
@@ -269,32 +300,37 @@ impl DataMover {
             .is_ok()
     }
 
-    /// Make sure cache entry `key` (sourced from `path`, optionally a byte
-    /// range of it) is resident, returning `true` if it already was (a cache
-    /// hit) and `false` if this call had to wait for a PFS copy.
-    fn ensure_cached(
+    /// The bytes of cache entry `key`, sourced from `path` (optionally a
+    /// byte range of it), and how they were found. A hit is one cache
+    /// lookup. A miss waits for the data mover's copy — joining the one in
+    /// flight (§III-D dedup) or enqueuing a new one — and takes the bytes
+    /// the copy fetched, so it never reads the cache back and an eviction
+    /// cannot take them away.
+    fn lookup(
         &self,
         cache: &CacheManager,
         metrics: &ServerMetrics,
         path: &Path,
         key: &Path,
         range: Option<(u64, u64)>,
-    ) -> Result<bool> {
+    ) -> Result<(Bytes, Found)> {
         let idx = self.inflight.stripe_of(key);
-        if cache.contains(key) {
-            metrics.stripe_hit(idx);
-            return Ok(true);
-        }
-        let (tx, rx) = bounded::<CopyResult>(1);
-        {
-            let mut inflight = self.inflight.lock(idx, metrics);
-            // Re-check under the lock: the mover may have just finished.
-            // lockgraph: acquires STORE_SHARD
-            if cache.contains(key) {
+        let mut recheck = true;
+        let rx = loop {
+            if let Some(entry) = cache.read_all(key) {
                 metrics.stripe_hit(idx);
-                return Ok(true);
+                return Ok((entry, Found::Resident));
+            }
+            let mut inflight = self.inflight.lock(idx, metrics);
+            // Re-check under the lock: a copy may have landed, and left the
+            // in-flight table, since the lookup above; go back and read it.
+            // Only once, so an entry evicted again at once is copied afresh.
+            // lockgraph: acquires STORE_SHARD
+            if std::mem::take(&mut recheck) && cache.contains(key) {
+                continue;
             }
             metrics.stripe_miss(idx);
+            let (tx, rx) = bounded::<CopyResult>(1);
             match inflight.get_mut(key) {
                 Some(waiters) => {
                     // Piggyback on the in-flight copy (§III-D dedup).
@@ -313,9 +349,10 @@ impl DataMover {
                         .map_err(|_| HvacError::Rpc("data mover queue closed".into()))?;
                 }
             }
-        }
+            break rx;
+        };
         match rx.recv() {
-            Ok(Ok(())) => Ok(false),
+            Ok(Ok(copied)) => Ok(copied),
             Ok(Err(e)) => Err(clone_error(&e)),
             Err(_) => Err(HvacError::Rpc("data mover died".into())),
         }
@@ -484,12 +521,6 @@ impl HvacServer {
                     Err(e) => (Response::from_error(&e), None),
                 }
             }
-            Request::Close { path: _ } => {
-                // Out-of-band teardown (§III-D step ⑧). The server keeps no
-                // per-descriptor state, so this is purely an accounting ping.
-                self.metrics.closes.fetch_add(1, Ordering::Relaxed);
-                (Response::Ok, None)
-            }
             Request::Purge => {
                 self.cache.purge();
                 (Response::Ok, None)
@@ -551,15 +582,14 @@ impl HvacServer {
         }
     }
 
-    /// Block until no prefetch copies are in flight (test/benchmark helper;
+    /// Block until every copy in flight at the call — the staging a
+    /// prefetch just requested — has finished (test/benchmark helper;
     /// production callers just keep training — demand reads piggyback on
-    /// in-flight copies via the §III-D dedup).
+    /// in-flight copies via the §III-D dedup). It waits as one more waiter
+    /// on each copy, so it wakes on the copy's own completion.
     pub fn drain_prefetches(&self) {
-        loop {
-            if self.mover.inflight.is_empty() {
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        for copy in self.mover.inflight.watch_all() {
+            let _ = copy.recv();
         }
     }
 
@@ -595,11 +625,25 @@ impl HvacServer {
         Ok((hit, data))
     }
 
-    /// Serve a read straight from the PFS without caching — the fallback
-    /// when the cache refuses admission (file larger than the device, or a
-    /// pinned MinIO-style cache that is full) and the destination of shed
-    /// over-limit tenants. CoorDL semantics: un-admitted files are still
-    /// served, just not accelerated.
+    /// Bytes QoS admission charges a read of `len` at offset `at` of entry
+    /// `key`: what the read will serve when the entry is resident — a fused
+    /// whole-file read asks for a whole chunk of a file that is often far
+    /// smaller — and `len` otherwise. The size lookup runs only when a
+    /// weights plan is set, so the default read path pays nothing for it.
+    fn qos_cost(&self, key: &Path, at: u64, len: u64) -> u64 {
+        if !self.sched.enabled() {
+            return len;
+        }
+        self.cache
+            .size_of(key)
+            .map_or(len, |size| len.min(size.bytes().saturating_sub(at)))
+    }
+
+    /// Serve a read straight from the PFS without caching — the path of a
+    /// tenant shed by admission control. CoorDL semantics: un-admitted
+    /// reads are still served, just not accelerated. A short read from
+    /// offset 0 already proves the file's size, so only a full-length read
+    /// pays an `open_meta` for it.
     fn pfs_bypass_read(
         &self,
         job: JobId,
@@ -607,8 +651,12 @@ impl HvacServer {
         offset: u64,
         len: u64,
     ) -> Result<(u64, bool, Bytes)> {
-        let total_size = self.pfs.open_meta(path)?.size;
         let data = self.pfs.read_at(path, offset, len as usize)?;
+        let total_size = if offset == 0 && (data.len() as u64) < len {
+            data.len() as u64
+        } else {
+            self.pfs.open_meta(path)?.size
+        };
         self.metrics
             .pfs_bypass_reads
             .fetch_add(1, Ordering::Relaxed);
@@ -623,11 +671,10 @@ impl HvacServer {
     /// Serve `len` bytes at offset `at` of cache entry `key`, returning the
     /// entry's size, whether the read was a hit, and the bytes. The entry
     /// holds `copy` (offset, length) of `path` — the whole file when `None`
-    /// — and a miss waits for the data mover to copy it in from the PFS. A
-    /// freshly cached entry can be evicted before it is read back under
-    /// heavy churn, so the ensure+read pair is retried; a read that waited
-    /// on any PFS copy counts as a miss. A shed tenant, a refused insert, or
-    /// four lost eviction races serve the range straight from the PFS.
+    /// — and a miss is served from the bytes the data mover copied in from
+    /// the PFS, so it costs one PFS read even when the cache refuses them
+    /// (counted as a `pfs_bypass_reads` miss). A shed tenant reads the
+    /// range straight from the PFS.
     fn read(
         &self,
         job: JobId,
@@ -638,47 +685,31 @@ impl HvacServer {
         len: u64,
     ) -> Result<(u64, bool, Bytes)> {
         self.metrics.reads.fetch_add(1, Ordering::Relaxed);
-        let pfs_offset = copy.map_or(at, |(start, _)| start + at);
-        let Some(_grant) = self.admit(job, len) else {
+        let Some(_grant) = self.admit(job, self.qos_cost(key, at, len)) else {
             // Over-limit tenant: degrade to the PFS ladder (§III-G) rather
             // than queueing behind well-behaved tenants' device reads.
+            let pfs_offset = copy.map_or(at, |(start, _)| start + at);
             return self.pfs_bypass_read(job, path, pfs_offset, len);
         };
-        let mut cache_hit = true;
-        for _ in 0..4 {
-            let was_hit =
-                match self
-                    .mover
-                    .ensure_cached(&self.cache, &self.metrics, path, key, copy)
-                {
-                    Ok(hit) => hit,
-                    Err(HvacError::CapacityExhausted { .. }) => {
-                        return self.pfs_bypass_read(job, path, pfs_offset, len);
-                    }
-                    Err(other) => return Err(other),
-                };
-            cache_hit &= was_hit;
-            let Some(entry) = self.cache.read_all(key) else {
-                continue; // evicted already; refetch
-            };
-            let data = slice_read_at(&entry, at, len as usize);
-            if cache_hit {
-                self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            self.metrics
-                .served_bytes
-                .fetch_add(data.len() as u64, Ordering::Relaxed);
-            self.metrics.tenant_read(job.0, data.len() as u64);
-            return Ok((entry.len() as u64, cache_hit, data));
+        let (entry, found) = self
+            .mover
+            .lookup(&self.cache, &self.metrics, path, key, copy)?;
+        if found == Found::Resident {
+            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
         }
-        // Every retry lost the race to eviction (cache thrashing). Serve
-        // from the PFS directly rather than failing the read — degraded,
-        // not dead — and count the event honestly instead of guessing a
-        // hit/miss classification.
-        self.metrics.eviction_races.fetch_add(1, Ordering::Relaxed);
-        self.pfs_bypass_read(job, path, pfs_offset, len)
+        if found == Found::Refused {
+            self.metrics
+                .pfs_bypass_reads
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        let data = slice_read_at(&entry, at, len as usize);
+        self.metrics
+            .served_bytes
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        self.metrics.tenant_read(job.0, data.len() as u64);
+        Ok((entry.len() as u64, found == Found::Resident, data))
     }
 }
 
@@ -971,7 +1002,7 @@ mod tests {
     }
 
     #[test]
-    fn purge_empties_cache_and_close_is_counted() {
+    fn purge_empties_the_cache() {
         let (_pfs, server) = setup(10_000);
         server.handle_request(Request::Read {
             path: sample(0),
@@ -979,12 +1010,135 @@ mod tests {
             len: 1,
         });
         assert_eq!(server.cache().resident_count(), 1);
-        let (resp, _) = server.handle_request(Request::Close { path: sample(0) });
-        assert_eq!(resp, Response::Ok);
         let (resp, _) = server.handle_request(Request::Purge);
         assert_eq!(resp, Response::Ok);
         assert_eq!(server.cache().resident_count(), 0);
-        assert_eq!(server.metrics().snapshot().closes, 1);
+    }
+
+    #[test]
+    fn refused_insert_serves_the_fetched_bytes_with_one_pfs_read() {
+        // A 50-byte cache can never hold a 100-byte file: the mover's insert
+        // is refused, and the read is served from the bytes it fetched.
+        let (pfs, server) = setup(50);
+        let p = sample(6);
+        let expected = pfs.read_all(&p).unwrap();
+        let before = pfs.stats().snapshot();
+        let (resp, bulk) = server.handle_request(Request::Read {
+            path: p,
+            offset: 0,
+            len: 1 << 20,
+        });
+        assert_eq!(
+            resp,
+            Response::Data {
+                total_size: 100,
+                cache_hit: false
+            }
+        );
+        assert_eq!(bulk.unwrap(), expected);
+        let after = pfs.stats().snapshot();
+        assert_eq!(after.0 - before.0, 0, "no open_meta");
+        assert_eq!(after.1 - before.1, 1, "exactly one PFS read");
+        let snap = server.metrics().snapshot();
+        assert_eq!((snap.reads, snap.cache_misses), (1, 1));
+        assert_eq!(snap.pfs_bypass_reads, 1);
+        assert_eq!(snap.pfs_copies, 0, "nothing was cached");
+        assert_eq!(server.cache().resident_count(), 0);
+    }
+
+    #[test]
+    fn bypass_read_stats_only_when_the_read_is_full_length() {
+        let (pfs, server) = setup(10_000);
+        let p = sample(7);
+        let expected = pfs.read_all(&p).unwrap();
+        // (offset, len, PFS opens): a short read from offset 0 is the whole
+        // file, so its size needs no open_meta; any other read does.
+        for (offset, len, opens) in [(0, 1 << 20, 0), (0, 100, 1), (0, 40, 1), (10, 1 << 20, 1)] {
+            let before = pfs.stats().snapshot();
+            let (total_size, hit, data) = server
+                .pfs_bypass_read(JobId::DEFAULT, &p, offset, len)
+                .unwrap();
+            let after = pfs.stats().snapshot();
+            assert_eq!((total_size, hit), (100, false), "read at {offset} of {len}");
+            assert_eq!(data, slice_read_at(&expected, offset, len as usize));
+            assert_eq!(after.0 - before.0, opens, "read at {offset} of {len}");
+            assert_eq!(after.1 - before.1, 1, "read at {offset} of {len}");
+        }
+    }
+
+    #[test]
+    fn qos_charges_the_bytes_a_read_of_a_resident_entry_serves() {
+        let pfs = dataset();
+        let cache = Arc::new(CacheManager::new(
+            LocalStore::in_memory(ByteSize(10_000)),
+            make_policy(EvictionPolicyKind::Random, 1),
+        ));
+        let options = HvacServerOptions {
+            job_weights: JobWeights::parse("0=1").unwrap(),
+            ..HvacServerOptions::default()
+        };
+        let server = HvacServer::new(cache, pfs, options, "qos").unwrap();
+        let p = sample(8);
+        // Not resident yet: the size is unknown, so the request is charged.
+        assert_eq!(server.qos_cost(&p, 0, 1 << 20), 1 << 20);
+        server.handle_request(Request::Read {
+            path: p.clone(),
+            offset: 0,
+            len: 1 << 20,
+        });
+        // A fused read of the resident 100-byte file is charged 100 bytes.
+        assert_eq!(server.qos_cost(&p, 0, 1 << 20), 100);
+        assert_eq!(server.qos_cost(&p, 60, 1 << 20), 40);
+        assert_eq!(server.qos_cost(&p, 0, 30), 30);
+        assert_eq!(server.qos_cost(&p, 500, 30), 0);
+        // Without a weights plan the request length is charged, unlooked-up.
+        let (_pfs, plain) = setup(10_000);
+        plain.handle_request(Request::Read {
+            path: p.clone(),
+            offset: 0,
+            len: 100,
+        });
+        assert_eq!(plain.qos_cost(&p, 0, 1 << 20), 1 << 20);
+    }
+
+    #[test]
+    fn drain_waits_for_a_parked_copy_and_returns_once_it_lands() {
+        let pfs = dataset();
+        let (open_gate, gate) = bounded(1);
+        let server = server_over(
+            Arc::new(GatedStore {
+                inner: pfs.clone(),
+                gate,
+            }),
+            100_000,
+        );
+        // The prefetch registers the copy in flight before it replies; the
+        // copy then parks in the gated PFS read.
+        let (resp, _) = server.handle_request(Request::Prefetch {
+            paths: vec![sample(9)],
+        });
+        assert_eq!(resp, Response::Ok);
+        let (done_tx, done_rx) = bounded(1);
+        let drainer = {
+            let server = server.clone();
+            std::thread::spawn(move || {
+                server.drain_prefetches();
+                done_tx.send(()).unwrap();
+            })
+        };
+        assert!(
+            done_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "drain returned while the copy was parked"
+        );
+        assert_eq!(server.cache().resident_count(), 0);
+        open_gate.send(()).unwrap();
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("drain returns once the copy lands");
+        drainer.join().unwrap();
+        assert!(server.cache().contains(&sample(9)), "the copy landed first");
+        // With nothing in flight, drain returns at once.
+        server.drain_prefetches();
     }
 
     #[test]

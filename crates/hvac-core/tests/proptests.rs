@@ -28,7 +28,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
             offset,
             len
         }),
-        arb_path().prop_map(|path| Request::Close { path }),
         Just(Request::Purge),
     ]
 }
@@ -174,6 +173,46 @@ proptest! {
         if len <= bulk_chunk {
             prop_assert_eq!(rpcs, 1);
         }
+        prop_assert_eq!(client.metrics().full_snapshot().batch_fallbacks, 0);
+    }
+
+    /// `read_file` over a 2-node loopback cluster is byte-exact for any
+    /// file size and chunk size, and costs exactly
+    /// `max(1, ceil(size / bulk_chunk))` `Read` RPCs — counted both by the
+    /// servers and by the fabric, so no `Stat` (and no other RPC) rides
+    /// along — plus, on a cold cache, one PFS read and no `open_meta`.
+    #[test]
+    fn read_file_is_one_read_rpc_per_chunk_and_one_pfs_op(
+        size in 0usize..6000,
+        bulk_chunk in 16usize..2048,
+    ) {
+        let pfs = Arc::new(MemStore::new());
+        let path = pfs.synthesize_dataset(Path::new("/gpfs/prop"), 1, |_| size).remove(0);
+        let cluster = Cluster::new(
+            pfs.clone(),
+            ClusterOptions::new(2, 1)
+                .dataset_dir("/gpfs/prop")
+                .transport(TransportKind::Loopback)
+                .bulk_transfer(bulk_chunk, 3)
+                .rebalance(false)
+                .repair(false),
+        )
+        .unwrap();
+        let client = cluster.client(0);
+        let rpcs = || cluster.fabric().stats().rpcs.load(std::sync::atomic::Ordering::Relaxed);
+        let contents = pfs.read_all(&path).unwrap();
+        let (server_before, rpcs_before, pfs_before) =
+            (cluster.aggregate_metrics(), rpcs(), pfs.stats().snapshot());
+        prop_assert_eq!(client.read_file(&path).unwrap(), contents);
+        let server = cluster.aggregate_metrics();
+        let expected = size.div_ceil(bulk_chunk).max(1) as u64;
+        prop_assert_eq!(server.reads - server_before.reads, expected);
+        prop_assert_eq!(rpcs() - rpcs_before, expected);
+        prop_assert_eq!(server.stats_ops - server_before.stats_ops, 0);
+        prop_assert_eq!(server.closes, 0);
+        let pfs_after = pfs.stats().snapshot();
+        prop_assert_eq!(pfs_after.0 - pfs_before.0, 0, "no open_meta");
+        prop_assert_eq!(pfs_after.1 - pfs_before.1, 1, "one PFS read");
         prop_assert_eq!(client.metrics().full_snapshot().batch_fallbacks, 0);
     }
 

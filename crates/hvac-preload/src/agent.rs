@@ -230,15 +230,14 @@ impl LocalAgent {
             .ok_or(HvacError::BadFd(fd as i32))
     }
 
-    /// Close a virtual descriptor.
+    /// Close a virtual descriptor. The server keeps no per-descriptor
+    /// state, so nothing is sent to it.
     pub fn close(&self, fd: u64) -> Result<()> {
-        let of = self
-            .fds
+        self.fds
             .lock()
             .remove(&fd)
-            .ok_or(HvacError::BadFd(fd as i32))?;
-        let (resp, _) = self.server.handle_request(Request::Close { path: of.path });
-        resp.into_result().map(|_| ())
+            .map(|_| ())
+            .ok_or(HvacError::BadFd(fd as i32))
     }
 
     /// `(opens, reads, bytes, cache_hits, pfs_copies)` — the stats line.

@@ -4,7 +4,7 @@
 
 use bytes::Bytes;
 use hvac_core::cluster::{Cluster, ClusterOptions};
-use hvac_pfs::MemStore;
+use hvac_pfs::{FileStore, MemStore};
 use hvac_storage::LocalStore;
 use hvac_types::{ByteSize, EvictionPolicyKind};
 use std::path::{Path, PathBuf};
@@ -122,7 +122,7 @@ fn file_larger_than_node_cache_is_served_via_pfs_bypass() {
     pfs.put("/gpfs/train/small.bin", MemStore::sample_content(1, 100));
     pfs.put("/gpfs/train/huge.bin", MemStore::sample_content(2, 10_000));
     let cluster = Cluster::new(
-        pfs,
+        pfs.clone(),
         ClusterOptions::new(2, 1)
             .dataset_dir("/gpfs/train")
             .cache_capacity(ByteSize(1_000)),
@@ -130,15 +130,20 @@ fn file_larger_than_node_cache_is_served_via_pfs_bypass() {
     .unwrap();
     // The oversized file cannot be cached, but it is still served (CoorDL
     // semantics: un-admitted files read straight from the PFS).
+    let (opens, reads, _) = pfs.stats().snapshot();
     let huge = cluster
         .client(0)
         .read_file(Path::new("/gpfs/train/huge.bin"))
         .unwrap();
     assert_eq!(huge, MemStore::sample_content(2, 10_000));
+    // ...from the bytes the data mover fetched: exactly one PFS operation,
+    // no stat and no second read after the refused insert.
+    let (opens_after, reads_after, _) = pfs.stats().snapshot();
+    assert_eq!((opens_after - opens, reads_after - reads), (0, 1));
     // It never entered any cache...
     assert_eq!(cluster.per_node_file_counts().iter().sum::<u64>(), 0);
     let agg = cluster.aggregate_metrics();
-    assert!(agg.pfs_bypass_reads >= 1);
+    assert_eq!(agg.pfs_bypass_reads, 1);
     // ...and cacheable files still cache normally.
     let data = cluster
         .client(1)
@@ -207,6 +212,10 @@ fn minio_policy_pins_a_stable_subset() {
         agg.pfs_bypass_reads > 0,
         "overflow must be served via bypass"
     );
+    // Every miss, refused or cached, costs exactly one PFS operation: no
+    // stat, and no second read of a refused file.
+    let (opens, reads, _) = pfs.stats().snapshot();
+    assert_eq!(opens + reads, agg.cache_misses, "PFS ops == cache misses");
     assert!(
         agg.hit_rate() > 0.25,
         "pinned half of the dataset should hit ~ its capacity share: {}",
@@ -217,5 +226,4 @@ fn minio_policy_pins_a_stable_subset() {
     for used in cluster.per_node_bytes() {
         assert!(used <= cap);
     }
-    let _ = pfs;
 }

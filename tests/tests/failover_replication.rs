@@ -132,6 +132,6 @@ fn close_succeeds_even_when_home_is_down() {
     // Find the home and kill it mid-file.
     let addrs = client.replica_addrs(&sample(7));
     cluster.fabric().set_down(&addrs[0], true);
-    // Close is advisory (out-of-band teardown): it must not error.
+    // Close sends no RPC, so a dead home cannot fail it.
     client.close(fd).unwrap();
 }

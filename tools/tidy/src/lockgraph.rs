@@ -1137,7 +1137,7 @@ mod tests {
     }
 
     /// Scope exit releases guards: a block-scoped stripe guard is gone by
-    /// the time the blocking call runs (the ensure_cached shape).
+    /// the time the blocking call runs (the data mover's lookup shape).
     #[test]
     fn scope_exit_releases_guard() {
         let body = "//! doc\n\
