@@ -9,13 +9,21 @@
 //! One `CacheManager` is shared by all HVAC server *instances* on a node —
 //! the instances have separate request queues and data movers (that is what
 //! HVAC (2×1)/(4×1) vary), but there is one NVMe device per node.
+//!
+//! Beside the resident entries the manager keeps a *size memo*: the file
+//! sizes the node has learned from the PFS, by tenant key, so a repeat
+//! `Stat` of a file that is not resident as a whole (segment caching never
+//! makes it so) costs no PFS operation. The memo holds no file bytes and
+//! stays out of the store's counts, capacity and eviction; a purge (job
+//! teardown or crash-stop) clears it with the entries.
 
 use crate::eviction::EvictionPolicy;
 use bytes::Bytes;
 use hvac_hash::pathhash::split_tenant_key;
 use hvac_storage::{LocalStore, TenantUsage};
-use hvac_sync::{classes, OrderedMutex};
+use hvac_sync::{classes, OrderedMutex, OrderedRwLock};
 use hvac_types::{ByteSize, HvacError, Result};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -31,6 +39,8 @@ pub struct CacheManager {
     store: LocalStore,
     policy: OrderedMutex<Box<dyn EvictionPolicy>>,
     evictions: AtomicU64,
+    /// File sizes learned from the PFS, by tenant key.
+    sizes: OrderedRwLock<HashMap<PathBuf, u64>>,
 }
 
 impl CacheManager {
@@ -40,6 +50,7 @@ impl CacheManager {
             store,
             policy: OrderedMutex::new(classes::CACHE_POLICY, policy),
             evictions: AtomicU64::new(0),
+            sizes: OrderedRwLock::new(classes::CACHE_SIZE_MEMO, HashMap::new()),
         }
     }
 
@@ -187,6 +198,21 @@ impl CacheManager {
         self.store.size_of(path)
     }
 
+    /// The size of `path` as far as the node knows without the PFS: a
+    /// resident entry's size, else a size remembered by
+    /// [`Self::remember_size`] since the last purge.
+    pub fn known_size(&self, path: &Path) -> Option<u64> {
+        match self.store.size_of(path) {
+            Some(size) => Some(size.bytes()),
+            None => self.sizes.read().get(path).copied(),
+        }
+    }
+
+    /// Remember a size the PFS reported for `path` until the next purge.
+    pub fn remember_size(&self, path: &Path, size: u64) {
+        self.sizes.write().insert(path.to_path_buf(), size);
+    }
+
     /// Read a whole resident file, updating recency. `None` = miss.
     pub fn read_all(&self, path: &Path) -> Option<Bytes> {
         let out = self.store.get(path)?;
@@ -201,8 +227,9 @@ impl CacheManager {
         freed
     }
 
-    /// Job teardown: drop everything.
+    /// Job teardown: drop everything, remembered sizes included.
     pub fn purge(&self) {
+        self.sizes.write().clear();
         let mut policy = self.policy.lock();
         for p in self.store.resident_paths() {
             // lockgraph: acquires STORE_SHARD
@@ -295,6 +322,21 @@ mod tests {
         // a stale pre-purge path.
         m.insert(Path::new("/new"), blob(10, 9)).unwrap();
         assert_eq!(m.resident_count(), 1);
+    }
+
+    #[test]
+    fn size_memo_answers_until_purge_and_stays_out_of_the_store() {
+        let m = mgr(100, Box::new(FifoPolicy::new()));
+        let (p, q) = (Path::new("/seg"), Path::new("/res"));
+        assert_eq!(m.known_size(p), None);
+        m.remember_size(p, 4096);
+        m.insert(q, blob(10, 1)).unwrap();
+        assert_eq!((m.known_size(p), m.known_size(q)), (Some(4096), Some(10)));
+        // A remembered size is not an entry: no residency, bytes or victim.
+        assert!(!m.contains(p));
+        assert_eq!((m.resident_count(), m.store().used()), (1, ByteSize(10)));
+        m.purge();
+        assert_eq!((m.known_size(p), m.known_size(q)), (None, None));
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::view::ViewHandle;
 use bytes::Bytes;
 use hvac_hash::pathhash::{hash_job_path, mix64};
 use hvac_hash::placement::{make_placement, Placement};
-use hvac_net::bulk::{chunk_ranges, reassemble_bulk_pooled};
+use hvac_net::bulk::{chunk_ranges, reassemble_bulk_pooled, Bulk};
 use hvac_net::fabric::{Fabric, Reply};
 use hvac_net::plan::{coalesce_plan, BatchItem, PlanEntry};
 use hvac_net::pool::BufferPool;
@@ -726,13 +726,22 @@ impl HvacClient {
             Err(e) => return Err(e),
         };
         match Response::decode(reply.header)?.into_result()? {
-            Response::Data { total_size, .. } => {
-                Ok((reply.bulk.unwrap_or_default(), Some(total_size)))
-            }
+            Response::Data { total_size, .. } => Ok((
+                self.contiguous(reply.bulk.unwrap_or_default()),
+                Some(total_size),
+            )),
             other => Err(HvacError::Protocol(format!(
                 "unexpected read reply: {other:?}"
             ))),
         }
+    }
+
+    /// A read reply's bulk as one `Bytes`. A read reply has one part on
+    /// either transport, so this is zero-copy; a multi-part bulk is joined
+    /// in a pooled slab.
+    fn contiguous(&self, bulk: Bulk) -> Bytes {
+        // lockgraph: acquires NET_POOL
+        reassemble_bulk_pooled(bulk.parts(), &self.pool)
     }
 
     /// Account one logical read of `data` and hand it back.
@@ -797,7 +806,7 @@ impl HvacClient {
             entries,
             |slot, resp, bulk| {
                 (matches!(resp, Response::Data { .. }) && bulk.len() == plan[slot].1)
-                    .then_some(bulk)
+                    .then(|| self.contiguous(bulk))
             },
             |slot| Ok(self.fetch_chunk(path, plan[slot].0, plan[slot].1)?.0),
         )
@@ -817,7 +826,7 @@ impl HvacClient {
         &self,
         epoch: u64,
         entries: Vec<(String, Request)>,
-        accept: impl Fn(usize, Response, Bytes) -> Option<T>,
+        accept: impl Fn(usize, Response, Bulk) -> Option<T>,
         fallback: impl Fn(usize) -> Result<T>,
     ) -> Result<Vec<T>> {
         let n = entries.len();
@@ -852,7 +861,7 @@ impl HvacClient {
     /// Decode one plan reply into its response and bulk. `None` for an
     /// undecodable header, or for a stale-view redirect — whose newer view
     /// is installed here, so the fallback re-resolves under it.
-    fn decode_plan_reply(&self, reply: Reply) -> Option<(Response, Bytes)> {
+    fn decode_plan_reply(&self, reply: Reply) -> Option<(Response, Bulk)> {
         match Response::decode(reply.header).ok()? {
             Response::StaleView { view } => {
                 self.metrics.view_refreshes.fetch_add(1, Ordering::Relaxed);
@@ -918,7 +927,7 @@ impl HvacClient {
         };
         match Response::decode(reply.header)?.into_result()? {
             Response::Data { .. } => {
-                let data = reply.bulk.unwrap_or_default();
+                let data = self.contiguous(reply.bulk.unwrap_or_default());
                 if data.len() as u64 != len {
                     return Err(HvacError::Protocol(format!(
                         "segment {seg_index} of {} returned {} bytes, expected {len}",
@@ -1019,33 +1028,28 @@ impl HvacClient {
         Ok(reassemble_bulk_pooled(&chunks, &self.pool))
     }
 
-    /// Split one batch reply into the payloads of plan entries `idxs`.
-    /// Returns `None` on anything other than a well-formed full answer — an
-    /// error reply or any length mismatch — and the caller falls back.
+    /// Split one batch reply into the payloads of plan entries `idxs`, by
+    /// its `lens`, as slices of the bulk's parts — no copy on either
+    /// transport. Returns `None` on anything other than a well-formed full
+    /// answer — an error reply or any length mismatch — and the caller
+    /// falls back.
     fn split_batch_reply(
         resp: Response,
-        bulk: Bytes,
+        bulk: Bulk,
         idxs: &[usize],
         plan: &[PlanEntry<String>],
     ) -> Option<Vec<Bytes>> {
         let Response::Batch { lens } = resp else {
             return None;
         };
-        let expected = idxs.iter().map(|&i| plan[i].len);
-        let total: u64 = expected.clone().sum();
-        if !lens.iter().map(|&l| u64::from(l)).eq(expected.clone()) || bulk.len() as u64 != total {
+        if !lens
+            .iter()
+            .map(|&l| u64::from(l))
+            .eq(idxs.iter().map(|&i| plan[i].len))
+        {
             return None;
         }
-        let mut at = 0usize;
-        Some(
-            expected
-                .map(|len| {
-                    let part = bulk.slice(at..at + len as usize);
-                    at += len as usize;
-                    part
-                })
-                .collect(),
-        )
+        bulk.split(lens.iter().map(|&l| l as usize))
     }
 
     /// Fallback for one coalesced range: read its segments individually
@@ -1616,6 +1620,33 @@ mod tests {
             .map(|(srv, _)| srv.metrics().snapshot().batch_rpcs)
             .sum();
         assert_eq!(server_batches, s.batch_rpcs, "ledger balances");
+    }
+
+    #[test]
+    fn repeat_segmented_reads_stat_from_the_size_memo_until_a_purge() {
+        let (pfs, fabric, servers, client) = setup2(1);
+        let p = sample(5);
+        let expected = pfs.read_all(&p).unwrap();
+        let opens = || pfs.stats().snapshot().0;
+        for _ in 0..2 {
+            assert_eq!(client.read_file_segmented(&p, 16).unwrap(), expected);
+        }
+        // Segments never make the whole file resident; the home remembers
+        // the size its first Stat learned from the PFS.
+        assert_eq!(opens(), 1, "two segmented reads, one open_meta");
+        let stats: u64 = servers
+            .iter()
+            .map(|(srv, _)| srv.metrics().snapshot().stats_ops)
+            .sum();
+        assert_eq!(stats, 2, "each read still sends its Stat");
+        for i in 0..servers.len() {
+            let reply = fabric
+                .call(&server_addr(i, 1), Request::Purge.encode().unwrap())
+                .unwrap();
+            assert_eq!(Response::decode(reply.header).unwrap(), Response::Ok);
+        }
+        assert_eq!(client.read_file_segmented(&p, 16).unwrap(), expected);
+        assert_eq!(opens(), 2, "a purge forgets the size");
     }
 
     #[test]

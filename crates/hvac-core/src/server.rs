@@ -21,9 +21,8 @@ use crate::view::ViewHandle;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 use hvac_hash::pathhash::{hash_path, tenant_key};
-use hvac_net::bulk::reassemble_bulk_pooled;
 use hvac_net::fabric::{Fabric, Reply, RpcHandler, ServerEndpoint};
-use hvac_net::pool::BufferPool;
+use hvac_net::Bulk;
 use hvac_pfs::store::slice_read_at;
 use hvac_pfs::FileStore;
 use hvac_storage::default_shard_count;
@@ -405,9 +404,6 @@ pub struct HvacServer {
     /// older epoch are bounced with [`Response::StaleView`] so the sender
     /// can re-resolve ownership (the stale-view redirect protocol).
     view: Arc<ViewHandle>,
-    /// Slab pool for batch-reply reassembly: the concatenated bulk buffer is
-    /// recycled instead of hitting the allocator once per batch RPC.
-    pool: BufferPool,
     /// Weighted-fair admission over the device read path. Pass-through when
     /// no weights plan is configured.
     sched: TenantScheduler,
@@ -442,7 +438,6 @@ impl HvacServer {
             mover,
             options,
             view: ViewHandle::new(ClusterView::initial(1, 1)?),
-            pool: BufferPool::new(),
             sched,
         }))
     }
@@ -488,23 +483,21 @@ impl HvacServer {
 
     /// Handle one decoded request under the default (legacy) tenant — the
     /// entry point unit tests and the LD_PRELOAD single-process mode use.
-    pub fn handle_request(&self, req: Request) -> (Response, Option<Bytes>) {
+    pub fn handle_request(&self, req: Request) -> (Response, Option<Bulk>) {
         self.handle_request_for(JobId::DEFAULT, req)
     }
 
     /// Handle one decoded request on behalf of tenant `job`. Cache entries
     /// (and in-flight dedup slots) are keyed under the tenant namespace, so
     /// two jobs never share bytes or eviction fate; PFS operations always
-    /// use the raw application path.
-    pub fn handle_request_for(&self, job: JobId, req: Request) -> (Response, Option<Bytes>) {
+    /// use the raw application path. A bulk reply carries the bytes the
+    /// cache or the data mover holds, uncopied: a batch's items are the
+    /// parts of its [`Bulk`].
+    pub fn handle_request_for(&self, job: JobId, req: Request) -> (Response, Option<Bulk>) {
         match req {
             Request::Stat { path } => {
                 self.metrics.stats_ops.fetch_add(1, Ordering::Relaxed);
-                let size = match self.cache.size_of(&tenant_key(job, &path)) {
-                    Some(sz) => Ok(sz.bytes()),
-                    None => self.pfs.open_meta(&path).map(|m| m.size),
-                };
-                match size {
+                match self.stat(&path, &tenant_key(job, &path)) {
                     Ok(size) => (Response::Stat { size }, None),
                     Err(e) => (Response::from_error(&e), None),
                 }
@@ -516,7 +509,7 @@ impl HvacServer {
                             total_size,
                             cache_hit,
                         },
-                        Some(data),
+                        Some(data.into()),
                     ),
                     Err(e) => (Response::from_error(&e), None),
                 }
@@ -534,7 +527,7 @@ impl HvacServer {
                             total_size: data.len() as u64,
                             cache_hit,
                         },
-                        Some(data),
+                        Some(data.into()),
                     ),
                     Err(e) => (Response::from_error(&e), None),
                 }
@@ -554,12 +547,12 @@ impl HvacServer {
             Request::Batch { items } => {
                 self.metrics.batch_rpcs.fetch_add(1, Ordering::Relaxed);
                 let mut lens = Vec::with_capacity(items.len());
-                let mut chunks = Vec::with_capacity(items.len());
+                let mut parts = Vec::with_capacity(items.len());
                 for item in &items {
                     match self.read_segment(job, Path::new(&item.path), item.offset, item.len) {
                         Ok((_hit, data)) if data.len() <= u32::MAX as usize => {
                             lens.push(data.len() as u32);
-                            chunks.push(data);
+                            parts.push(data);
                         }
                         Ok(_) => {
                             return (
@@ -575,9 +568,7 @@ impl HvacServer {
                         Err(e) => return (Response::from_error(&e), None),
                     }
                 }
-                // lockgraph: acquires NET_POOL
-                let bulk = reassemble_bulk_pooled(&chunks, &self.pool);
-                (Response::Batch { lens }, Some(bulk))
+                (Response::Batch { lens }, Some(Bulk::from(parts)))
             }
         }
     }
@@ -608,6 +599,20 @@ impl HvacServer {
                 None
             }
         }
+    }
+
+    /// The size of `path`, cached under `key`: a resident entry's size, else
+    /// the size the node last learned from the PFS, else one `open_meta`,
+    /// which the node then remembers until a purge. Segment caching never
+    /// makes the whole file resident, so without the memo every segmented
+    /// read's `Stat` would reach the PFS.
+    fn stat(&self, path: &Path, key: &Path) -> Result<u64> {
+        if let Some(size) = self.cache.known_size(key) {
+            return Ok(size);
+        }
+        let size = self.pfs.open_meta(path)?.size;
+        self.cache.remember_size(key, size);
+        Ok(size)
     }
 
     /// Segment-granular read (§III-E alternative): cache and serve only the
@@ -884,7 +889,7 @@ mod tests {
             offset: 10,
             len: 20,
         });
-        assert_eq!(bulk.unwrap(), expected.slice(10..30));
+        assert_eq!(expected.slice(10..30), bulk.unwrap().to_vec());
         // Reads past EOF return empty bulk.
         let (resp, bulk) = server.handle_request(Request::Read {
             path: p,
@@ -912,6 +917,32 @@ mod tests {
         let (resp, _) = server.handle_request(Request::Stat { path: p });
         assert_eq!(resp, Response::Stat { size: 100 });
         assert_eq!(pfs.stats().snapshot().0, 1);
+    }
+
+    #[test]
+    fn stat_remembers_pfs_sizes_until_a_purge_or_crash() {
+        let (pfs, server) = setup(10_000);
+        let opens = || pfs.stats().snapshot().0;
+        let stat = |p: PathBuf| server.handle_request(Request::Stat { path: p }).0;
+        for _ in 0..3 {
+            assert_eq!(stat(sample(1)), Response::Stat { size: 100 });
+        }
+        assert_eq!(opens(), 1, "repeat Stats are answered from the memo");
+        server.crash();
+        assert_eq!(stat(sample(1)), Response::Stat { size: 100 });
+        assert_eq!(opens(), 2, "a crash forgets the size");
+        server.handle_request(Request::Purge);
+        assert_eq!(stat(sample(1)), Response::Stat { size: 100 });
+        assert_eq!(opens(), 3, "so does a purge");
+        // A failed lookup is not remembered.
+        for _ in 0..2 {
+            assert!(matches!(
+                stat(PathBuf::from("/data/absent")),
+                Response::Err { code: 2, .. }
+            ));
+        }
+        assert_eq!(opens(), 5);
+        assert_eq!(server.cache().resident_count(), 0, "sizes are not entries");
     }
 
     #[test]
@@ -1035,7 +1066,7 @@ mod tests {
                 cache_hit: false
             }
         );
-        assert_eq!(bulk.unwrap(), expected);
+        assert_eq!(expected, bulk.unwrap().to_vec());
         let after = pfs.stats().snapshot();
         assert_eq!(after.0 - before.0, 0, "no open_meta");
         assert_eq!(after.1 - before.1, 1, "exactly one PFS read");
@@ -1173,7 +1204,7 @@ mod tests {
                 ..
             }
         ));
-        assert_eq!(bulk.unwrap(), expected);
+        assert_eq!(expected, bulk.unwrap().to_vec());
         assert!(
             server.metrics().snapshot().pfs_copies >= 5,
             "the post-crash read re-faulted from the PFS"
@@ -1235,9 +1266,17 @@ mod tests {
         assert_eq!(bulk.len(), 110);
         let a = pfs.read_all(&sample(0)).unwrap();
         let b = pfs.read_all(&sample(1)).unwrap();
-        assert_eq!(bulk.slice(0..40), a.slice(0..40));
-        assert_eq!(bulk.slice(40..70), b.slice(10..40));
-        assert_eq!(bulk.slice(70..110), a.slice(60..100));
+        // The items are the parts, in order, never joined into one buffer:
+        // each part is the cached segment entry itself.
+        assert_eq!(
+            bulk.parts(),
+            [a.slice(0..40), b.slice(10..40), a.slice(60..100)]
+        );
+        let cached = server
+            .cache()
+            .read_all(&segment_key(&sample(1), 10, 30))
+            .unwrap();
+        assert_eq!(bulk.parts()[1].as_ptr(), cached.as_ptr(), "no copy");
         let snap = server.metrics().snapshot();
         assert_eq!(snap.batch_rpcs, 1);
         assert_eq!(snap.reads, 3, "each batch item counts as one read");

@@ -1,10 +1,11 @@
-//! Chunked bulk transfer.
+//! Chunked bulk transfer and gathered bulk payloads.
 //!
 //! Mercury separates RPC metadata from bulk data and moves the latter in
 //! RDMA-sized pieces. The client tiles a large read into chunk ranges, one
 //! RPC each, and reassembles the replies in offset order, so transfer
 //! accounting (and the simulator's network model) see the same message
-//! sizes a real deployment would.
+//! sizes a real deployment would. A reply's bulk is a [`Bulk`] gather list,
+//! so a server hands out the `Bytes` it holds without joining them.
 
 use crate::pool::BufferPool;
 use bytes::Bytes;
@@ -21,6 +22,77 @@ pub fn chunk_ranges(len: usize, chunk_size: usize) -> impl Iterator<Item = Range
     (0..len)
         .step_by(chunk_size)
         .map(move |start| start..len.min(start.saturating_add(chunk_size)))
+}
+
+/// A reply's bulk payload as a gather list: its parts, in payload order.
+///
+/// The server never joins the parts. The socket transport writes them after
+/// the frame prefix in vectored writes, and the loopback fabric hands them
+/// to the caller as they are, so a served cache entry leaves the server
+/// without a user-space copy. A reply decoded off a socket has one part,
+/// its slice of the frame.
+#[derive(Debug, Clone, Default)]
+pub struct Bulk {
+    parts: Vec<Bytes>,
+}
+
+impl Bulk {
+    /// The parts, in payload order.
+    pub fn parts(&self) -> &[Bytes] {
+        &self.parts
+    }
+
+    /// Payload length: the sum of the parts.
+    pub fn len(&self) -> usize {
+        self.parts.iter().map(Bytes::len).sum()
+    }
+
+    /// Whether the payload has no bytes.
+    pub fn is_empty(&self) -> bool {
+        self.parts.iter().all(Bytes::is_empty)
+    }
+
+    /// The payload copied into one `Vec`.
+    pub fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len());
+        for part in &self.parts {
+            out.extend_from_slice(part);
+        }
+        out
+    }
+
+    /// Cut the payload into consecutive pieces of `lens` bytes, each a
+    /// slice of one part — no copy. `None` unless the lengths add up to
+    /// exactly the payload and no piece spans two parts; a batch reply
+    /// meets both on either transport, as its parts are its items
+    /// (loopback) or the whole payload (socket).
+    pub fn split(&self, lens: impl IntoIterator<Item = usize>) -> Option<Vec<Bytes>> {
+        let mut parts = self.parts.iter().filter(|p| !p.is_empty()).cloned();
+        let mut cur = Bytes::new();
+        let mut pieces = Vec::new();
+        for len in lens {
+            if cur.is_empty() && len > 0 {
+                cur = parts.next()?;
+            }
+            if len > cur.len() {
+                return None;
+            }
+            pieces.push(cur.split_to(len));
+        }
+        (cur.is_empty() && parts.next().is_none()).then_some(pieces)
+    }
+}
+
+impl From<Bytes> for Bulk {
+    fn from(part: Bytes) -> Self {
+        Self { parts: vec![part] }
+    }
+}
+
+impl From<Vec<Bytes>> for Bulk {
+    fn from(parts: Vec<Bytes>) -> Self {
+        Self { parts }
+    }
 }
 
 /// Reassemble chunks into one contiguous payload in a pooled buffer: the
@@ -114,6 +186,34 @@ mod tests {
     #[should_panic(expected = "chunk size must be positive")]
     fn zero_chunk_size_panics() {
         let _ = chunk_ranges(1, 0);
+    }
+
+    #[test]
+    fn split_slices_pieces_out_of_the_parts() {
+        let payload = Bytes::from((0..100u8).collect::<Vec<u8>>());
+        // One part per item (loopback) and one part in all (socket): every
+        // piece is a slice of a part, never a copy.
+        let per_item = Bulk::from(vec![
+            payload.slice(0..40),
+            Bytes::new(),
+            payload.slice(40..70),
+            payload.slice(70..100),
+        ]);
+        let whole = Bulk::from(payload.clone());
+        for bulk in [&per_item, &whole] {
+            let pieces = bulk.split([40, 0, 30, 30]).unwrap();
+            let want = [0..40, 40..40, 40..70, 70..100].map(|r| payload.slice(r));
+            assert_eq!(pieces, want);
+            assert_eq!(pieces[2].as_ptr(), payload[40..].as_ptr(), "a slice");
+        }
+        assert_eq!((per_item.len(), per_item.to_vec()), (100, payload.to_vec()));
+        // Lengths that miss the payload, or a piece across two parts, are
+        // refused.
+        assert!(whole.split([40, 30]).is_none());
+        assert!(whole.split([40, 61]).is_none());
+        assert!(per_item.split([50, 50]).is_none());
+        assert_eq!(Bulk::default().split([]), Some(vec![]));
+        assert!(Bulk::default().is_empty());
     }
 
     #[test]

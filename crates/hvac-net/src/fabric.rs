@@ -30,6 +30,7 @@
 //! `rpcs` (answered) or `failed_calls` (any error), and `request_bytes`
 //! counts only requests actually delivered to a server queue or socket.
 
+use crate::bulk::Bulk;
 use crate::fault::{FaultAction, FaultInjector};
 use crate::socket::{
     CallClock, EndpointUri, ServerCore, SocketBackend, SocketConfig, SocketFamily,
@@ -50,8 +51,9 @@ use std::time::{Duration, Instant};
 pub struct Reply {
     /// Decoded by the protocol layer (status, sizes, ...).
     pub header: Bytes,
-    /// File data moved via the bulk path; `None` for metadata-only replies.
-    pub bulk: Option<Bytes>,
+    /// File data moved via the bulk path, as a gather list of parts;
+    /// `None` for metadata-only replies.
+    pub bulk: Option<Bulk>,
 }
 
 /// Server-side request handler. One handler instance serves all worker
@@ -89,7 +91,7 @@ pub struct FabricStats {
     pub request_bytes: AtomicU64,
     /// Reply header bytes.
     pub reply_bytes: AtomicU64,
-    /// Bulk payload bytes.
+    /// Bulk payload bytes: the sum of each reply's parts.
     pub bulk_bytes: AtomicU64,
     /// Calls rejected because the target endpoint was down/absent.
     pub failed_calls: AtomicU64,
@@ -346,10 +348,10 @@ impl Fabric {
                 self.stats
                     .reply_bytes
                     .fetch_add(reply.header.len() as u64, Ordering::Relaxed);
-                if let Some(b) = &reply.bulk {
+                if let Some(bulk) = &reply.bulk {
                     self.stats
                         .bulk_bytes
-                        .fetch_add(b.len() as u64, Ordering::Relaxed);
+                        .fetch_add(bulk.len() as u64, Ordering::Relaxed);
                 }
             }
             Err(_) => {
@@ -929,11 +931,17 @@ mod tests {
         let fabric = Arc::new(Fabric::new());
         let handler: Arc<dyn RpcHandler> = Arc::new(|_req: Bytes| Reply {
             header: Bytes::from_static(b"ok"),
-            bulk: Some(Bytes::from(vec![0u8; 1024])),
+            bulk: Some(Bulk::from(vec![
+                Bytes::from(vec![0u8; 1000]),
+                Bytes::from(vec![1u8; 24]),
+            ])),
         });
         let _ep = fabric.serve("bulk", 1, handler).unwrap();
         let reply = fabric.call("bulk", Bytes::new()).unwrap();
-        assert_eq!(reply.bulk.unwrap().len(), 1024);
+        // Loopback hands the parts over as they are; the ledger counts
+        // their sum.
+        let bulk = reply.bulk.unwrap();
+        assert_eq!((bulk.parts().len(), bulk.len()), (2, 1024));
         assert_eq!(fabric.stats().snapshot().3, 1024);
     }
 }

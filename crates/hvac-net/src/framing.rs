@@ -16,7 +16,11 @@
 //! * **reply** — `[kind u8 = 2][req_id u64][flags u8][hdr_len u32][header…]
 //!   [bulk…]`. Bit 0 of `flags` says whether a bulk payload follows the
 //!   header — the same header/bulk split the loopback [`Reply`] models
-//!   (Mercury's RPC-argument vs. bulk-transfer separation).
+//!   (Mercury's RPC-argument vs. bulk-transfer separation). The server
+//!   sends a reply as its prefix (everything up to the header's end) plus
+//!   the bulk's parts in vectored writes ([`write_reply`]), so the bulk is
+//!   never copied into a frame buffer; the bytes on the wire are the same
+//!   as [`encode_reply`]'s.
 //!
 //! The decoder is strictly *bounded-allocation*: the frame length is
 //! validated against both the magic and the configured `max_frame` cap
@@ -24,11 +28,12 @@
 //! garbage input yields a typed [`HvacError::Protocol`] (or a clean
 //! end-of-stream `None`) — never a panic or an attacker-sized allocation.
 
+use crate::bulk::Bulk;
 use crate::fabric::Reply;
 use crate::pool::BufferPool;
 use bytes::{Buf, Bytes};
 use hvac_types::{HvacError, Result};
-use std::io::Read;
+use std::io::{IoSlice, Read, Write};
 
 /// Frame magic: `"HVAC"` in ASCII, read as a little-endian `u32`.
 pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"HVAC");
@@ -126,69 +131,105 @@ pub fn encode_request_job(
     encode_frame(&body, max_frame)
 }
 
-/// Validate a reply frame's sizes and return its total on-wire length.
-fn checked_reply_frame_len(reply: &Reply, max_frame: usize) -> Result<usize> {
-    if u32::try_from(reply.header.len()).is_err() {
-        return Err(HvacError::Protocol(format!(
+/// The part of a reply frame before its bulk: magic, body length, kind,
+/// request id, flags, header length and header. The whole frame, bulk
+/// included, is checked against `max_frame` first.
+fn reply_prefix(req_id: u64, reply: &Reply, max_frame: usize) -> Result<Vec<u8>> {
+    let hdr_len = u32::try_from(reply.header.len()).map_err(|_| {
+        HvacError::Protocol(format!(
             "reply header of {} bytes exceeds u32 wire prefix",
             reply.header.len()
-        )));
-    }
-    let bulk_len = reply.bulk.as_ref().map_or(0, Bytes::len);
+        ))
+    })?;
+    let bulk_len = reply.bulk.as_ref().map_or(0, Bulk::len);
     let body_len = 14 + reply.header.len() + bulk_len;
     check_body_len(body_len, max_frame)?;
-    Ok(8 + body_len)
-}
-
-/// Write one reply frame into `out`, whose length must be exactly the
-/// value returned by [`checked_reply_frame_len`].
-fn fill_reply_frame(out: &mut [u8], req_id: u64, reply: &Reply) {
-    let body_len = out.len() - 8;
-    out[0..4].copy_from_slice(&FRAME_MAGIC.to_le_bytes());
-    out[4..8].copy_from_slice(&(body_len as u32).to_le_bytes());
-    out[8] = KIND_REPLY;
-    out[9..17].copy_from_slice(&req_id.to_le_bytes());
-    out[17] = if reply.bulk.is_some() {
+    let mut out = Vec::with_capacity(22 + reply.header.len());
+    out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
+    out.extend_from_slice(&(body_len as u32).to_le_bytes());
+    out.push(KIND_REPLY);
+    out.extend_from_slice(&req_id.to_le_bytes());
+    out.push(if reply.bulk.is_some() {
         FLAG_HAS_BULK
     } else {
         0
-    };
-    out[18..22].copy_from_slice(&(reply.header.len() as u32).to_le_bytes());
-    let bulk_at = 22 + reply.header.len();
-    out[22..bulk_at].copy_from_slice(&reply.header);
-    if let Some(b) = &reply.bulk {
-        out[bulk_at..].copy_from_slice(b);
-    }
-}
-
-/// Encode a reply frame (header + body) ready to write to a stream, in a
-/// single allocation with no intermediate copies.
-pub fn encode_reply(req_id: u64, reply: &Reply, max_frame: usize) -> Result<Vec<u8>> {
-    let total = checked_reply_frame_len(reply, max_frame)?;
-    let mut out = vec![0u8; total];
-    fill_reply_frame(&mut out, req_id, reply);
+    });
+    out.extend_from_slice(&hdr_len.to_le_bytes());
+    out.extend_from_slice(&reply.header);
     Ok(out)
 }
 
-/// Encode a reply frame directly into one buffer — pooled when a
-/// [`BufferPool`] is supplied, plain otherwise. Unlike the legacy
-/// body-then-frame path this writes header, prefix, and bulk exactly once
-/// into a single allocation (reused across replies when pooled), which is
-/// the server's per-reply copy the zero-copy plane eliminates.
-pub fn encode_reply_pooled(
+/// The bulk parts of a reply, in payload order.
+fn bulk_parts(reply: &Reply) -> &[Bytes] {
+    reply.bulk.as_ref().map_or(&[], Bulk::parts)
+}
+
+/// Encode a reply frame into one contiguous buffer. The server does not use
+/// it — [`write_reply`] sends the same bytes without joining them — but it
+/// is the reference encoding the gathered writer is tested against.
+pub fn encode_reply(req_id: u64, reply: &Reply, max_frame: usize) -> Result<Vec<u8>> {
+    let mut out = reply_prefix(req_id, reply, max_frame)?;
+    for part in bulk_parts(reply) {
+        out.extend_from_slice(part);
+    }
+    Ok(out)
+}
+
+/// Write one reply frame to `w`: the frame prefix (magic through header)
+/// followed by the bulk parts, gathered into vectored writes, so no bulk
+/// byte is copied. A frame over `max_frame` is refused before anything is
+/// written.
+pub fn write_reply<W: Write>(
+    w: &mut W,
     req_id: u64,
     reply: &Reply,
     max_frame: usize,
-    pool: Option<&BufferPool>,
-) -> Result<Bytes> {
-    match pool {
-        Some(pool) => {
-            let total = checked_reply_frame_len(reply, max_frame)?;
-            let mut buf = pool.acquire(total);
-            fill_reply_frame(&mut buf, req_id, reply);
-            Ok(buf.freeze())
+) -> Result<()> {
+    let prefix = reply_prefix(req_id, reply, max_frame)?;
+    let mut bufs: Vec<&[u8]> = Vec::with_capacity(1 + bulk_parts(reply).len());
+    bufs.push(&prefix);
+    bufs.extend(bulk_parts(reply).iter().map(|part| &part[..]));
+    write_all_vectored(w, &bufs)?;
+    w.flush()?;
+    Ok(())
+}
+
+/// Write every byte of `bufs`, in order, with `write_vectored`, looping on
+/// short writes and `Interrupted`. (`IoSlice::advance_slices` would do the
+/// advancing, but it needs Rust 1.81; the workspace builds on 1.75.)
+fn write_all_vectored<W: Write>(w: &mut W, mut bufs: &[&[u8]]) -> std::io::Result<()> {
+    // Bytes of `bufs[0]` already written.
+    let mut skip = 0usize;
+    loop {
+        while bufs.first().is_some_and(|b| b.len() == skip) {
+            bufs = &bufs[1..];
+            skip = 0;
         }
-        None => Ok(Bytes::from(encode_reply(req_id, reply, max_frame)?)),
+        let Some((first, rest)) = bufs.split_first() else {
+            return Ok(());
+        };
+        let slices: Vec<IoSlice<'_>> = std::iter::once(&first[skip..])
+            .chain(rest.iter().copied())
+            .map(IoSlice::new)
+            .collect();
+        match w.write_vectored(&slices) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "stream accepted no bytes of a reply frame",
+                ))
+            }
+            Ok(n) => {
+                let mut n = skip + n;
+                while let Some(b) = bufs.first().filter(|b| n >= b.len()) {
+                    n -= b.len();
+                    bufs = &bufs[1..];
+                }
+                skip = n;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
 }
 
@@ -241,7 +282,7 @@ pub fn decode_reply(mut body: Bytes) -> Result<ReplyFrame> {
     }
     let header = body.split_to(hdr_len);
     let bulk = if flags & FLAG_HAS_BULK != 0 {
-        Some(body)
+        Some(Bulk::from(body))
     } else if body.is_empty() {
         None
     } else {
@@ -376,7 +417,7 @@ mod tests {
         for bulk in [None, Some(Bytes::from(vec![7u8; 4096]))] {
             let reply = Reply {
                 header: Bytes::from_static(b"hdr"),
-                bulk: bulk.clone(),
+                bulk: bulk.clone().map(Bulk::from),
             };
             let frame = encode_reply(9, &reply, DEFAULT_MAX_FRAME).unwrap();
             let body = read_frame(&mut Cursor::new(&frame), DEFAULT_MAX_FRAME)
@@ -385,8 +426,115 @@ mod tests {
             let decoded = decode_reply(body).unwrap();
             assert_eq!(decoded.req_id, 9);
             assert_eq!(&decoded.reply.header[..], b"hdr");
-            assert_eq!(decoded.reply.bulk, bulk);
+            assert_eq!(
+                decoded.reply.bulk.map(|b| b.to_vec()),
+                bulk.map(|b| b.to_vec())
+            );
         }
+    }
+
+    /// A stream that takes 1 to `max` bytes per call, across slices, and
+    /// sometimes fails a call with `Interrupted` instead.
+    struct Trickle {
+        out: Vec<u8>,
+        max: usize,
+        rng: u64,
+        interrupts: usize,
+    }
+
+    impl Trickle {
+        fn next(&mut self) -> u64 {
+            self.rng = self
+                .rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            self.rng >> 33
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            if self.next() & 3 == 0 {
+                self.interrupts += 1;
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let mut budget = 1 + self.next() as usize % self.max;
+            let mut taken = 0;
+            for b in bufs {
+                let n = b.len().min(budget);
+                self.out.extend_from_slice(&b[..n]);
+                (taken, budget) = (taken + n, budget - n);
+                if budget == 0 {
+                    break;
+                }
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn vectored_writer_survives_short_writes_and_interrupts() {
+        let payload: Vec<u8> = (0..5000u32).map(|i| (i * 7 + 3) as u8).collect();
+        let b = Bytes::from(payload);
+        let reply = Reply {
+            header: Bytes::from_static(b"header"),
+            bulk: Some(Bulk::from(vec![
+                b.slice(0..1),
+                Bytes::new(),
+                b.slice(1..1200),
+                b.slice(1200..1201),
+                b.slice(1201..5000),
+                Bytes::new(),
+            ])),
+        };
+        let want = encode_reply(5, &reply, DEFAULT_MAX_FRAME).unwrap();
+        for (seed, max) in [
+            (1u64, 1usize),
+            (2, 2),
+            (3, 7),
+            (4, 64),
+            (5, 4096),
+            (6, 1 << 20),
+        ] {
+            let mut w = Trickle {
+                out: Vec::new(),
+                max,
+                rng: seed,
+                interrupts: 0,
+            };
+            write_reply(&mut w, 5, &reply, DEFAULT_MAX_FRAME).unwrap();
+            assert_eq!(w.out, want, "seed {seed}, up to {max} bytes a call");
+            assert!(
+                w.interrupts > 0 || max > 64,
+                "seed {seed} never interrupted"
+            );
+        }
+        // A stream that stops accepting bytes is an error, not a spin.
+        let mut full = [0u8; 10];
+        let err = write_reply(&mut &mut full[..], 5, &reply, DEFAULT_MAX_FRAME).unwrap_err();
+        assert!(matches!(err, HvacError::Io(_)), "{err:?}");
+    }
+
+    #[test]
+    fn oversized_reply_is_refused_before_any_byte_is_written() {
+        let reply = Reply {
+            header: Bytes::from_static(b"h"),
+            bulk: Some(Bulk::from(vec![Bytes::from(vec![0u8; 60]); 2])),
+        };
+        let mut out = Vec::new();
+        let err = write_reply(&mut out, 1, &reply, 100).unwrap_err();
+        assert!(matches!(err, HvacError::Protocol(_)), "{err:?}");
+        assert!(out.is_empty());
+        write_reply(&mut out, 1, &reply, 14 + 1 + 120).unwrap();
+        assert_eq!(out.len(), 8 + 14 + 1 + 120);
     }
 
     #[test]
@@ -430,29 +578,25 @@ mod tests {
         let pool = BufferPool::new();
         let reply = Reply {
             header: Bytes::from_static(b"hdr"),
-            bulk: Some(Bytes::from(vec![3u8; 8192])),
+            bulk: Some(Bulk::from(vec![
+                Bytes::from(vec![3u8; 8000]),
+                Bytes::from(vec![4u8; 192]),
+            ])),
         };
-        let frame = encode_reply_pooled(77, &reply, DEFAULT_MAX_FRAME, Some(&pool)).unwrap();
-        // The pooled encoding is byte-identical to the legacy Vec path.
-        assert_eq!(
-            &frame[..],
-            &encode_reply(77, &reply, DEFAULT_MAX_FRAME).unwrap()[..]
-        );
-        let body = read_frame_pooled(
-            &mut Cursor::new(frame.to_vec()),
-            DEFAULT_MAX_FRAME,
-            Some(&pool),
-        )
-        .unwrap()
-        .unwrap();
+        let mut frame = Vec::new();
+        write_reply(&mut frame, 77, &reply, DEFAULT_MAX_FRAME).unwrap();
+        // The gathered write is byte-identical to the one-buffer encoding.
+        assert_eq!(frame, encode_reply(77, &reply, DEFAULT_MAX_FRAME).unwrap());
+        let body = read_frame_pooled(&mut Cursor::new(frame), DEFAULT_MAX_FRAME, Some(&pool))
+            .unwrap()
+            .unwrap();
         let decoded = decode_reply(body).unwrap();
         assert_eq!(decoded.req_id, 77);
         assert_eq!(&decoded.reply.header[..], b"hdr");
         let bulk = decoded.reply.bulk.unwrap();
-        assert_eq!(bulk.len(), 8192);
+        assert_eq!((bulk.parts().len(), bulk.len()), (1, 8192));
         // Header and bulk are zero-copy slices of one pooled frame slab;
         // dropping the last of them returns the slab.
-        drop(frame);
         drop(decoded.reply.header);
         assert_eq!(pool.stats().in_flight(), 1, "bulk still pins the frame");
         drop(bulk);

@@ -19,7 +19,8 @@
 //!   the server accept/worker core,
 //! * [`fault`] — the seeded [`FaultInjector`] (per-endpoint drop / delay /
 //!   hang / error-reply schedules) driving the hung-server tests,
-//! * [`bulk`] — chunk tiling and pooled reassembly of large reads,
+//! * [`bulk`] — chunk tiling, the [`Bulk`](bulk::Bulk) gather list a
+//!   reply's payload travels in, and pooled reassembly of large reads,
 //!   mirroring Mercury's separation of RPC metadata from payload,
 //! * [`pool`] — the reference-counted slab [`BufferPool`](pool::BufferPool)
 //!   behind the zero-copy data plane (return-to-pool on last `Bytes` drop),
@@ -46,7 +47,7 @@ pub mod socket;
 pub mod sq;
 pub mod wire;
 
-pub use bulk::BULK_CHUNK_SIZE;
+pub use bulk::{Bulk, BULK_CHUNK_SIZE};
 pub use fabric::{Fabric, Reply, RpcHandler};
 pub use fault::{FaultInjector, FaultSpec};
 pub use sq::DEFAULT_SQ_DEPTH;

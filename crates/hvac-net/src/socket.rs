@@ -27,8 +27,9 @@
 //! connecting, spawning, sending, or sleeping, so the socket path adds zero
 //! edges to the static lock graph. The buffer pool's internal `NET_POOL`
 //! free-list mutex is likewise only ever held inside `acquire`/release with
-//! no socket lock held, so pooled frame reads and reply encodes keep that
-//! property.
+//! no socket lock held, so pooled frame reads keep that property. A reply
+//! is written under the writer lock as its frame prefix plus the bulk's
+//! parts in vectored writes, with no pooled or copied frame buffer.
 
 use crate::fabric::{FabricStats, Reply, RpcHandler};
 use crate::framing;
@@ -38,7 +39,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use hvac_sync::{classes, OrderedMutex, OrderedRwLock};
 use hvac_types::{HvacError, Result};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -63,9 +64,9 @@ pub struct SocketConfig {
     pub family: SocketFamily,
     /// Per-frame body cap enforced by every encoder and decoder.
     pub max_frame: usize,
-    /// Slab pool backing frame reads and reply encodes on this fabric;
-    /// `None` falls back to per-frame heap allocation (the legacy path,
-    /// kept for the zero-copy-off benchmark arm and differential tests).
+    /// Slab pool backing frame reads on this fabric; `None` falls back to
+    /// per-frame heap allocation (the legacy path, kept for the
+    /// zero-copy-off benchmark arm and differential tests).
     pub pool: Option<BufferPool>,
 }
 
@@ -202,6 +203,13 @@ impl Write for Stream {
         match self {
             Stream::Tcp(s) => s.write(buf),
             Stream::Unix(s) => s.write(buf),
+        }
+    }
+
+    fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+        match self {
+            Stream::Tcp(s) => s.write_vectored(bufs),
+            Stream::Unix(s) => s.write_vectored(bufs),
         }
     }
 
@@ -374,11 +382,10 @@ impl SocketBackend {
             let rx: Receiver<ServerJob> = jobs_rx.clone();
             let handler = handler.clone();
             let max_frame = self.config.max_frame;
-            let pool = self.config.pool.clone();
             let name = format!("hvac-sock-{addr}-{w}");
             let spawned = std::thread::Builder::new()
                 .name(name)
-                .spawn(move || server_worker(rx, handler, max_frame, pool));
+                .spawn(move || server_worker(rx, handler, max_frame));
             match spawned {
                 Ok(h) => worker_handles.push(h),
                 Err(e) => {
@@ -666,12 +673,7 @@ fn conn_reader(
     let _ = r.shutdown();
 }
 
-fn server_worker(
-    jobs: Receiver<ServerJob>,
-    handler: Arc<dyn RpcHandler>,
-    max_frame: usize,
-    pool: Option<BufferPool>,
-) {
+fn server_worker(jobs: Receiver<ServerJob>, handler: Arc<dyn RpcHandler>, max_frame: usize) {
     while let Ok(job) = jobs.recv() {
         // The wire deadline rode along for exactly this: a job that waited
         // in queue past its caller's whole budget has no one left to answer.
@@ -679,15 +681,11 @@ fn server_worker(
             continue;
         }
         let reply = handler.handle(job.payload);
-        // The encoded frame lives in a pooled slab (one copy of header +
-        // bulk straight into it); the slab returns to the pool as soon as
-        // the write below drops the frame.
-        if let Ok(frame) =
-            framing::encode_reply_pooled(job.req_id, &reply, max_frame, pool.as_ref())
-        {
-            let mut w = job.writer.lock();
-            let _ = w.write_all(&frame).and_then(|_| w.flush());
-        }
+        // Prefix plus the bulk's own parts, gathered into vectored writes:
+        // the bytes the handler returned go to the kernel uncopied. An
+        // over-cap reply is dropped unwritten and its caller times out.
+        let mut w = job.writer.lock();
+        let _ = framing::write_reply(&mut *w, job.req_id, &reply, max_frame);
     }
 }
 

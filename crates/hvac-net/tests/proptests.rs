@@ -4,7 +4,7 @@
 //! cluster in `hvac-core`'s proptests.
 
 use bytes::{Bytes, BytesMut};
-use hvac_net::bulk::{chunk_ranges, reassemble_bulk_pooled};
+use hvac_net::bulk::{chunk_ranges, reassemble_bulk_pooled, Bulk};
 use hvac_net::fabric::{Fabric, Reply, RpcHandler};
 use hvac_net::framing;
 use hvac_net::pool::BufferPool;
@@ -90,14 +90,32 @@ proptest! {
         header in proptest::collection::vec(any::<u8>(), 0..1024),
         has_bulk in any::<bool>(),
         bulk_body in proptest::collection::vec(any::<u8>(), 0..4096),
+        cuts in proptest::collection::vec(any::<u16>(), 0..6),
     ) {
+        // Split the bulk into parts at random cut points (empty parts
+        // included): the server sends whatever gather list it holds.
+        let whole = Bytes::from(bulk_body.clone());
+        let mut cuts: Vec<usize> = cuts.iter().map(|&c| usize::from(c) % (whole.len() + 1)).collect();
+        cuts.push(whole.len());
+        cuts.sort_unstable();
+        let mut at = 0;
+        let parts: Vec<Bytes> = cuts.iter().map(|&end| {
+            let part = whole.slice(at..end);
+            at = end;
+            part
+        }).collect();
         let bulk = if has_bulk { Some(bulk_body) } else { None };
         let reply = Reply {
             header: Bytes::from(header.clone()),
-            bulk: bulk.clone().map(Bytes::from),
+            bulk: has_bulk.then(|| Bulk::from(parts)),
         };
         let wire_bytes = framing::encode_reply(req_id, &reply, framing::DEFAULT_MAX_FRAME).unwrap();
-        let mut cursor = &wire_bytes[..];
+        // The gathered writer puts exactly the reference encoding on the
+        // wire.
+        let mut gathered = Vec::new();
+        framing::write_reply(&mut gathered, req_id, &reply, framing::DEFAULT_MAX_FRAME).unwrap();
+        prop_assert_eq!(&gathered, &wire_bytes);
+        let mut cursor = &gathered[..];
         let body = framing::read_frame(&mut cursor, framing::DEFAULT_MAX_FRAME).unwrap().unwrap();
         let decoded = framing::decode_reply(body).unwrap();
         prop_assert_eq!(decoded.req_id, req_id);
@@ -162,13 +180,13 @@ proptest! {
     fn fabric_echoes_arbitrary_payloads(payload in proptest::collection::vec(any::<u8>(), 0..2048)) {
         let fabric = Arc::new(Fabric::new());
         let handler: Arc<dyn RpcHandler> = Arc::new(|req: Bytes| Reply {
-            bulk: Some(req.clone()),
+            bulk: Some(Bulk::from(req.clone())),
             header: req,
         });
         let _ep = fabric.serve("echo", 1, handler).unwrap();
         let msg = Bytes::from(payload);
         let reply = fabric.call("echo", msg.clone()).unwrap();
         prop_assert_eq!(reply.header, msg.clone());
-        prop_assert_eq!(reply.bulk.unwrap(), msg);
+        prop_assert_eq!(reply.bulk.unwrap().to_vec(), msg.to_vec());
     }
 }

@@ -10,27 +10,25 @@
 
 use bytes::Bytes;
 use hvac_net::socket::{EndpointUri, SocketConfig, SocketFamily};
-use hvac_net::{Fabric, FaultSpec, Reply, RpcHandler};
+use hvac_net::{Bulk, Fabric, FaultSpec, Reply, RpcHandler};
 use hvac_types::HvacError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Echo handler: header = request reversed, bulk = request repeated twice.
-/// Asymmetric on purpose so a mixed-up header/bulk split cannot pass.
+/// Echo handler: header = request reversed, bulk = request repeated twice,
+/// as two parts of one gather list. Asymmetric on purpose so a mixed-up
+/// header/bulk split cannot pass.
 fn echo_handler() -> Arc<dyn RpcHandler> {
     Arc::new(|req: Bytes| -> Reply {
         let mut header: Vec<u8> = req.to_vec();
         header.reverse();
-        let mut bulk = Vec::with_capacity(req.len() * 2);
-        bulk.extend_from_slice(&req);
-        bulk.extend_from_slice(&req);
         Reply {
             header: Bytes::from(header),
             bulk: if req.is_empty() {
                 None
             } else {
-                Some(Bytes::from(bulk))
+                Some(Bulk::from(vec![req.clone(), req]))
             },
         }
     })
@@ -53,7 +51,7 @@ fn round_trip_on(family: SocketFamily) {
     let reply = fabric.call("node0/srv0", Bytes::from(big.clone())).unwrap();
     let want_header: Vec<u8> = big.iter().rev().copied().collect();
     assert_eq!(reply.header.as_ref(), want_header.as_slice());
-    let bulk = reply.bulk.expect("bulk expected");
+    let bulk = reply.bulk.expect("bulk expected").to_vec();
     assert_eq!(&bulk[..big.len()], big.as_slice());
     assert_eq!(&bulk[big.len()..], big.as_slice());
 
@@ -72,6 +70,44 @@ fn tcp_round_trip_is_byte_exact() {
 #[test]
 fn unix_round_trip_is_byte_exact() {
     round_trip_on(SocketFamily::Unix);
+}
+
+/// An 8 MiB reply in uneven parts — empty and one-byte parts included —
+/// is far more than one socket buffer, so the server's vectored writes come
+/// back short and resume mid-part; the caller must get every byte in order.
+fn gathered_reply_round_trips_on(family: SocketFamily) {
+    let payload: Bytes = (0..8u32 << 20)
+        .map(|i| (i * 131 + i / 4099) as u8)
+        .collect();
+    let cuts = [0, 1, 1, 4097, 1 << 20, (1 << 20) + 3, 5_000_000, 8 << 20];
+    let parts: Vec<Bytes> = cuts.windows(2).map(|w| payload.slice(w[0]..w[1])).collect();
+    let handler: Arc<dyn RpcHandler> = Arc::new(move |req: Bytes| -> Reply {
+        Reply {
+            header: req,
+            bulk: Some(Bulk::from(parts.clone())),
+        }
+    });
+    let fabric = Arc::new(Fabric::socket(family));
+    let _ep = fabric.serve("big", 2, handler).unwrap();
+    for _ in 0..2 {
+        let reply = fabric.call("big", Bytes::from_static(b"hdr")).unwrap();
+        assert_eq!(reply.header.as_ref(), b"hdr");
+        let bulk = reply.bulk.expect("bulk expected");
+        assert_eq!(bulk.len(), payload.len());
+        assert!(bulk.to_vec() == payload.to_vec(), "8 MiB reply corrupted");
+    }
+    let (rpcs, _, _, bulk_b, failed) = fabric.stats().snapshot();
+    assert_eq!((rpcs, failed, bulk_b), (2, 0, 2 * payload.len() as u64));
+}
+
+#[test]
+fn tcp_gathered_reply_of_8_mib_in_uneven_parts_round_trips() {
+    gathered_reply_round_trips_on(SocketFamily::Tcp);
+}
+
+#[test]
+fn unix_gathered_reply_of_8_mib_in_uneven_parts_round_trips() {
+    gathered_reply_round_trips_on(SocketFamily::Unix);
 }
 
 #[test]

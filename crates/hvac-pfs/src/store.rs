@@ -77,16 +77,17 @@ pub trait FileStore: Send + Sync {
     fn stats(&self) -> &StoreStats;
 }
 
-/// Shared `read_at` semantics on top of a full buffer (used by [`crate::MemStore`]
-/// and tests): POSIX-style short reads at EOF.
+/// Shared `read_at` semantics on top of a full buffer (used by [`crate::MemStore`],
+/// the server's cache reads and tests): POSIX-style short reads at EOF.
+/// `offset` and `len` may come straight off the wire, so the end of the
+/// range saturates instead of overflowing.
 pub fn slice_read_at(data: &Bytes, offset: u64, len: usize) -> Bytes {
     let size = data.len() as u64;
     if offset >= size {
         return Bytes::new();
     }
-    let start = offset as usize;
-    let end = (offset + len as u64).min(size) as usize;
-    data.slice(start..end)
+    let end = offset.saturating_add(len as u64).min(size);
+    data.slice(offset as usize..end as usize)
 }
 
 #[cfg(test)]
@@ -111,5 +112,13 @@ mod tests {
         assert_eq!(slice_read_at(&data, 10, 1).len(), 0); // at EOF
         assert_eq!(slice_read_at(&data, 999, 1).len(), 0); // past EOF
         assert_eq!(&slice_read_at(&data, 3, 0)[..], b""); // zero-length
+    }
+
+    #[test]
+    fn slice_read_at_clamps_a_length_that_overflows_the_offset() {
+        let data = Bytes::from_static(b"0123456789");
+        assert_eq!(&slice_read_at(&data, 5, usize::MAX)[..], b"56789");
+        assert_eq!(&slice_read_at(&data, 0, usize::MAX)[..], b"0123456789");
+        assert_eq!(slice_read_at(&data, u64::MAX, usize::MAX).len(), 0);
     }
 }

@@ -528,18 +528,6 @@ impl LocalStore {
         Some(data)
     }
 
-    /// Read a byte range of a cached file (`None` on a miss). Short reads at
-    /// EOF return the available prefix.
-    pub fn read_at(&self, path: &Path, offset: u64, len: usize) -> Option<Bytes> {
-        let data = self.get(path)?;
-        let size = data.len() as u64;
-        if offset >= size {
-            return Some(Bytes::new());
-        }
-        let end = (offset + len as u64).min(size) as usize;
-        Some(data.slice(offset as usize..end))
-    }
-
     /// Remove a cached file; returns the bytes freed (zero if absent).
     pub fn remove(&self, path: &Path) -> ByteSize {
         let shard = self.shard_of(path);
@@ -656,6 +644,7 @@ impl LocalStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hvac_pfs::store::slice_read_at;
 
     fn mem(cap: u64) -> LocalStore {
         LocalStore::in_memory(ByteSize(cap))
@@ -670,10 +659,11 @@ mod tests {
         assert_eq!(s.len(), 1);
         assert_eq!(s.used(), ByteSize(6));
         assert_eq!(s.size_of(p), Some(ByteSize(6)));
-        assert_eq!(&s.get(p).unwrap()[..], b"abcdef");
-        assert_eq!(&s.read_at(p, 2, 2).unwrap()[..], b"cd");
-        assert_eq!(&s.read_at(p, 4, 100).unwrap()[..], b"ef");
-        assert_eq!(s.read_at(p, 100, 1).unwrap().len(), 0);
+        let data = s.get(p).unwrap();
+        assert_eq!(&data[..], b"abcdef");
+        assert_eq!(&slice_read_at(&data, 2, 2)[..], b"cd");
+        assert_eq!(&slice_read_at(&data, 4, 100)[..], b"ef");
+        assert_eq!(slice_read_at(&data, 100, 1).len(), 0);
         assert_eq!(s.remove(p), ByteSize(6));
         assert!(!s.contains(p));
         assert_eq!(s.used(), ByteSize::ZERO);
@@ -759,7 +749,10 @@ mod tests {
         s.insert(p, payload.clone()).unwrap();
         for _ in 0..3 {
             assert_eq!(s.get(p).unwrap(), payload);
-            assert_eq!(&s.read_at(p, 5, 10).unwrap()[..], &payload[5..15]);
+            assert_eq!(
+                &slice_read_at(&s.get(p).unwrap(), 5, 10)[..],
+                &payload[5..15]
+            );
         }
         assert_eq!(pool.stats().in_flight(), 0, "all read slabs returned");
         assert!(pool.stats().pool_hits > 0, "reads recycled a slab");
@@ -784,7 +777,7 @@ mod tests {
         s.insert(p, Bytes::from_static(b"abc")).unwrap();
         assert_eq!(s.access_count(p), 0);
         s.get(p).unwrap();
-        s.read_at(p, 0, 1).unwrap(); // read_at goes through get
+        s.get(p).unwrap();
         assert_eq!(s.access_count(p), 2);
         s.insert(Path::new("/cold"), Bytes::from_static(b"z"))
             .unwrap();

@@ -9,7 +9,7 @@
 //! A thread may acquire classes left-to-right along this chain (skipping
 //! levels is fine) but never right-to-left. Leaf classes — `CLIENT_FDS`,
 //! `CLIENT_HEALTH`, `AGENT_FDS`, `FABRIC_THREADS`, `SERVER_THREADS`,
-//! `HASH_RINGS`, `NET_SOCKET_POOL`, `NET_SOCKET_CONN`,
+//! `CACHE_SIZE_MEMO`, `HASH_RINGS`, `NET_SOCKET_POOL`, `NET_SOCKET_CONN`,
 //! `NET_SOCKET_WRITER` — are never held while acquiring any other class. The
 //! debug-build order checker in this crate turns any violation into an
 //! immediate panic naming the pair, and the static verifier in
@@ -66,6 +66,11 @@ pub const SERVER_THREADS: &str = "core.server.threads";
 /// Eviction policy state (`hvac-core::cache`). Nests inside server locks,
 /// outside store locks.
 pub const CACHE_POLICY: &str = "core.cache.policy";
+
+/// File-size memo of a node's cache manager (`hvac-core::cache`): sizes
+/// learned from the PFS, so a repeat `Stat` skips `open_meta`. Leaf: read
+/// or written in one expression, with no other HVAC lock held.
+pub const CACHE_SIZE_MEMO: &str = "core.cache.size_memo";
 
 /// Per-tenant byte accounting and quota table of the node-local store
 /// (`hvac-storage::localstore`). Acquired on the way into an insert/remove,
@@ -158,6 +163,7 @@ pub const LEAVES: &[&str] = &[
     AGENT_FDS,
     FABRIC_THREADS,
     SERVER_THREADS,
+    CACHE_SIZE_MEMO,
     HASH_RINGS,
     NET_SOCKET_POOL,
     NET_SOCKET_CONN,
@@ -212,6 +218,7 @@ mod tests {
         SERVER_INFLIGHT_STRIPE,
         SERVER_THREADS,
         CACHE_POLICY,
+        CACHE_SIZE_MEMO,
         STORE_TENANT,
         STORE_SHARD,
         STORE_DEVICE_QUEUE,
