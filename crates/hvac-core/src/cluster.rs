@@ -59,7 +59,8 @@ pub struct ClusterOptions {
     pub cache_capacity: ByteSize,
     /// Data-mover threads per server instance.
     pub movers_per_instance: usize,
-    /// RPC worker threads per server instance.
+    /// RPC worker threads per server instance, on the loopback fabric
+    /// only: the socket transport serves each connection on its own thread.
     pub rpc_workers: usize,
     /// Seed for randomized eviction.
     pub seed: u64,

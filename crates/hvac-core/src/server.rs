@@ -39,7 +39,8 @@ use std::thread::JoinHandle;
 pub struct HvacServerOptions {
     /// Data-mover threads draining the FIFO queue (paper default: 1).
     pub movers: usize,
-    /// RPC handler threads.
+    /// RPC handler threads of the loopback fabric. The socket transport
+    /// serves each connection on its own thread and does not use it.
     pub rpc_workers: usize,
     /// Per-tenant weighted-fair-share plan. Empty (the default) disables
     /// QoS entirely: every read is admitted immediately and nothing is

@@ -1,18 +1,19 @@
 //! The RPC fabric: Mercury's programming model over a pluggable transport.
 //!
-//! A [`Fabric`] is a registry of named endpoints. Server endpoints own a
-//! request queue drained by worker threads (mirroring the HVAC server's RPC
-//! handler threads); clients issue blocking calls and receive a [`Reply`]
-//! containing a small response header plus an optional bulk payload —
-//! Mercury's RPC/bulk split.
+//! A [`Fabric`] is a registry of named endpoints. Server endpoints run a
+//! request handler (on loopback, worker threads draining a request queue,
+//! mirroring the HVAC server's RPC handler threads); clients issue blocking
+//! calls and receive a [`Reply`] containing a small response header plus an
+//! optional bulk payload — Mercury's RPC/bulk split.
 //!
 //! Two backends implement that contract: the in-process **loopback** fabric
 //! (the default — queues and worker threads, no bytes leave the process)
 //! and the **socket** transport of [`crate::socket`] (TCP or Unix-domain
-//! streams with length-prefixed frames, per-destination connection pooling,
-//! and request-id multiplexing). The backend is chosen at construction
-//! ([`Fabric::new`] vs. [`Fabric::socket`]/[`Fabric::for_transport`]) and
-//! is invisible to callers.
+//! streams with length-prefixed frames and per-destination pools of idle
+//! connections, each carrying one call at a time, answered on the thread
+//! that made it). The backend is chosen at construction ([`Fabric::new`]
+//! vs. [`Fabric::socket`]/[`Fabric::for_transport`]) and is invisible to
+//! callers.
 //!
 //! Fault injection comes in two flavours: `set_down` (a *dead* server —
 //! calls fail fast with `ServerDown`) and the seeded [`FaultInjector`]
@@ -56,8 +57,9 @@ pub struct Reply {
     pub bulk: Option<Bulk>,
 }
 
-/// Server-side request handler. One handler instance serves all worker
-/// threads of an endpoint, so it must be internally synchronized.
+/// Server-side request handler. One handler instance serves all threads of
+/// an endpoint (loopback workers, or one thread per socket connection), so
+/// it must be internally synchronized.
 pub trait RpcHandler: Send + Sync + 'static {
     /// Process one request and produce a reply.
     fn handle(&self, request: Bytes) -> Reply;
@@ -95,6 +97,11 @@ pub struct FabricStats {
     pub bulk_bytes: AtomicU64,
     /// Calls rejected because the target endpoint was down/absent.
     pub failed_calls: AtomicU64,
+    /// Socket connections dialled (always 0 on loopback). A pooled
+    /// connection is reused by later calls, so while no call fails this
+    /// stays at the sum over destinations of the peak number of concurrent
+    /// calls to each.
+    pub connects: AtomicU64,
 }
 
 impl FabricStats {
@@ -239,13 +246,18 @@ impl Fabric {
         self.call_timeout
     }
 
-    /// Register a server endpoint under `addr` and spawn `workers` handler
-    /// threads. Returns a handle that unregisters and joins on drop.
+    /// Register a server endpoint under `addr`. On loopback, `workers`
+    /// handler threads drain the endpoint's queue; a socket endpoint serves
+    /// each connection on that connection's own thread instead, so the
+    /// count is used by the loopback backend only. Returns a handle that
+    /// unregisters and joins on drop.
     ///
-    /// `workers == 0` is a configuration error: a worker-less endpoint
-    /// would accept requests that can never be answered, so it is rejected
-    /// up front (mirroring the zero `bulk_chunk`/`bulk_window` treatment)
-    /// instead of being silently clamped to 1.
+    /// `workers == 0` is a configuration error: a worker-less loopback
+    /// endpoint would accept requests that can never be answered, so it is
+    /// rejected up front (mirroring the zero `bulk_chunk`/`bulk_window`
+    /// treatment) instead of being silently clamped to 1 — on both
+    /// backends, so a configuration does not turn valid by switching
+    /// transport.
     pub fn serve(
         self: &Arc<Self>,
         addr: &str,
@@ -260,7 +272,7 @@ impl Fabric {
         let endpoints = match &self.backend {
             Backend::Loopback { endpoints } => endpoints,
             Backend::Socket(sb) => {
-                let (core, down) = sb.serve(addr, workers, handler)?;
+                let (core, down) = sb.serve(addr, handler)?;
                 return Ok(ServerEndpoint {
                     fabric: self.clone(),
                     addr: addr.to_string(),
@@ -531,9 +543,9 @@ pub struct ServerEndpoint {
     addr: String,
     down: Arc<AtomicBool>,
     threads: OrderedMutex<Vec<JoinHandle<()>>>,
-    /// Socket backends park their listener/worker machinery here; loopback
-    /// endpoints keep it `None`. Dropped (= stopped and joined) after the
-    /// address is unregistered.
+    /// Socket backends park their listener and connection threads here;
+    /// loopback endpoints keep it `None`. Dropped (= stopped and joined)
+    /// after the address is unregistered.
     core: Option<ServerCore>,
 }
 
@@ -567,8 +579,8 @@ impl Drop for ServerEndpoint {
         for t in threads {
             let _ = t.join();
         }
-        // Socket machinery (listener, connection readers, workers) stops
-        // and joins here.
+        // Socket machinery (listener, connection threads) stops and joins
+        // here.
         self.core.take();
     }
 }

@@ -10,9 +10,9 @@
 //! integers, `u32` length prefixes) and comes in two shapes:
 //!
 //! * **request** — `[kind u8 = 1][req_id u64][deadline_ms u32][payload…]`.
-//!   `req_id` multiplexes concurrent in-flight calls on one connection;
-//!   `deadline_ms` carries the caller's remaining per-call budget so the
-//!   server can skip work whose client has certainly given up.
+//!   The reply echoes `req_id`, and the caller checks it against the
+//!   request it sent; `deadline_ms` carries the caller's remaining per-call
+//!   budget at send time.
 //! * **reply** — `[kind u8 = 2][req_id u64][flags u8][hdr_len u32][header…]
 //!   [bulk…]`. Bit 0 of `flags` says whether a bulk payload follows the
 //!   header — the same header/bulk split the loopback [`Reply`] models
@@ -55,10 +55,10 @@ const FLAG_HAS_BULK: u8 = 1;
 /// A decoded request frame body.
 #[derive(Debug)]
 pub struct RequestFrame {
-    /// Connection-local id matching the reply to its caller.
+    /// Id the reply echoes, so a caller can match it to its request.
     pub req_id: u64,
     /// Remaining per-call deadline at send time, in milliseconds
-    /// (saturated); lets the server drop work for long-gone callers.
+    /// (saturated).
     pub deadline_ms: u32,
     /// Sender's tenant identity (0 = the legacy/default namespace; always 0
     /// for kind-1 frames).
@@ -310,7 +310,7 @@ pub fn read_frame<R: Read>(r: &mut R, max_frame: usize) -> Result<Option<Bytes>>
 
 /// [`read_frame`] with an optional [`BufferPool`]: the body lands in a
 /// pooled slab (no per-frame malloc + zero-fill) that returns to the pool
-/// when the last `Bytes` referencing the frame — the demuxed reply header,
+/// when the last `Bytes` referencing the frame — the decoded reply header,
 /// its bulk slice, or the request payload — is dropped.
 pub fn read_frame_pooled<R: Read>(
     r: &mut R,

@@ -15,8 +15,8 @@
 //! * [`framing`] — length-prefixed socket frames with a bounded-allocation
 //!   decoder (truncated/oversized/garbage input → typed `Protocol` errors),
 //! * [`socket`] — the socket transport: endpoint resolution (config/env),
-//!   per-destination connection pooling with request-id multiplexing, and
-//!   the server accept/worker core,
+//!   per-destination pools of one-call-at-a-time connections, and the
+//!   server accept loop with one thread per connection,
 //! * [`fault`] — the seeded [`FaultInjector`] (per-endpoint drop / delay /
 //!   hang / error-reply schedules) driving the hung-server tests,
 //! * [`bulk`] — chunk tiling, the [`Bulk`](bulk::Bulk) gather list a

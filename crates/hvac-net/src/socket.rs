@@ -3,43 +3,48 @@
 //!
 //! The loopback fabric models Mercury with in-process queues; this module
 //! carries the same RPCs over real stream sockets using the length-prefixed
-//! frames of [`crate::framing`]. The design mirrors Mercury's connection
-//! model:
+//! frames of [`crate::framing`]. A call is answered on the thread that made
+//! it, at both ends:
 //!
 //! * **Endpoint registry** — logical names (`node0/srv0`) map to concrete
 //!   [`EndpointUri`]s (`tcp:127.0.0.1:4123`, `unix:/tmp/hvac-7-0.sock`),
 //!   registered either by a local [`SocketBackend::serve`] (which binds and
 //!   records its actual address) or externally via config/env
 //!   (`HVAC_ENDPOINTS`) for cross-process clients.
-//! * **Connection pool** — one multiplexed connection per destination URI.
-//!   Concurrent callers write frames under a per-connection writer lock,
-//!   tagged with a connection-local request id; a reader thread demuxes
-//!   reply frames back to per-call channels. Dead connections are replaced
-//!   lazily on the next call.
+//! * **Connection pool** — per destination URI, a stack of idle
+//!   connections, each carrying one call at a time. A call checks one out
+//!   (dialling when none is idle), writes its request frame, reads its own
+//!   reply with the socket timeout armed to what is left of its deadline,
+//!   and checks the connection back in. A connection whose call failed,
+//!   timed out or was abandoned by an injected Hang is closed instead, so a
+//!   late reply can never reach a later call. A pooled connection that its
+//!   peer closed before any reply byte arrived is redialled once: every
+//!   HVAC request (read, stat, prefetch, purge) is idempotent.
 //! * **Server core** — an accept loop (non-blocking, so shutdown is a flag
-//!   flip away), one frame-decoder thread per accepted connection, and
-//!   exactly `workers` handler threads draining a shared job queue — the
-//!   same shared-FIFO shape as the loopback fabric and the paper's server.
+//!   flip away) and one thread per accepted connection that reads a
+//!   request, runs the handler and writes the reply, in order. A client
+//!   sends a connection's next request only after reading the previous
+//!   reply, so a slow call stalls only its own caller. Each connection
+//!   thread drops its registry entry when the connection ends.
 //!
-//! Lock discipline: the three socket classes (`NET_SOCKET_POOL`,
-//! `NET_SOCKET_CONN`, `NET_SOCKET_WRITER`) are *leaves* of the `hvac-sync`
-//! hierarchy. Every guard here lives in its own block and is dropped before
-//! connecting, spawning, sending, or sleeping, so the socket path adds zero
-//! edges to the static lock graph. The buffer pool's internal `NET_POOL`
-//! free-list mutex is likewise only ever held inside `acquire`/release with
-//! no socket lock held, so pooled frame reads keep that property. A reply
-//! is written under the writer lock as its frame prefix plus the bulk's
+//! Lock discipline: the two socket classes (`NET_SOCKET_POOL`,
+//! `NET_SOCKET_CONN`) are *leaves* of the `hvac-sync` hierarchy. Every
+//! guard here lives in one expression or block of its own and is dropped
+//! before connecting, spawning, sending, or sleeping, so the socket path
+//! adds zero edges to the static lock graph. The buffer pool's internal
+//! `NET_POOL` free-list mutex is likewise only ever held inside
+//! `acquire`/release with no socket lock held, so pooled frame reads keep
+//! that property. A reply is written as its frame prefix plus the bulk's
 //! parts in vectored writes, with no pooled or copied frame buffer.
 
 use crate::fabric::{FabricStats, Reply, RpcHandler};
 use crate::framing;
 use crate::pool::BufferPool;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use hvac_sync::{classes, OrderedMutex, OrderedRwLock};
 use hvac_types::{HvacError, Result};
 use std::collections::HashMap;
-use std::io::{IoSlice, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -64,10 +69,8 @@ pub struct SocketConfig {
     pub family: SocketFamily,
     /// Per-frame body cap enforced by every encoder and decoder.
     pub max_frame: usize,
-    /// Slab pool backing frame reads on this fabric; `None` falls back to
-    /// per-frame heap allocation (the legacy path, kept for the
-    /// zero-copy-off benchmark arm and differential tests).
-    pub pool: Option<BufferPool>,
+    /// Slab pool backing frame reads on this fabric.
+    pub pool: BufferPool,
 }
 
 impl Default for SocketConfig {
@@ -75,7 +78,7 @@ impl Default for SocketConfig {
         Self {
             family: SocketFamily::Tcp,
             max_frame: framing::DEFAULT_MAX_FRAME,
-            pool: Some(BufferPool::new()),
+            pool: BufferPool::new(),
         }
     }
 }
@@ -187,6 +190,20 @@ impl Stream {
             Stream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
         }
     }
+
+    fn set_read_timeout(&self, t: Duration) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_read_timeout(Some(t)),
+            Stream::Unix(s) => s.set_read_timeout(Some(t)),
+        }
+    }
+
+    fn set_write_timeout(&self, t: Duration) -> std::io::Result<()> {
+        match self {
+            Stream::Tcp(s) => s.set_write_timeout(Some(t)),
+            Stream::Unix(s) => s.set_write_timeout(Some(t)),
+        }
+    }
 }
 
 impl Read for Stream {
@@ -241,6 +258,70 @@ impl CallClock {
     fn remaining(self) -> Duration {
         self.deadline.saturating_sub(self.start.elapsed())
     }
+
+    fn timeout(self, addr: &str) -> HvacError {
+        HvacError::RpcTimeout {
+            addr: addr.to_string(),
+            elapsed: self.start.elapsed(),
+        }
+    }
+}
+
+/// One call's view of its connection: every read and write first arms the
+/// socket timeout with what is left of the call's deadline, so a peer that
+/// stalls — before its reply or in the middle of one — costs the caller its
+/// deadline and no more.
+struct Timed<'a> {
+    stream: &'a mut Stream,
+    clock: CallClock,
+    /// Reply bytes read so far.
+    read: usize,
+    /// Whether the deadline ran out inside a read or write.
+    timed_out: bool,
+}
+
+impl Timed<'_> {
+    /// What is left of the budget, or a `TimedOut` error once it is spent.
+    fn left(&mut self) -> std::io::Result<Duration> {
+        let left = self.clock.remaining();
+        if left.is_zero() {
+            self.timed_out = true;
+            return Err(ErrorKind::TimedOut.into());
+        }
+        Ok(left)
+    }
+
+    fn note<T>(&mut self, r: std::io::Result<T>) -> std::io::Result<T> {
+        if let Err(e) = &r {
+            // An expired SO_RCVTIMEO/SO_SNDTIMEO surfaces as EAGAIN.
+            self.timed_out |= matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut);
+        }
+        r
+    }
+}
+
+impl Read for Timed<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.left()?;
+        self.stream.set_read_timeout(left)?;
+        let r = self.stream.read(buf);
+        let n = self.note(r)?;
+        self.read += n;
+        Ok(n)
+    }
+}
+
+impl Write for Timed<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let left = self.left()?;
+        self.stream.set_write_timeout(left)?;
+        let r = self.stream.write(buf);
+        self.note(r)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.stream.flush()
+    }
 }
 
 /// The socket half of [`crate::fabric::Fabric`]: endpoint registry plus
@@ -250,7 +331,11 @@ impl CallClock {
 pub(crate) struct SocketBackend {
     config: SocketConfig,
     endpoints: OrderedRwLock<HashMap<String, SocketEndpointEntry>>,
-    pool: OrderedMutex<HashMap<String, Arc<Connection>>>,
+    /// Idle connections by destination URI; the last one checked in is the
+    /// first checked out, so a lone caller keeps reusing one connection.
+    idle: OrderedMutex<HashMap<String, Vec<Stream>>>,
+    /// Request ids: the reply echoes its request's id, and a caller checks it.
+    next_req_id: AtomicU64,
 }
 
 impl SocketBackend {
@@ -258,7 +343,8 @@ impl SocketBackend {
         Self {
             config,
             endpoints: OrderedRwLock::new(classes::FABRIC_ENDPOINTS, HashMap::new()),
-            pool: OrderedMutex::new(classes::NET_SOCKET_POOL, HashMap::new()),
+            idle: OrderedMutex::new(classes::NET_SOCKET_POOL, HashMap::new()),
+            next_req_id: AtomicU64::new(1),
         }
     }
 
@@ -323,11 +409,10 @@ impl SocketBackend {
 
     /// Bind a listener for `addr` (honouring a pre-registered address, else
     /// an ephemeral one of the configured family), record the actual bound
-    /// address in the registry, and spawn the accept/worker threads.
+    /// address in the registry, and spawn the accept thread.
     pub(crate) fn serve(
         &self,
         addr: &str,
-        workers: usize,
         handler: Arc<dyn RpcHandler>,
     ) -> Result<(ServerCore, Arc<AtomicBool>)> {
         let hint = {
@@ -373,60 +458,29 @@ impl SocketBackend {
         }
 
         let shutdown = Arc::new(AtomicBool::new(false));
-        let (jobs_tx, jobs_rx) = unbounded::<ServerJob>();
-        let conns = Arc::new(OrderedMutex::new(classes::NET_SOCKET_CONN, Vec::new()));
+        let shared = Arc::new(ServerShared {
+            handler,
+            max_frame: self.config.max_frame,
+            pool: self.config.pool.clone(),
+            conns: OrderedMutex::new(classes::NET_SOCKET_CONN, HashMap::new()),
+        });
         let readers = Arc::new(OrderedMutex::new(classes::FABRIC_THREADS, Vec::new()));
-
-        let mut worker_handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let rx: Receiver<ServerJob> = jobs_rx.clone();
-            let handler = handler.clone();
-            let max_frame = self.config.max_frame;
-            let name = format!("hvac-sock-{addr}-{w}");
-            let spawned = std::thread::Builder::new()
-                .name(name)
-                .spawn(move || server_worker(rx, handler, max_frame));
-            match spawned {
-                Ok(h) => worker_handles.push(h),
-                Err(e) => {
-                    self.unregister(addr);
-                    drop(jobs_tx);
-                    for t in worker_handles {
-                        let _ = t.join();
-                    }
-                    if let Some(p) = &uds_path {
-                        let _ = std::fs::remove_file(p);
-                    }
-                    return Err(HvacError::Io(e));
-                }
-            }
-        }
-
         let accept = {
             let shutdown = shutdown.clone();
-            let conns = conns.clone();
+            let shared = shared.clone();
             let readers = readers.clone();
-            let max_frame = self.config.max_frame;
-            let pool = self.config.pool.clone();
-            let spawned = std::thread::Builder::new()
+            std::thread::Builder::new()
                 .name(format!("hvac-sock-accept-{addr}"))
-                .spawn(move || {
-                    accept_loop(listener, shutdown, jobs_tx, conns, readers, max_frame, pool)
-                });
-            match spawned {
-                Ok(h) => h,
-                Err(e) => {
-                    self.unregister(addr);
-                    // jobs_tx moved into the failed spawn closure and is
-                    // gone; the workers drain and exit.
-                    for t in worker_handles {
-                        let _ = t.join();
-                    }
-                    if let Some(p) = &uds_path {
-                        let _ = std::fs::remove_file(p);
-                    }
-                    return Err(HvacError::Io(e));
+                .spawn(move || accept_loop(listener, shutdown, shared, readers))
+        };
+        let accept = match accept {
+            Ok(h) => h,
+            Err(e) => {
+                self.unregister(addr);
+                if let Some(p) = &uds_path {
+                    let _ = std::fs::remove_file(p);
                 }
+                return Err(HvacError::Io(e));
             }
         };
 
@@ -434,18 +488,18 @@ impl SocketBackend {
             ServerCore {
                 shutdown,
                 accept: Some(accept),
-                workers: worker_handles,
                 readers,
-                conns,
+                shared,
                 uds_path,
             },
             down,
         ))
     }
 
-    /// Send one framed request over the pooled connection and wait for its
-    /// demuxed reply. `request_bytes` is bumped only after the frame is on
-    /// the wire, preserving the fabric's stats-ledger invariant.
+    /// Send one framed request on a connection of this caller's own and
+    /// read its reply on this thread. `request_bytes` is bumped only once
+    /// the frame is on the wire (and not for an attempt that is redialled),
+    /// preserving the fabric's stats-ledger invariant.
     pub(crate) fn dispatch(
         &self,
         addr: &str,
@@ -455,84 +509,95 @@ impl SocketBackend {
         discard_reply: bool,
         stats: &FabricStats,
     ) -> Result<Reply> {
-        let conn = self.connection(addr, uri)?;
         let deadline_ms = u32::try_from(clock.remaining().as_millis())
             .unwrap_or(u32::MAX)
             .max(1);
-        let (req_id, reply_rx) = conn.begin();
+        let req_id = self.next_req_id.fetch_add(1, Ordering::Relaxed);
         let frame = framing::encode_request(req_id, deadline_ms, &request, self.config.max_frame)?;
-        if let Err(e) = conn.send_frame(&frame) {
-            conn.forget(req_id);
-            conn.mark_dead();
-            return Err(HvacError::ServerDown(format!("{addr} (send failed: {e})")));
-        }
-        stats
-            .request_bytes
-            .fetch_add(request.len() as u64, Ordering::Relaxed);
-        if discard_reply {
-            // Hung server: the request was delivered (the handler will run)
-            // but the reply is abandoned — wait out the caller's deadline
-            // exactly as the loopback fabric does.
-            conn.forget(req_id);
-            std::thread::sleep(clock.remaining());
-            return Err(HvacError::RpcTimeout {
-                addr: addr.to_string(),
-                elapsed: clock.start.elapsed(),
-            });
-        }
-        match reply_rx.recv_timeout(clock.remaining()) {
-            Ok(reply) => Ok(reply),
-            Err(RecvTimeoutError::Timeout) => {
-                conn.forget(req_id);
-                Err(HvacError::RpcTimeout {
-                    addr: addr.to_string(),
-                    elapsed: clock.start.elapsed(),
-                })
-            }
-            Err(RecvTimeoutError::Disconnected) => Err(HvacError::Rpc(format!(
-                "{addr}: connection closed mid-call"
-            ))),
-        }
-    }
-
-    /// The pooled connection for `uri`, dialling a fresh one (outside any
-    /// lock) when none exists or the cached one has died.
-    fn connection(&self, addr: &str, uri: &EndpointUri) -> Result<Arc<Connection>> {
         let key = uri.to_string();
-        let existing = {
-            let pool = self.pool.lock();
-            pool.get(&key).cloned()
-        };
-        if let Some(c) = &existing {
-            if !c.is_dead() {
-                return Ok(c.clone());
-            }
-        }
-        let fresh = Connection::connect(uri, self.config.max_frame, self.config.pool.clone())
-            .map(Arc::new)
-            .map_err(|e| HvacError::ServerDown(format!("{addr} ({key}: {e})")))?;
-        let winner = {
-            let mut pool = self.pool.lock();
-            match pool.get(&key) {
-                Some(c) if !c.is_dead() => c.clone(),
-                _ => {
-                    pool.insert(key, fresh.clone());
-                    fresh.clone()
+        let mut pooled = self.idle.lock().get_mut(&key).and_then(Vec::pop);
+        loop {
+            // Only a pooled connection gets a second try: its peer may have
+            // closed it while it sat idle. A fresh dial's answer is final.
+            let may_redial = pooled.is_some();
+            let mut stream = match pooled.take() {
+                Some(s) => s,
+                None => {
+                    let s = Stream::connect(uri)
+                        .map_err(|e| HvacError::ServerDown(format!("{addr} ({key}: {e})")))?;
+                    stats.connects.fetch_add(1, Ordering::Relaxed);
+                    s
                 }
+            };
+            let mut conn = Timed {
+                stream: &mut stream,
+                clock,
+                read: 0,
+                timed_out: false,
+            };
+            if let Err(e) = conn.write_all(&frame).and_then(|()| conn.flush()) {
+                if conn.timed_out {
+                    return Err(clock.timeout(addr));
+                }
+                if may_redial {
+                    continue;
+                }
+                return Err(HvacError::ServerDown(format!("{addr} (send failed: {e})")));
             }
-        };
-        Ok(winner)
-    }
-}
-
-impl Drop for SocketBackend {
-    fn drop(&mut self) {
-        // Tear down pooled connections so their reader threads exit.
-        let conns: Vec<Arc<Connection>> = {
-            let mut pool = self.pool.lock();
-            pool.drain().map(|(_, c)| c).collect()
-        };
-        drop(conns);
+            if discard_reply {
+                // Hung server: the request was delivered (the handler will
+                // run) but the reply is abandoned with its connection — wait
+                // out the caller's deadline exactly as the loopback fabric
+                // does.
+                stats
+                    .request_bytes
+                    .fetch_add(request.len() as u64, Ordering::Relaxed);
+                drop(stream);
+                std::thread::sleep(clock.remaining());
+                return Err(clock.timeout(addr));
+            }
+            let got = framing::read_frame_pooled(
+                &mut conn,
+                self.config.max_frame,
+                Some(&self.config.pool),
+            );
+            let (read, timed_out) = (conn.read, conn.timed_out);
+            if may_redial
+                && read == 0
+                && !timed_out
+                && matches!(got, Ok(None) | Err(HvacError::Io(_)))
+            {
+                continue;
+            }
+            stats
+                .request_bytes
+                .fetch_add(request.len() as u64, Ordering::Relaxed);
+            let reply = match got {
+                Ok(Some(body)) => match framing::decode_reply(body) {
+                    Ok(rf) if rf.req_id == req_id => rf.reply,
+                    Ok(rf) => {
+                        return Err(HvacError::Rpc(format!(
+                            "{addr}: reply to request {} arrived for request {req_id}",
+                            rf.req_id
+                        )))
+                    }
+                    Err(e) => return Err(HvacError::Rpc(format!("{addr}: {e}"))),
+                },
+                _ if timed_out => return Err(clock.timeout(addr)),
+                Ok(None) => {
+                    return Err(HvacError::Rpc(format!(
+                        "{addr}: connection closed mid-call"
+                    )))
+                }
+                Err(e) => {
+                    return Err(HvacError::Rpc(format!(
+                        "{addr}: connection failed mid-call ({e})"
+                    )))
+                }
+            };
+            self.idle.lock().entry(key).or_default().push(stream);
+            return Ok(reply);
+        }
     }
 }
 
@@ -564,7 +629,7 @@ impl Listener {
             EndpointUri::Unix(path) => {
                 let l = match UnixListener::bind(path) {
                     Ok(l) => l,
-                    Err(e) if e.kind() == std::io::ErrorKind::AddrInUse => {
+                    Err(e) if e.kind() == ErrorKind::AddrInUse => {
                         std::fs::remove_file(path)?;
                         UnixListener::bind(path)?
                     }
@@ -597,123 +662,127 @@ impl Listener {
     }
 }
 
-struct ServerJob {
-    writer: Arc<OrderedMutex<Stream>>,
-    req_id: u64,
-    deadline_ms: u32,
-    received: Instant,
-    payload: Bytes,
+/// What every connection thread of one served endpoint shares.
+struct ServerShared {
+    handler: Arc<dyn RpcHandler>,
+    max_frame: usize,
+    pool: BufferPool,
+    /// A clone of each open connection, by id, so teardown can shut it
+    /// down; its thread removes the entry when the connection ends.
+    conns: OrderedMutex<HashMap<u64, Stream>>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn accept_loop(
     listener: Listener,
     shutdown: Arc<AtomicBool>,
-    jobs: Sender<ServerJob>,
-    conns: Arc<OrderedMutex<Vec<Stream>>>,
+    shared: Arc<ServerShared>,
     readers: Arc<OrderedMutex<Vec<JoinHandle<()>>>>,
-    max_frame: usize,
-    pool: Option<BufferPool>,
 ) {
+    let mut next_id = 0u64;
     while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok(stream) => {
-                let keeper = match stream.try_clone() {
-                    Ok(c) => c,
-                    Err(_) => continue,
-                };
-                {
-                    conns.lock().push(keeper);
-                }
-                let jobs = jobs.clone();
-                let pool = pool.clone();
-                let spawned = std::thread::Builder::new()
-                    .name("hvac-sock-conn".to_string())
-                    .spawn(move || conn_reader(stream, jobs, max_frame, pool));
-                if let Ok(h) = spawned {
-                    // lockgraph: readers -> FABRIC_THREADS
-                    readers.lock().push(h);
-                }
+        let stream = match listener.accept() {
+            Ok(s) => s,
+            Err(_) => {
+                std::thread::sleep(Duration::from_millis(2));
+                continue;
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+        };
+        let Ok(keeper) = stream.try_clone() else {
+            continue;
+        };
+        next_id += 1;
+        let id = next_id;
+        shared.conns.lock().insert(id, keeper);
+        let for_conn = shared.clone();
+        let spawned = std::thread::Builder::new()
+            .name("hvac-sock-conn".to_string())
+            .spawn(move || serve_connection(stream, id, &for_conn));
+        let Ok(handle) = spawned else {
+            let keeper = shared.conns.lock().remove(&id);
+            drop(keeper);
+            continue;
+        };
+        // Reap the threads of connections that have ended.
+        let ended = {
+            // lockgraph: readers -> FABRIC_THREADS
+            let mut live = readers.lock();
+            let (ended, running): (Vec<_>, Vec<_>) = std::mem::take(&mut *live)
+                .into_iter()
+                .partition(|h| h.is_finished());
+            *live = running;
+            live.push(handle);
+            ended
+        };
+        for h in ended {
+            let _ = h.join();
         }
     }
 }
 
-/// Per-connection frame decoder: turns valid request frames into jobs for
-/// the worker pool; any protocol violation or I/O failure drops the whole
-/// connection (a desynced stream cannot be re-synchronized).
-fn conn_reader(
-    stream: Stream,
-    jobs: Sender<ServerJob>,
-    max_frame: usize,
-    pool: Option<BufferPool>,
-) {
-    let writer = match stream.try_clone() {
-        Ok(w) => Arc::new(OrderedMutex::new(classes::NET_SOCKET_WRITER, w)),
-        Err(_) => return,
+/// Removes a connection's registry entry when its thread ends, however it
+/// ends (a panicking handler included).
+struct Registered<'a> {
+    conns: &'a OrderedMutex<HashMap<u64, Stream>>,
+    id: u64,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        let keeper = self.conns.lock().remove(&self.id);
+        drop(keeper);
+    }
+}
+
+/// One connection's whole life on the server: read a request, run the
+/// handler, write the reply — in order, on this thread. Any protocol
+/// violation or I/O failure ends the connection (a desynced stream cannot
+/// be re-synchronized). The wire's `deadline_ms` is not consulted: the
+/// request is read as soon as it arrives, so it never waits in a queue.
+fn serve_connection(mut stream: Stream, id: u64, shared: &ServerShared) {
+    let _registered = Registered {
+        conns: &shared.conns,
+        id,
     };
-    let mut r = stream;
-    while let Ok(Some(body)) = framing::read_frame_pooled(&mut r, max_frame, pool.as_ref()) {
-        let req = match framing::decode_request(body) {
-            Ok(req) => req,
-            Err(_) => break,
+    while let Ok(Some(body)) =
+        framing::read_frame_pooled(&mut stream, shared.max_frame, Some(&shared.pool))
+    {
+        let Ok(req) = framing::decode_request(body) else {
+            break;
         };
-        let job = ServerJob {
-            writer: writer.clone(),
-            req_id: req.req_id,
-            deadline_ms: req.deadline_ms,
-            received: Instant::now(),
-            payload: req.payload,
-        };
-        if jobs.send(job).is_err() {
+        let reply = shared.handler.handle(req.payload);
+        // Prefix plus the bulk's own parts, gathered into vectored writes:
+        // the bytes the handler returned go to the kernel uncopied. An
+        // over-cap reply is refused before any byte is written, so the
+        // stream stays in step and its caller times out.
+        if let Err(HvacError::Io(_)) =
+            framing::write_reply(&mut stream, req.req_id, &reply, shared.max_frame)
+        {
             break;
         }
     }
-    let _ = r.shutdown();
 }
 
-fn server_worker(jobs: Receiver<ServerJob>, handler: Arc<dyn RpcHandler>, max_frame: usize) {
-    while let Ok(job) = jobs.recv() {
-        // The wire deadline rode along for exactly this: a job that waited
-        // in queue past its caller's whole budget has no one left to answer.
-        if job.received.elapsed() > Duration::from_millis(u64::from(job.deadline_ms)) {
-            continue;
-        }
-        let reply = handler.handle(job.payload);
-        // Prefix plus the bulk's own parts, gathered into vectored writes:
-        // the bytes the handler returned go to the kernel uncopied. An
-        // over-cap reply is dropped unwritten and its caller times out.
-        let mut w = job.writer.lock();
-        let _ = framing::write_reply(&mut *w, job.req_id, &reply, max_frame);
-    }
-}
-
-/// Server-side half of one socket endpoint: owns the accept loop, the
-/// per-connection readers, and the worker pool. Dropping it stops the
-/// listener, shuts every open connection, joins all threads, and unlinks
-/// the Unix socket file.
+/// Server-side half of one socket endpoint: owns the accept loop and the
+/// per-connection threads. Dropping it stops the listener, shuts every
+/// open connection, joins all threads, and unlinks the Unix socket file.
 pub(crate) struct ServerCore {
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
     readers: Arc<OrderedMutex<Vec<JoinHandle<()>>>>,
-    conns: Arc<OrderedMutex<Vec<Stream>>>,
+    shared: Arc<ServerShared>,
     uds_path: Option<PathBuf>,
 }
 
 impl Drop for ServerCore {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::Relaxed);
-        let open = {
-            let mut guard = self.conns.lock();
-            std::mem::take(&mut *guard)
-        };
-        for c in &open {
-            let _ = c.shutdown();
-        }
+        // Stop accepting first, so no connection opens after the sweep.
         if let Some(h) = self.accept.take() {
             let _ = h.join();
+        }
+        let open = std::mem::take(&mut *self.shared.conns.lock());
+        for c in open.values() {
+            let _ = c.shutdown();
         }
         let reader_handles = {
             // lockgraph: self.readers -> FABRIC_THREADS
@@ -723,131 +792,10 @@ impl Drop for ServerCore {
         for h in reader_handles {
             let _ = h.join();
         }
-        for h in std::mem::take(&mut self.workers) {
-            let _ = h.join();
-        }
         if let Some(p) = &self.uds_path {
             let _ = std::fs::remove_file(p);
         }
     }
-}
-
-struct ConnShared {
-    writer: OrderedMutex<Stream>,
-    pending: OrderedMutex<HashMap<u64, Sender<Reply>>>,
-    next_id: AtomicU64,
-    dead: AtomicBool,
-    max_frame: usize,
-    pool: Option<BufferPool>,
-}
-
-/// One multiplexed client connection: a writer half shared by concurrent
-/// callers and a reader thread that routes reply frames to the pending
-/// call with the matching request id.
-struct Connection {
-    shared: Arc<ConnShared>,
-    reader: OrderedMutex<Option<JoinHandle<()>>>,
-}
-
-impl Connection {
-    fn connect(
-        uri: &EndpointUri,
-        max_frame: usize,
-        pool: Option<BufferPool>,
-    ) -> std::io::Result<Connection> {
-        let stream = Stream::connect(uri)?;
-        let rstream = stream.try_clone()?;
-        let shared = Arc::new(ConnShared {
-            writer: OrderedMutex::new(classes::NET_SOCKET_WRITER, stream),
-            pending: OrderedMutex::new(classes::NET_SOCKET_CONN, HashMap::new()),
-            next_id: AtomicU64::new(1),
-            dead: AtomicBool::new(false),
-            max_frame,
-            pool,
-        });
-        let for_reader = shared.clone();
-        let handle = std::thread::Builder::new()
-            .name("hvac-sock-reader".to_string())
-            .spawn(move || client_reader(rstream, for_reader))?;
-        Ok(Connection {
-            shared,
-            reader: OrderedMutex::new(classes::FABRIC_THREADS, Some(handle)),
-        })
-    }
-
-    /// Allocate a request id and park a reply slot for it.
-    fn begin(&self) -> (u64, Receiver<Reply>) {
-        let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = bounded::<Reply>(1);
-        {
-            self.shared.pending.lock().insert(id, tx);
-        }
-        (id, rx)
-    }
-
-    fn forget(&self, id: u64) {
-        self.shared.pending.lock().remove(&id);
-    }
-
-    fn send_frame(&self, frame: &[u8]) -> std::io::Result<()> {
-        let mut w = self.shared.writer.lock();
-        w.write_all(frame)?;
-        w.flush()
-    }
-
-    fn is_dead(&self) -> bool {
-        self.shared.dead.load(Ordering::Relaxed)
-    }
-
-    fn mark_dead(&self) {
-        self.shared.dead.store(true, Ordering::Relaxed);
-    }
-}
-
-impl Drop for Connection {
-    fn drop(&mut self) {
-        self.mark_dead();
-        {
-            let w = self.shared.writer.lock();
-            let _ = w.shutdown();
-        }
-        let handle = {
-            let mut guard = self.reader.lock();
-            guard.take()
-        };
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Client-side demux loop: one per connection. Exits (and wakes every
-/// pending caller with a disconnect) on EOF, I/O failure, or the first
-/// protocol violation.
-fn client_reader(mut r: Stream, shared: Arc<ConnShared>) {
-    while let Ok(Some(body)) =
-        framing::read_frame_pooled(&mut r, shared.max_frame, shared.pool.as_ref())
-    {
-        let rf = match framing::decode_reply(body) {
-            Ok(rf) => rf,
-            Err(_) => break,
-        };
-        let slot = {
-            let mut pending = shared.pending.lock();
-            pending.remove(&rf.req_id)
-        };
-        if let Some(tx) = slot {
-            let _ = tx.send(rf.reply);
-        }
-    }
-    shared.dead.store(true, Ordering::Relaxed);
-    let _ = r.shutdown();
-    let waiters = {
-        let mut pending = shared.pending.lock();
-        std::mem::take(&mut *pending)
-    };
-    // Dropping the senders disconnects every parked caller immediately.
-    drop(waiters);
 }
 
 #[cfg(test)]

@@ -9,9 +9,11 @@
 //! cross-process deployment).
 
 use bytes::Bytes;
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use hvac_net::socket::{EndpointUri, SocketConfig, SocketFamily};
-use hvac_net::{Bulk, Fabric, FaultSpec, Reply, RpcHandler};
+use hvac_net::{framing, Bulk, Fabric, FaultSpec, Reply, RpcHandler};
 use hvac_types::HvacError;
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -111,30 +113,132 @@ fn unix_gathered_reply_of_8_mib_in_uneven_parts_round_trips() {
 }
 
 #[test]
-fn concurrent_calls_multiplex_over_one_pooled_connection() {
-    let fabric = Arc::new(Fabric::socket(SocketFamily::Tcp));
-    let _ep = fabric.serve("s", 4, echo_handler()).unwrap();
+fn sequential_calls_reuse_one_connection_and_k_callers_open_at_most_k() {
+    for family in [SocketFamily::Tcp, SocketFamily::Unix] {
+        let fabric = Arc::new(Fabric::socket(family));
+        let _ep = fabric.serve("s", 4, echo_handler()).unwrap();
 
-    let threads: Vec<_> = (0..8u8)
-        .map(|t| {
+        // One thread's calls check the same connection out and back in.
+        for i in 0..20u8 {
+            let reply = fabric.call("s", Bytes::from(vec![i, 1])).unwrap();
+            assert_eq!(reply.header.as_ref(), &[1, i], "{family:?}");
+        }
+        let connects = fabric.stats().connects.load(Ordering::Relaxed);
+        assert_eq!(connects, 1, "{family:?}: sequential calls redialled");
+
+        // Eight concurrent callers: each reply reaches its own caller, and
+        // no more connections open than there are callers.
+        let threads: Vec<_> = (0..8u8)
+            .map(|t| {
+                let fabric = fabric.clone();
+                std::thread::spawn(move || {
+                    for i in 0..25u8 {
+                        let payload = Bytes::from(vec![t, i, t ^ i, 0xAB]);
+                        let reply = fabric.call("s", payload.clone()).unwrap();
+                        let mut want: Vec<u8> = payload.to_vec();
+                        want.reverse();
+                        assert_eq!(reply.header.as_ref(), want.as_slice());
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let (rpcs, req_b, _, _, failed) = fabric.stats().snapshot();
+        assert_eq!((rpcs, failed), (220, 0), "{family:?}");
+        assert_eq!(req_b, 20 * 2 + 200 * 4, "{family:?}");
+        let connects = fabric.stats().connects.load(Ordering::Relaxed);
+        assert!(
+            (1..=8).contains(&connects),
+            "{family:?}: 8 callers opened {connects} connections"
+        );
+    }
+}
+
+/// A handler that parks every `b"park"` request until the test opens the
+/// gate (telling the test once it is parked) and echoes everything else.
+fn gated_handler() -> (Arc<dyn RpcHandler>, Receiver<()>, Sender<()>) {
+    let (parked_tx, parked_rx) = unbounded::<()>();
+    let (gate_tx, gate_rx) = unbounded::<()>();
+    let handler: Arc<dyn RpcHandler> = Arc::new(move |req: Bytes| -> Reply {
+        if req.as_ref() == b"park" {
+            let _ = parked_tx.send(());
+            let _ = gate_rx.recv_timeout(Duration::from_secs(30));
+        }
+        Reply {
+            header: req,
+            bulk: None,
+        }
+    });
+    (handler, parked_rx, gate_tx)
+}
+
+#[test]
+fn a_late_reply_to_a_timed_out_call_never_reaches_the_next_call() {
+    for family in [SocketFamily::Tcp, SocketFamily::Unix] {
+        let (handler, parked, gate) = gated_handler();
+        let fabric = Arc::new(Fabric::socket(family));
+        let _ep = fabric.serve("s", 1, handler).unwrap();
+        // Warm the pool, so the timed-out call runs on a pooled connection.
+        fabric.call("s", Bytes::from_static(b"warm")).unwrap();
+
+        let err = fabric
+            .call_with_deadline("s", Bytes::from_static(b"park"), Duration::from_millis(50))
+            .unwrap_err();
+        assert!(
+            matches!(err, HvacError::RpcTimeout { .. }),
+            "{family:?}: {err}"
+        );
+        // Let the parked handler answer now, late, and give its reply time
+        // to reach the wire before the next call.
+        parked.recv_timeout(Duration::from_secs(5)).unwrap();
+        gate.send(()).unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+
+        for msg in [&b"next"[..], b"after"] {
+            let reply = fabric.call("s", Bytes::from_static(msg)).unwrap();
+            assert_eq!(reply.header.as_ref(), msg, "{family:?}: got a stale reply");
+        }
+        let (rpcs, _, _, _, failed) = fabric.stats().snapshot();
+        assert_eq!((rpcs, failed), (3, 1), "{family:?}");
+        // The timed-out call's connection was closed, not pooled.
+        assert_eq!(
+            fabric.stats().connects.load(Ordering::Relaxed),
+            2,
+            "{family:?}"
+        );
+    }
+}
+
+#[test]
+fn a_parked_handler_does_not_delay_a_second_caller_to_the_same_endpoint() {
+    for family in [SocketFamily::Tcp, SocketFamily::Unix] {
+        let (handler, parked, gate) = gated_handler();
+        let fabric = Arc::new(Fabric::socket(family));
+        // One worker: on a shared worker pool the second call would queue
+        // behind the parked one until its deadline.
+        let _ep = fabric.serve("s", 1, handler).unwrap();
+        let first = {
             let fabric = fabric.clone();
             std::thread::spawn(move || {
-                for i in 0..25u8 {
-                    let payload = Bytes::from(vec![t, i, t ^ i, 0xAB]);
-                    let reply = fabric.call("s", payload.clone()).unwrap();
-                    let mut want: Vec<u8> = payload.to_vec();
-                    want.reverse();
-                    assert_eq!(reply.header.as_ref(), want.as_slice());
-                }
+                fabric.call_with_deadline("s", Bytes::from_static(b"park"), Duration::from_secs(20))
             })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
+        };
+        parked.recv_timeout(Duration::from_secs(5)).unwrap();
+
+        // The gate is still shut, so this reply cannot wait on the first.
+        let reply = fabric
+            .call_with_deadline("s", Bytes::from_static(b"quick"), Duration::from_secs(5))
+            .unwrap();
+        assert_eq!(reply.header.as_ref(), b"quick", "{family:?}");
+        assert!(!first.is_finished(), "{family:?}: the gate opened early");
+
+        gate.send(()).unwrap();
+        let reply = first.join().unwrap().unwrap();
+        assert_eq!(reply.header.as_ref(), b"park", "{family:?}");
+        assert_eq!(fabric.stats().snapshot().4, 0, "{family:?}");
     }
-    let (rpcs, req_b, _, _, failed) = fabric.stats().snapshot();
-    assert_eq!((rpcs, failed), (200, 0));
-    assert_eq!(req_b, 200 * 4);
 }
 
 #[test]
@@ -257,6 +361,46 @@ fn client_reconnects_after_server_restart() {
 }
 
 #[test]
+fn a_server_served_again_at_its_address_is_reached_by_the_first_call() {
+    for family in [SocketFamily::Tcp, SocketFamily::Unix] {
+        let first = Arc::new(Fabric::socket(family));
+        if family == SocketFamily::Unix {
+            let path =
+                std::env::temp_dir().join(format!("hvac-reserve-{}.sock", std::process::id()));
+            first
+                .register_endpoint("s", &format!("unix:{}", path.display()))
+                .unwrap();
+        }
+        let ep = first.serve("s", 1, echo_handler()).unwrap();
+        let uri = first.endpoint_uri("s").unwrap();
+
+        let client = Arc::new(Fabric::socket(family));
+        client.register_endpoint("s", &uri).unwrap();
+        let reply = client.call("s", Bytes::from_static(b"one")).unwrap();
+        assert_eq!(reply.header.as_ref(), b"eno", "{family:?}");
+
+        // The server goes away and comes back at the same address while
+        // the client's connection to the old one sits in its pool.
+        drop(ep);
+        drop(first);
+        let second = Arc::new(Fabric::socket(family));
+        second.register_endpoint("s", &uri).unwrap();
+        let _ep = second.serve("s", 1, echo_handler()).unwrap();
+        assert_eq!(second.endpoint_uri("s").unwrap(), uri);
+
+        let reply = client.call("s", Bytes::from_static(b"two")).unwrap();
+        assert_eq!(reply.header.as_ref(), b"owt", "{family:?}");
+        let (rpcs, req_b, _, _, failed) = client.stats().snapshot();
+        assert_eq!((rpcs, req_b, failed), (2, 6, 0), "{family:?}");
+        assert_eq!(
+            client.stats().connects.load(Ordering::Relaxed),
+            2,
+            "{family:?}"
+        );
+    }
+}
+
+#[test]
 fn set_down_latches_the_socket_endpoint() {
     let fabric = Arc::new(Fabric::socket(SocketFamily::Tcp));
     let _ep = fabric.serve("d", 1, echo_handler()).unwrap();
@@ -359,6 +503,80 @@ fn hung_server_serves_the_request_but_the_caller_times_out() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(served.load(Ordering::Relaxed), 1);
+}
+
+/// A raw peer that answers its one request with the first half of a reply
+/// frame, one more byte half a deadline later, and then nothing until
+/// `done` fires. Returns the URI it listens on and its thread.
+fn stalling_peer(
+    family: SocketFamily,
+    deadline: Duration,
+    done: Receiver<()>,
+) -> (String, std::thread::JoinHandle<()>) {
+    fn serve<S: Read + Write>(mut conn: S, deadline: Duration, done: Receiver<()>) {
+        let body = framing::read_frame(&mut conn, framing::DEFAULT_MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        let req = framing::decode_request(body).unwrap();
+        let reply = Reply {
+            header: Bytes::from(vec![9u8; 64]),
+            bulk: None,
+        };
+        let frame = framing::encode_reply(req.req_id, &reply, framing::DEFAULT_MAX_FRAME).unwrap();
+        let half = frame.len() / 2;
+        conn.write_all(&frame[..half]).unwrap();
+        std::thread::sleep(deadline / 2);
+        conn.write_all(&frame[half..=half]).unwrap();
+        let _ = done.recv_timeout(Duration::from_secs(30));
+    }
+    match family {
+        SocketFamily::Tcp => {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+            let uri = format!("tcp:{}", l.local_addr().unwrap());
+            let peer = std::thread::spawn(move || serve(l.accept().unwrap().0, deadline, done));
+            (uri, peer)
+        }
+        SocketFamily::Unix => {
+            let path = std::env::temp_dir().join(format!("hvac-stall-{}.sock", std::process::id()));
+            let _ = std::fs::remove_file(&path);
+            let l = std::os::unix::net::UnixListener::bind(&path).unwrap();
+            let uri = format!("unix:{}", path.display());
+            let peer = std::thread::spawn(move || {
+                serve(l.accept().unwrap().0, deadline, done);
+                let _ = std::fs::remove_file(&path);
+            });
+            (uri, peer)
+        }
+    }
+}
+
+#[test]
+fn a_reply_that_stalls_mid_frame_times_out_at_the_deadline() {
+    let deadline = Duration::from_millis(600);
+    for family in [SocketFamily::Tcp, SocketFamily::Unix] {
+        let (done_tx, done_rx) = unbounded::<()>();
+        let (uri, peer) = stalling_peer(family, deadline, done_rx);
+        let fabric = Arc::new(Fabric::socket(family));
+        fabric.register_endpoint("stall", &uri).unwrap();
+
+        let start = Instant::now();
+        let err = fabric
+            .call_with_deadline("stall", Bytes::from_static(b"x"), deadline)
+            .unwrap_err();
+        let waited = start.elapsed();
+        assert!(
+            matches!(err, HvacError::RpcTimeout { .. }),
+            "{family:?}: {err}"
+        );
+        // The byte that trickles in halfway must not restart the clock: a
+        // read that waited a whole deadline after it would end near 900 ms.
+        assert!(
+            waited >= deadline && waited < deadline + Duration::from_millis(200),
+            "{family:?}: timed out after {waited:?}, deadline {deadline:?}"
+        );
+        done_tx.send(()).unwrap();
+        peer.join().unwrap();
+    }
 }
 
 #[test]

@@ -14,7 +14,6 @@
 //! | `--listen URI`     | `HVAC_LISTEN`      | `tcp:127.0.0.1:0` (ephemeral) |
 //! | `--root DIR`       | `HVAC_PFS_ROOT`    | *(required)*   |
 //! | `--capacity-mib N` | `HVAC_CACHE_MIB`   | `1024`         |
-//! | `--workers N`      | `HVAC_RPC_WORKERS` | `4`            |
 //! | `--movers N`       | `HVAC_MOVERS`      | `1`            |
 //! | `--job-weights S`  | `HVAC_JOB_WEIGHTS` | *(empty: QoS off)* |
 //!
@@ -28,7 +27,9 @@
 //! `HVAC_LISTEN <name> <uri>` — announcing the *actual* bound address
 //! (meaningful when an ephemeral port was requested), then serves until
 //! SIGTERM or SIGINT, shutting the endpoint down cleanly (listener closed,
-//! in-flight workers joined, Unix socket file unlinked).
+//! connections shut and their threads joined, Unix socket file unlinked).
+//! Each client connection is served on a thread of its own, so there is no
+//! RPC worker count to set.
 
 use hvac_core::{make_policy, CacheManager, HvacServer, HvacServerOptions};
 use hvac_net::socket::{EndpointUri, SocketConfig, SocketFamily};
@@ -57,7 +58,6 @@ struct ServerConfig {
     listen: String,
     root: String,
     capacity_mib: u64,
-    workers: usize,
     movers: usize,
     job_weights: JobWeights,
 }
@@ -84,7 +84,7 @@ fn parse_config(argv: &[String]) -> Result<ServerConfig> {
     while let Some(a) = it.next() {
         if !a.starts_with("--") {
             return Err(HvacError::InvalidConfig(format!(
-                "unexpected argument {a:?} (flags are --name --listen --root --capacity-mib --workers --movers --job-weights)"
+                "unexpected argument {a:?} (flags are --name --listen --root --capacity-mib --movers --job-weights)"
             )));
         }
         let Some(v) = it.next() else {
@@ -97,7 +97,6 @@ fn parse_config(argv: &[String]) -> Result<ServerConfig> {
         "--listen",
         "--root",
         "--capacity-mib",
-        "--workers",
         "--movers",
         "--job-weights",
     ];
@@ -123,10 +122,6 @@ fn parse_config(argv: &[String]) -> Result<ServerConfig> {
         Some(raw) => parse_num("--capacity-mib", raw)?,
         None => 1024,
     };
-    let workers = match setting(&args, "--workers", "HVAC_RPC_WORKERS", Some("4"))? {
-        Some(raw) => parse_num("--workers", raw)? as usize,
-        None => 4,
-    };
     let movers = match setting(&args, "--movers", "HVAC_MOVERS", Some("1"))? {
         Some(raw) => parse_num("--movers", raw)? as usize,
         None => 1,
@@ -142,7 +137,6 @@ fn parse_config(argv: &[String]) -> Result<ServerConfig> {
         listen,
         root,
         capacity_mib,
-        workers,
         movers,
         job_weights,
     })
@@ -172,9 +166,8 @@ fn run(config: ServerConfig) -> Result<()> {
         pfs,
         HvacServerOptions {
             movers: config.movers,
-            rpc_workers: config.workers,
             job_weights: config.job_weights.clone(),
-            qos: Default::default(),
+            ..HvacServerOptions::default()
         },
         &config.name,
     )?;
@@ -191,11 +184,10 @@ fn run(config: ServerConfig) -> Result<()> {
         let _ = out.flush();
     }
     eprintln!(
-        "hvac-server: {} serving {} at {advertised} ({} MiB cache, {} workers, {} movers, QoS {})",
+        "hvac-server: {} serving {} at {advertised} ({} MiB cache, {} movers, QoS {})",
         config.name,
         config.root,
         config.capacity_mib,
-        config.workers,
         config.movers,
         if config.job_weights.is_empty() {
             "off".to_string()
@@ -250,7 +242,7 @@ mod tests {
         assert_eq!(c.name, "node0/srv0");
         assert_eq!(c.listen, "tcp:127.0.0.1:0");
         assert_eq!(c.root, "/tmp/pfs");
-        assert_eq!((c.capacity_mib, c.workers, c.movers), (1024, 4, 1));
+        assert_eq!((c.capacity_mib, c.movers), (1024, 1));
     }
 
     #[test]
@@ -258,7 +250,9 @@ mod tests {
         assert!(parse_config(&argv(&[])).is_err());
         assert!(parse_config(&argv(&["--root"])).is_err());
         assert!(parse_config(&argv(&["--root", "/x", "--bogus", "1"])).is_err());
-        assert!(parse_config(&argv(&["--root", "/x", "--workers", "lots"])).is_err());
+        assert!(parse_config(&argv(&["--root", "/x", "--movers", "lots"])).is_err());
+        // Each connection is served on its own thread: no worker count.
+        assert!(parse_config(&argv(&["--root", "/x", "--workers", "2"])).is_err());
         assert!(parse_config(&argv(&["stray"])).is_err());
     }
 
@@ -298,14 +292,12 @@ mod tests {
             "unix:/tmp/h.sock",
             "--capacity-mib",
             "64",
-            "--workers",
-            "2",
             "--movers",
             "3",
         ]))
         .unwrap();
         assert_eq!(c.name, "node3/srv1");
         assert_eq!(c.listen, "unix:/tmp/h.sock");
-        assert_eq!((c.capacity_mib, c.workers, c.movers), (64, 2, 3));
+        assert_eq!((c.capacity_mib, c.movers), (64, 3));
     }
 }

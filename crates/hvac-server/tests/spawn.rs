@@ -46,7 +46,6 @@ impl SpawnedServer {
             .args(["--listen", listen])
             .args(["--root", &root.display().to_string()])
             .args(["--capacity-mib", "64"])
-            .args(["--workers", "2"])
             .stdout(Stdio::piped())
             .stderr(Stdio::from(log))
             .spawn()

@@ -9,8 +9,8 @@
 //! A thread may acquire classes left-to-right along this chain (skipping
 //! levels is fine) but never right-to-left. Leaf classes — `CLIENT_FDS`,
 //! `CLIENT_HEALTH`, `AGENT_FDS`, `FABRIC_THREADS`, `SERVER_THREADS`,
-//! `CACHE_SIZE_MEMO`, `HASH_RINGS`, `NET_SOCKET_POOL`, `NET_SOCKET_CONN`,
-//! `NET_SOCKET_WRITER` — are never held while acquiring any other class. The
+//! `CACHE_SIZE_MEMO`, `HASH_RINGS`, `NET_SOCKET_POOL`, `NET_SOCKET_CONN` —
+//! are never held while acquiring any other class. The
 //! debug-build order checker in this crate turns any violation into an
 //! immediate panic naming the pair, and the static verifier in
 //! `tools/tidy` (`cargo run -p tidy -- lockgraph`) checks the same
@@ -37,7 +37,8 @@ pub const VIEW: &str = "core.view";
 /// original chain; nests inside `VIEW`/`REBALANCER` only.
 pub const FABRIC_ENDPOINTS: &str = "net.fabric.endpoints";
 
-/// Fabric server worker-thread list; held only briefly at spawn/join.
+/// Fabric server thread lists (loopback workers, socket connection
+/// threads); held only briefly at spawn, reap or join.
 pub const FABRIC_THREADS: &str = "net.fabric.threads";
 
 /// Fault-injection plan table (`hvac-net::fault`). Fabric level: consulted
@@ -50,8 +51,8 @@ pub const CLIENT_HEALTH: &str = "core.client.health";
 
 /// Per-tenant weighted-fair scheduler state (`hvac-core::qos`): the deficit
 /// round-robin queues and inflight counters of one server's admission gate.
-/// Sits between the fabric and the server level — an RPC worker takes it on
-/// the way into the read path, before any inflight stripe; the guard is
+/// Sits between the fabric and the server level — an RPC handler thread
+/// takes it on the way into the read path, before any inflight stripe; the guard is
 /// always dropped before blocking on a grant channel.
 pub const SERVER_SCHED: &str = "core.server.sched";
 
@@ -103,20 +104,15 @@ pub const AGENT_FDS: &str = "preload.agent.fds";
 /// only while building/cloning a ring, with no other HVAC lock in scope.
 pub const HASH_RINGS: &str = "hash.placement.rings";
 
-/// Socket-transport per-destination connection pool (`hvac-net::socket`).
-/// Leaf: looked up (or replaced) in a block of its own, dropped before the
-/// connection is dialled or any frame moves.
+/// Socket-transport per-destination pool of idle client connections
+/// (`hvac-net::socket`). Leaf: a connection is popped or pushed in one
+/// expression, never held while a connection is dialled or a frame moves.
 pub const NET_SOCKET_POOL: &str = "net.socket.pool";
 
-/// Socket-transport per-connection state: the pending-reply demux table on
-/// the client side and the open-connection registry on the server side.
-/// Leaf: insert/remove only, never held across a read, write, or send.
+/// Socket-transport open-connection registry of one served endpoint
+/// (`hvac-net::socket`). Leaf: insert/remove/take only, never held across
+/// a read, write, or spawn.
 pub const NET_SOCKET_CONN: &str = "net.socket.conn";
-
-/// Socket-transport write half of one connection: serializes whole frames
-/// from concurrent callers. Leaf: held for exactly one frame write, with no
-/// other HVAC lock in scope.
-pub const NET_SOCKET_WRITER: &str = "net.socket.writer";
 
 /// One size class of the reference-counted buffer pool
 /// (`hvac-net::pool`): guards that class's slab free list for the push or
@@ -167,7 +163,6 @@ pub const LEAVES: &[&str] = &[
     HASH_RINGS,
     NET_SOCKET_POOL,
     NET_SOCKET_CONN,
-    NET_SOCKET_WRITER,
 ];
 
 /// Every canonical class label, in declaration order: the leveled chain
@@ -228,7 +223,6 @@ mod tests {
         HASH_RINGS,
         NET_SOCKET_POOL,
         NET_SOCKET_CONN,
-        NET_SOCKET_WRITER,
         NET_POOL,
     ];
 
