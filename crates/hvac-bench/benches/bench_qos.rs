@@ -33,8 +33,8 @@ use std::time::Instant;
 const NODES: u32 = 4;
 const N_FILES: u64 = 64;
 const FILE_SIZE: usize = 4096;
-/// Aggressor rank count: enough concurrent floods that every node's worker
-/// pool and device queue see real backlog.
+/// Aggressor rank count: enough concurrent floods that every node's
+/// admission gate and device queue see real backlog.
 const AGGRESSOR_THREADS: usize = 14;
 /// Per-iteration pacing of each aggressor rank, modeling the loader's
 /// nonzero per-sample compute. Without it the flood degenerates into a CPU
@@ -72,7 +72,7 @@ fn build_cluster(qos_on: bool) -> Cluster {
     } else {
         JobWeights::default()
     };
-    let mut options = ClusterOptions::new(NODES, 1)
+    let options = ClusterOptions::new(NODES, 1)
         .dataset_dir("/gpfs/bench")
         .cache_capacity(ByteSize(256 * 1024))
         .job_weights(weights)
@@ -88,9 +88,6 @@ fn build_cluster(qos_on: bool) -> Cluster {
             quantum: FILE_SIZE as u64 / 8,
         })
         .device_model(device());
-    // Enough RPC workers that cheap shed requests drain in parallel; the
-    // scarce resource is the device, which `max_inflight` guards.
-    options.rpc_workers = 4;
     Cluster::new(pfs, options).expect("cluster options are valid")
 }
 

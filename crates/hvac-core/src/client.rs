@@ -106,7 +106,7 @@ pub enum Whence {
     End,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct OpenFile {
     path: PathBuf,
     size: u64,
@@ -164,6 +164,11 @@ pub struct HvacClient {
     sq: SqPool,
 }
 
+/// The first descriptor a client hands out. Descriptors are virtual and
+/// start far above any kernel fd (`RLIMIT_NOFILE` cannot reach 2^28), so
+/// the `LD_PRELOAD` shim tells its own from real ones by value alone.
+pub const FD_BASE: u64 = 1 << 28;
+
 /// The fabric address of a server instance, by global index.
 pub fn server_addr(global_index: usize, instances_per_node: u32) -> String {
     ServerId::from_global_index(global_index, instances_per_node).to_string()
@@ -200,7 +205,7 @@ impl HvacClient {
             options,
             view,
             fds: OrderedMutex::new(classes::CLIENT_FDS, HashMap::new()),
-            next_fd: AtomicU64::new(1),
+            next_fd: AtomicU64::new(FD_BASE),
             metrics: ClientMetrics::default(),
             health: OrderedMutex::new(classes::CLIENT_HEALTH, HashMap::new()),
             jitter_state: AtomicU64::new(jitter_seed),
@@ -361,7 +366,10 @@ impl HvacClient {
     /// still feeds the breaker. Returns `Some(Ok)` on the first success,
     /// `Some(Err)` on an answered (fatal) error — the file's real status,
     /// which hedging must not mask — and `None` when every fired leg
-    /// failed transiently, telling the caller to walk the ordinary ladder.
+    /// failed transiently (or the primary leg could not be spawned),
+    /// telling the caller to walk the ordinary ladder. Legs run on
+    /// `hvac-hedge-*` threads: a loopback leg runs server code, which the
+    /// preload shim must recognise as its own.
     fn call_hedged(&self, primary: &str, backup: &str, encoded: &Bytes) -> Option<Result<Reply>> {
         let policy = &self.options.retry;
         let delay = policy.hedge_delay()?;
@@ -372,23 +380,29 @@ impl HvacClient {
             let addr = addr.to_string();
             let encoded = encoded.clone();
             let tx = tx.clone();
-            std::thread::spawn(move || {
-                let result = fabric.call_with_deadline(&addr, encoded, timeout);
-                // A closed channel just means the other leg already won.
-                let _ = tx.send((is_backup, addr, result));
-            });
+            std::thread::Builder::new()
+                .name(format!("hvac-hedge-{addr}"))
+                .spawn(move || {
+                    let result = fabric.call_with_deadline(&addr, encoded, timeout);
+                    // A closed channel just means the other leg already won.
+                    let _ = tx.send((is_backup, addr, result));
+                })
+                .is_ok()
         };
-        spawn_leg(primary, false);
+        if !spawn_leg(primary, false) {
+            return None;
+        }
         let mut outstanding = 1u32;
         let mut queue = Vec::new();
         match rx.recv_timeout(delay) {
             Ok(msg) => queue.push(msg),
-            Err(_) => {
-                // Primary is past the hedge delay: arm the backup and race.
+            // Primary is past the hedge delay: arm the backup and race. If
+            // the backup cannot be spawned, the primary races alone.
+            Err(_) if spawn_leg(backup, true) => {
                 self.metrics.hedges.fetch_add(1, Ordering::Relaxed);
-                spawn_leg(backup, true);
                 outstanding = 2;
             }
+            Err(_) => {}
         }
         loop {
             let (is_backup, addr, result) = match queue.pop() {
@@ -646,6 +660,27 @@ impl HvacClient {
             .ok_or(HvacError::BadFd(fd as i32))?;
         self.metrics.closes.fetch_add(1, Ordering::Relaxed);
         Ok(())
+    }
+
+    /// Copy `parent`'s open descriptors into this client under the same
+    /// numbers, each with its path, size and position, as `fork` copies a
+    /// process's descriptor table; later opens number above them. The
+    /// position is copied, not shared: a read in one process no longer
+    /// moves the other's. Copies nothing when `parent`'s table is locked,
+    /// because after `fork` its holder is a thread that no longer exists.
+    /// Returns how many descriptors were copied.
+    pub fn inherit_descriptors(&self, parent: &HvacClient) -> usize {
+        let Some(table) = parent.fds.try_lock() else {
+            return 0;
+        };
+        let inherited: Vec<(u64, OpenFile)> =
+            table.iter().map(|(&fd, of)| (fd, of.clone())).collect();
+        drop(table);
+        self.next_fd
+            .fetch_max(parent.next_fd.load(Ordering::Relaxed), Ordering::Relaxed);
+        let n = inherited.len();
+        self.fds.lock().extend(inherited);
+        n
     }
 
     /// Whether `err` should fall through to direct PFS access: every replica
@@ -1349,6 +1384,42 @@ mod tests {
     }
 
     #[test]
+    fn inherited_descriptors_keep_number_path_and_position() {
+        let (pfs, fabric, _servers, parent) = setup2(1);
+        let p = sample(3);
+        let expected = pfs.read_all(&p).unwrap();
+        let fd = parent.open(&p).unwrap();
+        assert!(fd >= FD_BASE, "descriptors start at FD_BASE: {fd}");
+        parent.read(fd, 10).unwrap();
+
+        let child = HvacClient::new(fabric, HvacClientOptions::new("/gpfs/set", 3, 1)).unwrap();
+        assert_eq!(child.inherit_descriptors(&parent), 1);
+        assert_eq!(child.fd_size(fd).unwrap(), expected.len() as u64);
+        assert_eq!(child.read(fd, 10).unwrap(), expected.slice(10..20));
+        assert_eq!(child.pread(fd, 0, 4).unwrap(), expected.slice(..4));
+        // The position was copied, not shared.
+        assert_eq!(parent.read(fd, 10).unwrap(), expected.slice(10..20));
+        // Later opens number above every inherited descriptor.
+        assert!(child.open(&sample(4)).unwrap() > fd);
+        child.close(fd).unwrap();
+        assert!(
+            parent.fd_size(fd).is_ok(),
+            "closing in one leaves the other"
+        );
+
+        // A table locked at fork time is not copied.
+        let held = parent.fds.lock();
+        let orphan = HvacClient::new(
+            child.fabric.clone(),
+            HvacClientOptions::new("/gpfs/set", 3, 1),
+        )
+        .unwrap();
+        assert_eq!(orphan.inherit_descriptors(&parent), 0);
+        drop(held);
+        assert!(orphan.fd_size(fd).is_err());
+    }
+
+    #[test]
     fn reads_are_distributed_across_homes() {
         let (_pfs, _f, servers, client) = setup2(1);
         for i in 0..24 {
@@ -1602,6 +1673,65 @@ mod tests {
         assert!(s.hedges >= 1, "hedge fired: {s:?}");
         assert!(s.hedge_wins >= 1, "backup won at least once: {s:?}");
         assert_eq!(s.degraded_reads, 0, "{s:?}");
+    }
+
+    #[test]
+    fn hedge_legs_run_their_loopback_handlers_on_hvac_threads() {
+        use hvac_net::fabric::RpcHandler;
+        let pfs = Arc::new(MemStore::new());
+        pfs.synthesize_dataset(Path::new("/gpfs/set"), 4, |_| 64);
+        let fabric = Arc::new(Fabric::new());
+        // Each endpoint reports the name of the thread its handler runs on.
+        let (seen_tx, seen_rx) = crossbeam::channel::unbounded::<String>();
+        let mut servers = Vec::new();
+        for node in 0..2usize {
+            let cache = Arc::new(CacheManager::new(
+                LocalStore::in_memory(ByteSize(1 << 20)),
+                make_policy(EvictionPolicyKind::Random, node as u64),
+            ));
+            let server = HvacServer::new(
+                cache,
+                pfs.clone(),
+                HvacServerOptions::default(),
+                &format!("h{node}"),
+            )
+            .unwrap();
+            let inner = Arc::clone(&server);
+            let seen = seen_tx.clone();
+            let handler: Arc<dyn RpcHandler> = Arc::new(move |req: Bytes| {
+                let name = std::thread::current().name().unwrap_or("").to_string();
+                let _ = seen.send(name);
+                inner.handle(req)
+            });
+            let ep = fabric.serve(&server_addr(node, 1), handler).unwrap();
+            servers.push((server, ep));
+        }
+        let mut opts = HvacClientOptions::new("/gpfs/set", 2, 1);
+        opts.replication = 2;
+        opts.retry.rpc_timeout = Duration::from_millis(500);
+        opts.retry.hedge_delay_percent = 4; // 20 ms
+        let client = HvacClient::new(fabric.clone(), opts).unwrap();
+        let p = sample(1);
+        // Slow the primary past the hedge delay so both legs fire.
+        fabric.fault_injector().set(
+            &client.replica_addrs(&p)[0],
+            hvac_net::FaultSpec {
+                delay_prob: 1.0,
+                delay: Duration::from_millis(100),
+                seed: 0x4ED6,
+                ..hvac_net::FaultSpec::default()
+            },
+        );
+        assert_eq!(client.read_file(&p).unwrap(), pfs.read_all(&p).unwrap());
+        assert_eq!(client.metrics().full_snapshot().hedges, 1);
+        // The slow primary leg still runs its handler after the delay.
+        for leg in 0..2 {
+            let name = seen_rx.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert!(
+                name.starts_with("hvac-hedge-"),
+                "leg {leg} ran its handler on thread {name:?}"
+            );
+        }
     }
 
     #[test]

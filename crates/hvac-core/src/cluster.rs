@@ -59,9 +59,6 @@ pub struct ClusterOptions {
     pub cache_capacity: ByteSize,
     /// Data-mover threads per server instance.
     pub movers_per_instance: usize,
-    /// RPC worker threads per server instance, on the loopback fabric
-    /// only: the socket transport serves each connection on its own thread.
-    pub rpc_workers: usize,
     /// Seed for randomized eviction.
     pub seed: u64,
     /// Deadline/retry/backoff/breaker policy for every client in the
@@ -129,7 +126,6 @@ impl ClusterOptions {
             replication: 1,
             cache_capacity: ByteSize::gib(1),
             movers_per_instance: 1,
-            rpc_workers: 2,
             seed: 0x4856_4143, // "HVAC"
             retry: RetryPolicy::default(),
             pfs_fallback: true,
@@ -379,7 +375,6 @@ impl Cluster {
                 pfs.clone(),
                 HvacServerOptions {
                     movers: options.movers_per_instance,
-                    rpc_workers: options.rpc_workers,
                     job_weights: options.job_weights.clone(),
                     qos: options.qos,
                 },
@@ -766,13 +761,6 @@ impl Cluster {
         }
     }
 
-    /// Fault-inject one live server instance by global index.
-    pub fn set_server_down(&self, idx: usize, down: bool) {
-        if let Some(ep) = self.nodes.iter().flat_map(|s| s.endpoints.iter()).nth(idx) {
-            ep.set_down(down);
-        }
-    }
-
     /// Stage every file under `prefix` into the cache (paper §IV-C) and
     /// wait for staging to finish. Returns the number of files staged.
     pub fn prefetch_dataset(&self, prefix: &std::path::Path) -> Result<usize> {
@@ -801,12 +789,13 @@ impl Cluster {
     /// Tear the allocation down in dependency order, without waiting for
     /// `Drop`: join any in-flight rebalance, then mark every endpoint down
     /// so racing client calls fail fast with `ServerDown` instead of
-    /// queueing behind dying RPC workers, then unregister the endpoints
-    /// (joining their worker threads), and only then release the server
-    /// instances so their data movers stop. Idempotent; clients created
-    /// from this cluster keep working as objects, but every RPC fails fast
-    /// with `ServerDown` afterwards — with the default `pfs_fallback`,
-    /// reads then degrade to direct PFS access instead of erroring.
+    /// reaching a server that is going away, then unregister the endpoints
+    /// (a socket endpoint joins its listener and connection threads), and
+    /// only then release the server instances so their data movers stop.
+    /// Idempotent; clients created from this cluster keep working as
+    /// objects, but every RPC fails fast with `ServerDown` afterwards —
+    /// with the default `pfs_fallback`, reads then degrade to direct PFS
+    /// access instead of erroring.
     pub fn shutdown(&mut self) {
         self.wait_repair();
         self.wait_rebalance();

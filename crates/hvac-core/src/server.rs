@@ -39,9 +39,6 @@ use std::thread::JoinHandle;
 pub struct HvacServerOptions {
     /// Data-mover threads draining the FIFO queue (paper default: 1).
     pub movers: usize,
-    /// RPC handler threads of the loopback fabric. The socket transport
-    /// serves each connection on its own thread and does not use it.
-    pub rpc_workers: usize,
     /// Per-tenant weighted-fair-share plan. Empty (the default) disables
     /// QoS entirely: every read is admitted immediately and nothing is
     /// shed, which is the single-tenant behaviour of earlier versions.
@@ -54,7 +51,6 @@ impl Default for HvacServerOptions {
     fn default() -> Self {
         Self {
             movers: 1,
-            rpc_workers: 4,
             job_weights: JobWeights::default(),
             qos: QosOptions::default(),
         }
@@ -400,7 +396,6 @@ pub struct HvacServer {
     pfs: Arc<dyn FileStore>,
     metrics: Arc<ServerMetrics>,
     mover: DataMover,
-    options: HvacServerOptions,
     /// The membership view this instance believes in. Requests carrying an
     /// older epoch are bounced with [`Response::StaleView`] so the sender
     /// can re-resolve ownership (the stale-view redirect protocol).
@@ -431,13 +426,12 @@ impl HvacServer {
             options.movers,
             name,
         )?;
-        let sched = TenantScheduler::with_options(options.job_weights.clone(), options.qos);
+        let sched = TenantScheduler::with_options(options.job_weights, options.qos);
         Ok(Arc::new(Self {
             cache,
             pfs,
             metrics,
             mover,
-            options,
             view: ViewHandle::new(ClusterView::initial(1, 1)?),
             sched,
         }))
@@ -478,12 +472,12 @@ impl HvacServer {
 
     /// Register this server on the fabric under `addr`.
     pub fn serve(self: &Arc<Self>, fabric: &Arc<Fabric>, addr: &str) -> Result<ServerEndpoint> {
-        let this = self.clone();
-        fabric.serve(addr, self.options.rpc_workers, this)
+        fabric.serve(addr, self.clone())
     }
 
     /// Handle one decoded request under the default (legacy) tenant — the
-    /// entry point unit tests and the LD_PRELOAD single-process mode use.
+    /// entry point unit tests use; every other caller reaches the server
+    /// through the fabric.
     pub fn handle_request(&self, req: Request) -> (Response, Option<Bulk>) {
         self.handle_request_for(JobId::DEFAULT, req)
     }

@@ -1,19 +1,18 @@
 //! The RPC fabric: Mercury's programming model over a pluggable transport.
 //!
 //! A [`Fabric`] is a registry of named endpoints. Server endpoints run a
-//! request handler (on loopback, worker threads draining a request queue,
-//! mirroring the HVAC server's RPC handler threads); clients issue blocking
-//! calls and receive a [`Reply`] containing a small response header plus an
-//! optional bulk payload — Mercury's RPC/bulk split.
+//! request handler; clients issue blocking calls and receive a [`Reply`]
+//! containing a small response header plus an optional bulk payload —
+//! Mercury's RPC/bulk split.
 //!
 //! Two backends implement that contract: the in-process **loopback** fabric
-//! (the default — queues and worker threads, no bytes leave the process)
-//! and the **socket** transport of [`crate::socket`] (TCP or Unix-domain
-//! streams with length-prefixed frames and per-destination pools of idle
-//! connections, each carrying one call at a time, answered on the thread
-//! that made it). The backend is chosen at construction ([`Fabric::new`]
-//! vs. [`Fabric::socket`]/[`Fabric::for_transport`]) and is invisible to
-//! callers.
+//! (the default — the handler runs on the calling thread, and no bytes
+//! leave the process) and the **socket** transport of [`crate::socket`]
+//! (TCP or Unix-domain streams with length-prefixed frames and
+//! per-destination pools of idle connections, each carrying one call at a
+//! time, answered on the thread that made it). The backend is chosen at
+//! construction ([`Fabric::new`] vs. [`Fabric::socket`]/
+//! [`Fabric::for_transport`]) and is invisible to callers.
 //!
 //! Fault injection comes in two flavours: `set_down` (a *dead* server —
 //! calls fail fast with `ServerDown`) and the seeded [`FaultInjector`]
@@ -29,7 +28,8 @@
 //!
 //! The stats ledger keeps one invariant: every call lands in exactly one of
 //! `rpcs` (answered) or `failed_calls` (any error), and `request_bytes`
-//! counts only requests actually delivered to a server queue or socket.
+//! counts only requests actually handed to a handler or written to a
+//! socket.
 
 use crate::bulk::Bulk;
 use crate::fault::{FaultAction, FaultInjector};
@@ -37,13 +37,12 @@ use crate::socket::{
     CallClock, EndpointUri, ServerCore, SocketBackend, SocketConfig, SocketFamily,
 };
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
-use hvac_sync::{classes, OrderedMutex, OrderedRwLock};
+use hvac_sync::{classes, OrderedRwLock};
 use hvac_types::{HvacError, Result, TransportKind};
 use std::collections::HashMap;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A response to one RPC: a small header plus an optional bulk payload,
@@ -58,8 +57,8 @@ pub struct Reply {
 }
 
 /// Server-side request handler. One handler instance serves all threads of
-/// an endpoint (loopback workers, or one thread per socket connection), so
-/// it must be internally synchronized.
+/// an endpoint (every loopback caller's thread, or one thread per socket
+/// connection), so it must be internally synchronized.
 pub trait RpcHandler: Send + Sync + 'static {
     /// Process one request and produce a reply.
     fn handle(&self, request: Bytes) -> Reply;
@@ -74,13 +73,8 @@ where
     }
 }
 
-struct Incoming {
-    request: Bytes,
-    reply_tx: Sender<Reply>,
-}
-
 struct EndpointSlot {
-    tx: Sender<Incoming>,
+    handler: Arc<dyn RpcHandler>,
     down: Arc<AtomicBool>,
 }
 
@@ -117,7 +111,8 @@ impl FabricStats {
     }
 }
 
-/// The transport behind a [`Fabric`]: in-process queues or real sockets.
+/// The transport behind a [`Fabric`]: in-process handler calls or real
+/// sockets.
 enum Backend {
     Loopback {
         endpoints: OrderedRwLock<HashMap<String, EndpointSlot>>,
@@ -161,14 +156,6 @@ impl Fabric {
     /// A loopback fabric with the default 30 s call timeout.
     pub fn new() -> Self {
         Self::with_backend(Backend::loopback())
-    }
-
-    /// A loopback fabric with a custom call timeout (tests use short ones).
-    pub fn with_timeout(call_timeout: Duration) -> Self {
-        Self {
-            call_timeout,
-            ..Self::new()
-        }
     }
 
     /// A socket-backed fabric of the given family with default knobs.
@@ -241,95 +228,43 @@ impl Fabric {
         &self.faults
     }
 
-    /// The default per-call timeout.
-    pub fn call_timeout(&self) -> Duration {
-        self.call_timeout
-    }
-
-    /// Register a server endpoint under `addr`. On loopback, `workers`
-    /// handler threads drain the endpoint's queue; a socket endpoint serves
-    /// each connection on that connection's own thread instead, so the
-    /// count is used by the loopback backend only. Returns a handle that
-    /// unregisters and joins on drop.
-    ///
-    /// `workers == 0` is a configuration error: a worker-less loopback
-    /// endpoint would accept requests that can never be answered, so it is
-    /// rejected up front (mirroring the zero `bulk_chunk`/`bulk_window`
-    /// treatment) instead of being silently clamped to 1 — on both
-    /// backends, so a configuration does not turn valid by switching
-    /// transport.
+    /// Register a server endpoint under `addr`. A loopback call runs
+    /// `handler` on the calling thread; a socket endpoint serves each
+    /// connection on that connection's own thread. Returns a handle that
+    /// unregisters on drop.
     pub fn serve(
         self: &Arc<Self>,
         addr: &str,
-        workers: usize,
         handler: Arc<dyn RpcHandler>,
     ) -> Result<ServerEndpoint> {
-        if workers == 0 {
-            return Err(HvacError::InvalidConfig(format!(
-                "endpoint {addr}: RPC worker count must be positive (got 0)"
-            )));
-        }
-        let endpoints = match &self.backend {
-            Backend::Loopback { endpoints } => endpoints,
+        let (down, core) = match &self.backend {
+            Backend::Loopback { endpoints } => {
+                let mut eps = endpoints.write();
+                if eps.contains_key(addr) {
+                    return Err(HvacError::InvalidConfig(format!(
+                        "endpoint {addr} already registered"
+                    )));
+                }
+                let down = Arc::new(AtomicBool::new(false));
+                eps.insert(
+                    addr.to_string(),
+                    EndpointSlot {
+                        handler,
+                        down: down.clone(),
+                    },
+                );
+                (down, None)
+            }
             Backend::Socket(sb) => {
                 let (core, down) = sb.serve(addr, handler)?;
-                return Ok(ServerEndpoint {
-                    fabric: self.clone(),
-                    addr: addr.to_string(),
-                    down,
-                    threads: OrderedMutex::new(classes::FABRIC_THREADS, Vec::new()),
-                    core: Some(core),
-                });
+                (down, Some(core))
             }
         };
-        let (tx, rx) = unbounded::<Incoming>();
-        let down = Arc::new(AtomicBool::new(false));
-        {
-            let mut eps = endpoints.write();
-            if eps.contains_key(addr) {
-                return Err(HvacError::InvalidConfig(format!(
-                    "endpoint {addr} already registered"
-                )));
-            }
-            eps.insert(
-                addr.to_string(),
-                EndpointSlot {
-                    tx,
-                    down: down.clone(),
-                },
-            );
-        }
-        let mut threads = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let rx: Receiver<Incoming> = rx.clone();
-            let handler = handler.clone();
-            let name = format!("hvac-rpc-{addr}-{w}");
-            let spawned = std::thread::Builder::new().name(name).spawn(move || {
-                while let Ok(incoming) = rx.recv() {
-                    let reply = handler.handle(incoming.request);
-                    // Receiver may have timed out; ignore send errors.
-                    let _ = incoming.reply_tx.send(reply);
-                }
-            });
-            match spawned {
-                Ok(handle) => threads.push(handle),
-                Err(e) => {
-                    // Roll back: unregister (dropping the queue sender) so
-                    // the already-spawned workers drain and exit, then join.
-                    self.unregister(addr);
-                    for t in threads {
-                        let _ = t.join();
-                    }
-                    return Err(HvacError::Io(e));
-                }
-            }
-        }
         Ok(ServerEndpoint {
             fabric: self.clone(),
             addr: addr.to_string(),
             down,
-            threads: OrderedMutex::new(classes::FABRIC_THREADS, threads),
-            core: None,
+            core,
         })
     }
 
@@ -338,15 +273,17 @@ impl Fabric {
         self.call_with_deadline(addr, request, self.call_timeout)
     }
 
-    /// Issue a blocking RPC to `addr`, waiting at most `deadline` for the
-    /// reply. A missed deadline is a typed [`HvacError::RpcTimeout`] — the
-    /// caller cannot distinguish a hung server from a lost reply, and the
-    /// error says exactly that much and no more.
+    /// Issue a blocking RPC to `addr` whose reply is due within `deadline`.
+    /// A missed deadline is a typed [`HvacError::RpcTimeout`] — the caller
+    /// cannot distinguish a hung server from a lost reply, and the error
+    /// says exactly that much and no more. A socket call returns at the
+    /// deadline; a loopback call runs the handler on this thread to
+    /// completion first and only then discards a late reply.
     ///
     /// Ledger invariant: exactly one of `rpcs` (on success) or
     /// `failed_calls` (on any error) is bumped per call, and
-    /// `request_bytes` counts only requests actually handed to a server
-    /// queue or written to a socket.
+    /// `request_bytes` counts only requests actually handed to a handler
+    /// or written to a socket.
     pub fn call_with_deadline(
         &self,
         addr: &str,
@@ -440,7 +377,10 @@ impl Fabric {
                 );
             }
         };
-        let (tx, down) = {
+        // Take the handler and the down-flag, then release the registry
+        // before the handler runs: a slow handler never blocks `serve` or
+        // `unregister`, and no server lock nests inside the registry's.
+        let (handler, down) = {
             let eps = endpoints.read();
             match eps.get(addr) {
                 None => {
@@ -450,37 +390,32 @@ impl Fabric {
                     if slot.down.load(Ordering::Relaxed) {
                         return Err(HvacError::ServerDown(addr.to_string()));
                     }
-                    (slot.tx.clone(), slot.down.clone())
+                    (slot.handler.clone(), slot.down.clone())
                 }
             }
         };
         let discard_reply = self.apply_faults(addr, &down, deadline, start)?;
-        let request_len = request.len() as u64;
-        let (reply_tx, reply_rx) = bounded::<Reply>(1);
-        // The request is counted only once it is actually in the queue: a
-        // closed queue (all workers dead) is a failed call that moved no
-        // bytes, not a delivered request.
-        tx.send(Incoming { request, reply_tx })
-            .map_err(|_| HvacError::ServerDown(format!("{addr} (queue closed)")))?;
         self.stats
             .request_bytes
-            .fetch_add(request_len, Ordering::Relaxed);
+            .fetch_add(request.len() as u64, Ordering::Relaxed);
+        // A panicking handler fails only this call; the endpoint keeps
+        // answering the next one.
+        let reply = std::panic::catch_unwind(AssertUnwindSafe(|| handler.handle(request)))
+            .map_err(|_| HvacError::Rpc(format!("handler of {addr} panicked")))?;
         if discard_reply {
-            // Hung server: the handler runs, but the reply is dropped on the
-            // floor. Waiting the full remaining deadline reproduces exactly
-            // what the caller of a wedged endpoint experiences.
+            // Hung server: the handler ran, but the reply is dropped on the
+            // floor. Waiting out the rest of the deadline reproduces what
+            // the caller of a wedged endpoint experiences.
             std::thread::sleep(deadline.saturating_sub(start.elapsed()));
+        }
+        let elapsed = start.elapsed();
+        if discard_reply || elapsed > deadline {
             return Err(HvacError::RpcTimeout {
                 addr: addr.to_string(),
-                elapsed: start.elapsed(),
+                elapsed,
             });
         }
-        reply_rx
-            .recv_timeout(deadline.saturating_sub(start.elapsed()))
-            .map_err(|_| HvacError::RpcTimeout {
-                addr: addr.to_string(),
-                elapsed: start.elapsed(),
-            })
+        Ok(reply)
     }
 
     /// Mark an endpoint up/down without unregistering it (fault injection).
@@ -536,13 +471,13 @@ impl Fabric {
     }
 }
 
-/// A live server endpoint; dropping it unregisters the address and joins the
-/// worker threads (the HVAC server's job-lifetime coupling, §III-C).
+/// A live server endpoint; dropping it unregisters the address (the HVAC
+/// server's job-lifetime coupling, §III-C). Loopback calls already running
+/// finish on their callers' threads.
 pub struct ServerEndpoint {
     fabric: Arc<Fabric>,
     addr: String,
     down: Arc<AtomicBool>,
-    threads: OrderedMutex<Vec<JoinHandle<()>>>,
     /// Socket backends park their listener and connection threads here;
     /// loopback endpoints keep it `None`. Dropped (= stopped and joined)
     /// after the address is unregistered.
@@ -573,12 +508,6 @@ impl ServerEndpoint {
 impl Drop for ServerEndpoint {
     fn drop(&mut self) {
         self.fabric.unregister(&self.addr);
-        // Unregistering drops the sender held in the registry; worker threads
-        // exit when every sender is gone and the queue drains.
-        let threads = std::mem::take(&mut *self.threads.lock());
-        for t in threads {
-            let _ = t.join();
-        }
         // Socket machinery (listener, connection threads) stops and joins
         // here.
         self.core.take();
@@ -599,7 +528,7 @@ mod tests {
     #[test]
     fn call_round_trip() {
         let fabric = Arc::new(Fabric::new());
-        let _ep = fabric.serve("node0/srv0", 2, echo_handler()).unwrap();
+        let _ep = fabric.serve("node0/srv0", echo_handler()).unwrap();
         let reply = fabric
             .call("node0/srv0", Bytes::from_static(b"ping"))
             .unwrap();
@@ -622,67 +551,16 @@ mod tests {
     }
 
     #[test]
-    fn zero_workers_is_invalid_config() {
-        let fabric = Arc::new(Fabric::new());
-        let err = fabric.serve("z", 0, echo_handler()).unwrap_err();
-        assert!(matches!(err, HvacError::InvalidConfig(_)), "{err}");
-        assert!(
-            fabric.endpoint_names().is_empty(),
-            "a rejected serve must not leave a registration behind"
-        );
-        // Same contract on the socket backend.
-        let fabric = Arc::new(Fabric::socket(crate::socket::SocketFamily::Tcp));
-        let err = fabric.serve("z", 0, echo_handler()).unwrap_err();
-        assert!(matches!(err, HvacError::InvalidConfig(_)), "{err}");
-        assert!(fabric.endpoint_names().is_empty());
-    }
-
-    #[test]
-    fn queue_closed_path_keeps_the_stats_ledger_consistent() {
-        // A lone worker that dies on its first request leaves the endpoint
-        // registered but its queue receiver-less: the next send fails on
-        // the "queue closed" path, which must count as a failed call that
-        // moved zero request bytes.
-        let fabric = Arc::new(Fabric::with_timeout(Duration::from_secs(5)));
-        let handler: Arc<dyn RpcHandler> = Arc::new(|_req: Bytes| -> Reply {
-            panic!("injected worker death");
-        });
-        let _ep = fabric.serve("dead", 1, handler).unwrap();
-        // Call 1: delivered (5 request bytes), then the worker panics and
-        // the caller errors out on the dropped reply slot.
-        assert!(fabric.call("dead", Bytes::from_static(b"first")).is_err());
-        // Give the unwind a moment to drop the worker's queue receiver.
-        std::thread::sleep(Duration::from_millis(100));
-        // Call 2: the queue is closed — ServerDown, no bytes moved.
-        let err = fabric
-            .call("dead", Bytes::from_static(b"xxxxx"))
-            .unwrap_err();
-        assert!(matches!(err, HvacError::ServerDown(_)), "{err}");
-
-        let (rpcs, req, _rep, _bulk, failed) = fabric.stats().snapshot();
-        assert_eq!(
-            rpcs + failed,
-            2,
-            "every call lands in exactly one ledger column"
-        );
-        assert_eq!((rpcs, failed), (0, 2));
-        assert_eq!(
-            req, 5,
-            "only the delivered request's bytes are counted, not the rejected one's"
-        );
-    }
-
-    #[test]
     fn duplicate_registration_rejected() {
         let fabric = Arc::new(Fabric::new());
-        let _a = fabric.serve("x", 1, echo_handler()).unwrap();
-        assert!(fabric.serve("x", 1, echo_handler()).is_err());
+        let _a = fabric.serve("x", echo_handler()).unwrap();
+        assert!(fabric.serve("x", echo_handler()).is_err());
     }
 
     #[test]
     fn set_down_blocks_calls_and_recovers() {
         let fabric = Arc::new(Fabric::new());
-        let ep = fabric.serve("s", 1, echo_handler()).unwrap();
+        let ep = fabric.serve("s", echo_handler()).unwrap();
         assert!(fabric.is_up("s"));
         ep.set_down(true);
         assert!(!fabric.is_up("s"));
@@ -698,7 +576,7 @@ mod tests {
     fn drop_unregisters_endpoint() {
         let fabric = Arc::new(Fabric::new());
         {
-            let _ep = fabric.serve("gone", 1, echo_handler()).unwrap();
+            let _ep = fabric.serve("gone", echo_handler()).unwrap();
             assert!(fabric.is_up("gone"));
         }
         assert!(!fabric.is_up("gone"));
@@ -708,7 +586,7 @@ mod tests {
     #[test]
     fn concurrent_clients_all_get_their_own_replies() {
         let fabric = Arc::new(Fabric::new());
-        let _ep = fabric.serve("srv", 4, echo_handler()).unwrap();
+        let _ep = fabric.serve("srv", echo_handler()).unwrap();
         let mut joins = Vec::new();
         for i in 0..16u32 {
             let f = fabric.clone();
@@ -726,36 +604,82 @@ mod tests {
         assert_eq!(fabric.stats().snapshot().0, 16 * 50);
     }
 
-    #[test]
-    fn panicking_handler_does_not_block_the_client() {
-        let fabric = Arc::new(Fabric::with_timeout(Duration::from_secs(10)));
-        let handler: Arc<dyn RpcHandler> = Arc::new(|req: Bytes| -> Reply {
-            if req.is_empty() {
+    /// Panics on a request that reads `boom`, echoes anything else.
+    fn flaky_handler() -> Arc<dyn RpcHandler> {
+        Arc::new(|req: Bytes| -> Reply {
+            if &req[..] == b"boom" {
                 panic!("injected handler panic");
             }
             Reply {
                 header: req,
                 bulk: None,
             }
-        });
-        let _ep = fabric.serve("flaky", 1, handler).unwrap();
-        // The panic kills the lone worker mid-request; the reply slot is
-        // dropped during unwind, so the caller errors out well before the
-        // 10 s call timeout instead of blocking on a reply that never comes.
+        })
+    }
+
+    #[test]
+    fn panicking_handler_does_not_block_the_client() {
+        let fabric = Arc::new(Fabric::new());
+        let _ep = fabric.serve("flaky", flaky_handler()).unwrap();
+        // The panic unwinds out of the handler on the caller's own thread,
+        // so the caller errors out at once instead of blocking until the
+        // 10 s deadline on a reply that never comes.
         let start = std::time::Instant::now();
-        assert!(fabric.call("flaky", Bytes::new()).is_err());
+        assert!(fabric
+            .call_with_deadline(
+                "flaky",
+                Bytes::from_static(b"boom"),
+                Duration::from_secs(10)
+            )
+            .is_err());
         assert!(
             start.elapsed() < Duration::from_secs(8),
-            "client blocked on a dead server"
+            "client blocked on a panicked handler"
         );
-        // With every worker dead the request queue is receiver-less, so
-        // later calls fail too (as ServerDown or a fast error) — they must
-        // not hang either. Give the unwind a moment to drop the worker's
-        // receiver so the send-side disconnect is observable.
-        std::thread::sleep(Duration::from_millis(100));
-        let start = std::time::Instant::now();
-        assert!(fabric.call("flaky", Bytes::from_static(b"x")).is_err());
-        assert!(start.elapsed() < Duration::from_secs(8));
+    }
+
+    #[test]
+    fn a_panicking_handler_fails_only_its_own_call() {
+        let fabric = Arc::new(Fabric::new());
+        let _ep = fabric.serve("flaky", flaky_handler()).unwrap();
+        let err = fabric
+            .call("flaky", Bytes::from_static(b"boom"))
+            .unwrap_err();
+        assert!(matches!(err, HvacError::Rpc(_)), "{err}");
+        assert!(err.is_retriable(), "a panicked call may be retried");
+        let (rpcs, req, _rep, _bulk, failed) = fabric.stats().snapshot();
+        assert_eq!((rpcs, failed), (0, 1), "the panic is one failed call");
+        assert_eq!(req, 4, "the request reached the handler, so it counts");
+        // The endpoint survives its handler's panic: the next call to it is
+        // answered.
+        let reply = fabric.call("flaky", Bytes::from_static(b"next")).unwrap();
+        assert_eq!(&reply.header[..], b"next");
+        let (rpcs, req, _rep, _bulk, failed) = fabric.stats().snapshot();
+        assert_eq!((rpcs, failed, req), (1, 1, 8));
+        assert!(fabric.is_up("flaky"));
+    }
+
+    #[test]
+    fn a_loopback_handler_runs_on_the_calling_thread() {
+        let fabric = Arc::new(Fabric::new());
+        let handler: Arc<dyn RpcHandler> = Arc::new(|_req: Bytes| Reply {
+            header: Bytes::from(format!("{:?}", std::thread::current().id())),
+            bulk: None,
+        });
+        let _ep = fabric.serve("here", handler).unwrap();
+        let callers: Vec<_> = (0..3)
+            .map(|_| {
+                let fabric = Arc::clone(&fabric);
+                std::thread::spawn(move || {
+                    let reply = fabric.call("here", Bytes::new()).unwrap();
+                    (format!("{:?}", std::thread::current().id()), reply.header)
+                })
+            })
+            .collect();
+        for caller in callers {
+            let (me, ran_on) = caller.join().unwrap();
+            assert_eq!(ran_on, me.as_bytes(), "handler ran off the caller's thread");
+        }
     }
 
     #[test]
@@ -768,14 +692,16 @@ mod tests {
                 bulk: None,
             }
         });
-        let _ep = fabric.serve("slow", 1, handler).unwrap();
+        let _ep = fabric.serve("slow", handler).unwrap();
         let err = fabric
             .call_with_deadline("slow", Bytes::from_static(b"x"), Duration::from_millis(20))
             .unwrap_err();
         match err {
             HvacError::RpcTimeout { addr, elapsed } => {
                 assert_eq!(addr, "slow");
-                assert!(elapsed >= Duration::from_millis(20));
+                // On loopback the handler runs to completion on the calling
+                // thread; only then is its late reply turned into a timeout.
+                assert!(elapsed >= Duration::from_millis(200), "{elapsed:?}");
             }
             other => panic!("expected RpcTimeout, got {other}"),
         }
@@ -794,7 +720,7 @@ mod tests {
     fn hung_endpoint_times_out_within_deadline() {
         use crate::fault::FaultSpec;
         let fabric = Arc::new(Fabric::new());
-        let _ep = fabric.serve("wedged", 1, echo_handler()).unwrap();
+        let _ep = fabric.serve("wedged", echo_handler()).unwrap();
         fabric
             .fault_injector()
             .set("wedged", FaultSpec::always_hang(3));
@@ -824,7 +750,7 @@ mod tests {
     fn dropped_request_never_reaches_the_server() {
         use crate::fault::FaultSpec;
         let fabric = Arc::new(Fabric::new());
-        let _ep = fabric.serve("hole", 1, echo_handler()).unwrap();
+        let _ep = fabric.serve("hole", echo_handler()).unwrap();
         fabric
             .fault_injector()
             .set("hole", FaultSpec::always_drop(5));
@@ -844,7 +770,7 @@ mod tests {
     fn injected_error_reply_is_fast_and_typed() {
         use crate::fault::FaultSpec;
         let fabric = Arc::new(Fabric::new());
-        let _ep = fabric.serve("flk", 1, echo_handler()).unwrap();
+        let _ep = fabric.serve("flk", echo_handler()).unwrap();
         fabric.fault_injector().set(
             "flk",
             FaultSpec {
@@ -864,7 +790,7 @@ mod tests {
     fn injected_delay_slows_but_still_answers() {
         use crate::fault::FaultSpec;
         let fabric = Arc::new(Fabric::new());
-        let _ep = fabric.serve("lag", 1, echo_handler()).unwrap();
+        let _ep = fabric.serve("lag", echo_handler()).unwrap();
         fabric.fault_injector().set(
             "lag",
             FaultSpec {
@@ -900,7 +826,7 @@ mod tests {
     fn set_down_wins_over_fault_plans() {
         use crate::fault::FaultSpec;
         let fabric = Arc::new(Fabric::new());
-        let ep = fabric.serve("d", 1, echo_handler()).unwrap();
+        let ep = fabric.serve("d", echo_handler()).unwrap();
         fabric.fault_injector().set("d", FaultSpec::always_hang(1));
         ep.set_down(true);
         let start = std::time::Instant::now();
@@ -916,7 +842,7 @@ mod tests {
     fn injected_crash_latches_the_endpoint_down() {
         use crate::fault::FaultSpec;
         let fabric = Arc::new(Fabric::new());
-        let _ep = fabric.serve("doomed", 1, echo_handler()).unwrap();
+        let _ep = fabric.serve("doomed", echo_handler()).unwrap();
         fabric
             .fault_injector()
             .set("doomed", FaultSpec::always_crash(11));
@@ -948,7 +874,7 @@ mod tests {
                 Bytes::from(vec![1u8; 24]),
             ])),
         });
-        let _ep = fabric.serve("bulk", 1, handler).unwrap();
+        let _ep = fabric.serve("bulk", handler).unwrap();
         let reply = fabric.call("bulk", Bytes::new()).unwrap();
         // Loopback hands the parts over as they are; the ledger counts
         // their sum.

@@ -9,9 +9,10 @@
 //! transport (TCP or Unix-domain) for multi-process deployments:
 //!
 //! * [`wire`] — a small, explicit binary codec over [`bytes`],
-//! * [`fabric`] — the [`Fabric`] registry of endpoints, server endpoints with
-//!   worker threads, fault injection (mark a server down), and traffic
-//!   accounting, over either backend,
+//! * [`fabric`] — the [`Fabric`] registry of endpoints, server endpoints
+//!   (a loopback call runs its handler on the calling thread), fault
+//!   injection (mark a server down), and traffic accounting, over either
+//!   backend,
 //! * [`framing`] — length-prefixed socket frames with a bounded-allocation
 //!   decoder (truncated/oversized/garbage input → typed `Protocol` errors),
 //! * [`socket`] — the socket transport: endpoint resolution (config/env),
@@ -31,9 +32,9 @@
 //!   multi-RPC read (bulk chunks, per-destination batches) is submitted
 //!   through it.
 //!
-//! The loopback fabric moves real bytes between real threads; latency and
-//! bandwidth of the modeled interconnect are accounted (for reporting)
-//! rather than slept. The socket transport moves the same frames through
+//! The loopback fabric hands real bytes to the handler on the calling
+//! thread; latency and bandwidth of the modeled interconnect are accounted
+//! (for reporting) rather than slept. The socket transport moves the same frames through
 //! the kernel, and the whole deadline/retry/breaker/hedge ladder above the
 //! fabric works unchanged on both.
 

@@ -27,9 +27,9 @@
 //!
 //! Locking: each size class has its own free-list mutex under the
 //! [`classes::NET_POOL`] class — the innermost level of the lock
-//! hierarchy, because acquires happen from under store-shard guards and
-//! socket readers. Nothing is ever acquired while a free-list guard is
-//! held.
+//! hierarchy, because acquires happen deep in the read path (client-side
+//! reassembly, socket frame decode). Nothing is ever acquired while a
+//! free-list guard is held.
 
 use bytes::Bytes;
 use hvac_sync::{classes, OrderedMutex};

@@ -313,7 +313,7 @@ mod tests {
         let fabric = Arc::new(Fabric::new());
         let servers = addrs
             .iter()
-            .map(|addr| fabric.serve(addr, 2, Arc::new(Echo)).unwrap())
+            .map(|addr| fabric.serve(addr, Arc::new(Echo)).unwrap())
             .collect();
         (fabric, servers)
     }

@@ -183,7 +183,7 @@ proptest! {
             bulk: Some(Bulk::from(req.clone())),
             header: req,
         });
-        let _ep = fabric.serve("echo", 1, handler).unwrap();
+        let _ep = fabric.serve("echo", handler).unwrap();
         let msg = Bytes::from(payload);
         let reply = fabric.call("echo", msg.clone()).unwrap();
         prop_assert_eq!(reply.header, msg.clone());

@@ -18,7 +18,7 @@ fn connect_call_drop_cycles_leave_no_fds_behind_on(family: SocketFamily) {
         bulk: None,
     });
     let server = Arc::new(Fabric::socket(family));
-    let _ep = server.serve("s", 1, handler).unwrap();
+    let _ep = server.serve("s", handler).unwrap();
     let uri = server.endpoint_uri("s").unwrap();
     let baseline = open_fds();
 

@@ -38,7 +38,7 @@ fn echo_handler() -> Arc<dyn RpcHandler> {
 
 fn round_trip_on(family: SocketFamily) {
     let fabric = Arc::new(Fabric::socket(family));
-    let _ep = fabric.serve("node0/srv0", 2, echo_handler()).unwrap();
+    let _ep = fabric.serve("node0/srv0", echo_handler()).unwrap();
 
     // Metadata-only reply.
     let reply = fabric.call("node0/srv0", Bytes::new()).unwrap();
@@ -90,7 +90,7 @@ fn gathered_reply_round_trips_on(family: SocketFamily) {
         }
     });
     let fabric = Arc::new(Fabric::socket(family));
-    let _ep = fabric.serve("big", 2, handler).unwrap();
+    let _ep = fabric.serve("big", handler).unwrap();
     for _ in 0..2 {
         let reply = fabric.call("big", Bytes::from_static(b"hdr")).unwrap();
         assert_eq!(reply.header.as_ref(), b"hdr");
@@ -116,7 +116,7 @@ fn unix_gathered_reply_of_8_mib_in_uneven_parts_round_trips() {
 fn sequential_calls_reuse_one_connection_and_k_callers_open_at_most_k() {
     for family in [SocketFamily::Tcp, SocketFamily::Unix] {
         let fabric = Arc::new(Fabric::socket(family));
-        let _ep = fabric.serve("s", 4, echo_handler()).unwrap();
+        let _ep = fabric.serve("s", echo_handler()).unwrap();
 
         // One thread's calls check the same connection out and back in.
         for i in 0..20u8 {
@@ -179,7 +179,7 @@ fn a_late_reply_to_a_timed_out_call_never_reaches_the_next_call() {
     for family in [SocketFamily::Tcp, SocketFamily::Unix] {
         let (handler, parked, gate) = gated_handler();
         let fabric = Arc::new(Fabric::socket(family));
-        let _ep = fabric.serve("s", 1, handler).unwrap();
+        let _ep = fabric.serve("s", handler).unwrap();
         // Warm the pool, so the timed-out call runs on a pooled connection.
         fabric.call("s", Bytes::from_static(b"warm")).unwrap();
 
@@ -216,9 +216,9 @@ fn a_parked_handler_does_not_delay_a_second_caller_to_the_same_endpoint() {
     for family in [SocketFamily::Tcp, SocketFamily::Unix] {
         let (handler, parked, gate) = gated_handler();
         let fabric = Arc::new(Fabric::socket(family));
-        // One worker: on a shared worker pool the second call would queue
-        // behind the parked one until its deadline.
-        let _ep = fabric.serve("s", 1, handler).unwrap();
+        // Each connection has its own thread: behind a one-worker pool the
+        // second call would queue behind the parked one until its deadline.
+        let _ep = fabric.serve("s", handler).unwrap();
         let first = {
             let fabric = fabric.clone();
             std::thread::spawn(move || {
@@ -245,9 +245,7 @@ fn a_parked_handler_does_not_delay_a_second_caller_to_the_same_endpoint() {
 fn cross_fabric_client_resolves_a_registered_endpoint() {
     // Server side: its own fabric, auto-bound ephemeral TCP address.
     let server_fabric = Arc::new(Fabric::socket(SocketFamily::Tcp));
-    let _ep = server_fabric
-        .serve("node0/srv0", 2, echo_handler())
-        .unwrap();
+    let _ep = server_fabric.serve("node0/srv0", echo_handler()).unwrap();
     let uri = server_fabric.endpoint_uri("node0/srv0").unwrap();
     assert!(uri.starts_with("tcp:"), "{uri}");
 
@@ -273,9 +271,7 @@ fn endpoint_list_env_round_trip() {
     // `socket_from_env` is what a standalone client process runs at
     // startup; exercise the whole env → registry → RPC path.
     let server_fabric = Arc::new(Fabric::socket(SocketFamily::Unix));
-    let _ep = server_fabric
-        .serve("node0/srv0", 1, echo_handler())
-        .unwrap();
+    let _ep = server_fabric.serve("node0/srv0", echo_handler()).unwrap();
     let uri = server_fabric.endpoint_uri("node0/srv0").unwrap();
 
     std::env::set_var("HVAC_ENDPOINTS", format!("node0/srv0={uri}"));
@@ -291,8 +287,8 @@ fn endpoint_list_env_round_trip() {
 #[test]
 fn duplicate_serve_is_rejected() {
     let fabric = Arc::new(Fabric::socket(SocketFamily::Tcp));
-    let _ep = fabric.serve("dup", 1, echo_handler()).unwrap();
-    let err = fabric.serve("dup", 1, echo_handler()).unwrap_err();
+    let _ep = fabric.serve("dup", echo_handler()).unwrap();
+    let err = fabric.serve("dup", echo_handler()).unwrap_err();
     assert!(matches!(err, HvacError::InvalidConfig(_)), "{err}");
 }
 
@@ -323,7 +319,7 @@ fn client_reconnects_after_server_restart() {
 
     let server_fabric = Arc::new(Fabric::socket(SocketFamily::Unix));
     server_fabric.register_endpoint("s", &uri).unwrap();
-    let ep = server_fabric.serve("s", 1, echo_handler()).unwrap();
+    let ep = server_fabric.serve("s", echo_handler()).unwrap();
 
     let client = Arc::new(Fabric::socket(SocketFamily::Unix));
     client.register_endpoint("s", &uri).unwrap();
@@ -345,7 +341,7 @@ fn client_reconnects_after_server_restart() {
     // Server comes back on the same address: the pool dials afresh.
     let server_fabric2 = Arc::new(Fabric::socket(SocketFamily::Unix));
     server_fabric2.register_endpoint("s", &uri).unwrap();
-    let _ep2 = server_fabric2.serve("s", 1, echo_handler()).unwrap();
+    let _ep2 = server_fabric2.serve("s", echo_handler()).unwrap();
     let mut revived = None;
     for _ in 0..20 {
         match client.call_with_deadline("s", Bytes::from_static(b"three"), Duration::from_secs(2)) {
@@ -371,7 +367,7 @@ fn a_server_served_again_at_its_address_is_reached_by_the_first_call() {
                 .register_endpoint("s", &format!("unix:{}", path.display()))
                 .unwrap();
         }
-        let ep = first.serve("s", 1, echo_handler()).unwrap();
+        let ep = first.serve("s", echo_handler()).unwrap();
         let uri = first.endpoint_uri("s").unwrap();
 
         let client = Arc::new(Fabric::socket(family));
@@ -385,7 +381,7 @@ fn a_server_served_again_at_its_address_is_reached_by_the_first_call() {
         drop(first);
         let second = Arc::new(Fabric::socket(family));
         second.register_endpoint("s", &uri).unwrap();
-        let _ep = second.serve("s", 1, echo_handler()).unwrap();
+        let _ep = second.serve("s", echo_handler()).unwrap();
         assert_eq!(second.endpoint_uri("s").unwrap(), uri);
 
         let reply = client.call("s", Bytes::from_static(b"two")).unwrap();
@@ -403,7 +399,7 @@ fn a_server_served_again_at_its_address_is_reached_by_the_first_call() {
 #[test]
 fn set_down_latches_the_socket_endpoint() {
     let fabric = Arc::new(Fabric::socket(SocketFamily::Tcp));
-    let _ep = fabric.serve("d", 1, echo_handler()).unwrap();
+    let _ep = fabric.serve("d", echo_handler()).unwrap();
     assert!(fabric.is_up("d"));
     assert!(fabric.set_down("d", true));
     assert!(!fabric.is_up("d"));
@@ -418,7 +414,7 @@ fn set_down_latches_the_socket_endpoint() {
 #[test]
 fn injected_error_and_delay_work_over_sockets() {
     let fabric = Arc::new(Fabric::socket(SocketFamily::Tcp));
-    let _ep = fabric.serve("f", 1, echo_handler()).unwrap();
+    let _ep = fabric.serve("f", echo_handler()).unwrap();
 
     fabric.fault_injector().set(
         "f",
@@ -456,7 +452,7 @@ fn dropped_requests_time_out_and_never_reach_the_server() {
         }
     });
     let fabric = Arc::new(Fabric::socket(SocketFamily::Tcp));
-    let _ep = fabric.serve("drp", 1, handler).unwrap();
+    let _ep = fabric.serve("drp", handler).unwrap();
     fabric
         .fault_injector()
         .set("drp", FaultSpec::always_drop(7));
@@ -483,7 +479,7 @@ fn hung_server_serves_the_request_but_the_caller_times_out() {
         }
     });
     let fabric = Arc::new(Fabric::socket(SocketFamily::Tcp));
-    let _ep = fabric.serve("hng", 1, handler).unwrap();
+    let _ep = fabric.serve("hng", handler).unwrap();
     fabric
         .fault_injector()
         .set("hng", FaultSpec::always_hang(7));
@@ -582,7 +578,7 @@ fn a_reply_that_stalls_mid_frame_times_out_at_the_deadline() {
 #[test]
 fn crash_latches_the_endpoint_down_until_revived() {
     let fabric = Arc::new(Fabric::socket(SocketFamily::Tcp));
-    let _ep = fabric.serve("c", 1, echo_handler()).unwrap();
+    let _ep = fabric.serve("c", echo_handler()).unwrap();
     fabric.fault_injector().set("c", FaultSpec::always_crash(3));
 
     let err = fabric.call("c", Bytes::new()).unwrap_err();
@@ -606,7 +602,7 @@ fn frame_cap_is_enforced_on_the_client_side() {
         max_frame: 1024,
         ..SocketConfig::default()
     }));
-    let _ep = fabric.serve("cap", 1, echo_handler()).unwrap();
+    let _ep = fabric.serve("cap", echo_handler()).unwrap();
     let err = fabric
         .call("cap", Bytes::from(vec![0u8; 4096]))
         .unwrap_err();
@@ -619,7 +615,7 @@ fn frame_cap_is_enforced_on_the_client_side() {
 fn uri_parse_accepts_what_serve_advertises() {
     for family in [SocketFamily::Tcp, SocketFamily::Unix] {
         let fabric = Arc::new(Fabric::socket(family));
-        let _ep = fabric.serve("adv", 1, echo_handler()).unwrap();
+        let _ep = fabric.serve("adv", echo_handler()).unwrap();
         let uri = fabric.endpoint_uri("adv").unwrap();
         EndpointUri::parse(&uri).unwrap();
     }

@@ -1,28 +1,30 @@
 //! The embedded single-process HVAC agent.
 //!
-//! [`LocalAgent`] packages a real [`HvacServer`] (cache manager, data-mover
-//! thread, eviction) plus a descriptor table behind a synchronous API the C
-//! shim can call. It is also usable directly from Rust — the unit tests and
-//! the preload smoke test share this code with the interposed symbols.
+//! [`LocalAgent`] is an [`HvacClient`] over an in-process loopback
+//! [`Fabric`] that serves one embedded [`HvacServer`] (cache manager,
+//! data-mover thread, eviction) at the solo layout's only address. Every
+//! intercepted `<open, read, close>` takes the path the paper describes
+//! (§III-D, §III-F): the client hashes the path to its home server and
+//! sends the RPC, and the loopback fabric runs the server's handler on the
+//! calling thread. The client's descriptor table is the only one, and its
+//! descriptors start at [`FD_BASE`], so they never collide with real ones.
+//! It is also usable directly from Rust — the unit tests and the preload
+//! smoke test share this code with the interposed symbols.
 //!
-//! The embedded server is a **solo allocation**: its membership view is the
-//! epoch-0 single-server [`ClusterView`](hvac_types::ClusterView) and never
-//! changes, so the agent bypasses the wire (and thus the epoch prefix) and
-//! calls `handle_request` directly — epoch-0 requests are the static-launch
-//! format every server accepts forever.
+//! The embedded server's PFS is the real root file system, which the
+//! client also holds as its PFS fallback: a read whose RPC overruns its
+//! deadline is served straight from the file system instead of failing.
 
 use hvac_core::cache::CacheManager;
+use hvac_core::client::server_addr;
 use hvac_core::eviction::make_policy;
-use hvac_core::intercept::DatasetMatcher;
-use hvac_core::protocol::{Request, Response};
 use hvac_core::server::{HvacServer, HvacServerOptions};
+use hvac_core::{HvacClient, HvacClientOptions};
+use hvac_net::fabric::{Fabric, ServerEndpoint};
 use hvac_pfs::DirStore;
 use hvac_storage::LocalStore;
-use hvac_sync::{classes, OrderedMutex};
-use hvac_types::{ByteSize, EvictionPolicyKind, HvacError, Result};
-use std::collections::HashMap;
+use hvac_types::{ByteSize, EvictionPolicyKind, Result};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Configuration of the embedded agent, read from the environment by the
@@ -68,194 +70,93 @@ impl AgentConfig {
     }
 }
 
-/// Virtual descriptors live far above any real fd so the shim can tell them
-/// apart without bookkeeping collisions.
-pub const FD_BASE: u64 = 1 << 28;
+pub use hvac_core::client::FD_BASE;
 
-#[derive(Debug)]
-struct OpenFile {
-    path: PathBuf,
-    size: u64,
-    pos: u64,
-}
-
-/// One process-local HVAC instance.
+/// One process-local HVAC instance: the client every intercepted call goes
+/// to, and the embedded server behind it.
 pub struct LocalAgent {
-    matcher: DatasetMatcher,
+    client: HvacClient,
     server: Arc<HvacServer>,
-    fds: OrderedMutex<HashMap<u64, OpenFile>>,
-    next_fd: AtomicU64,
-    opens: AtomicU64,
-    reads: AtomicU64,
-    bytes: AtomicU64,
+    /// Keeps the server registered on the client's fabric.
+    _endpoint: ServerEndpoint,
 }
 
 impl LocalAgent {
-    /// Build an agent whose PFS is the real root file system.
+    /// Build an agent whose PFS is the real root file system. A directory
+    /// cache lives in this process's own subdirectory of `cache_dir`: a
+    /// forked child builds a store of its own, whose object names would
+    /// otherwise overwrite its parent's and its siblings' objects.
     pub fn new(config: AgentConfig) -> Result<Self> {
         let pfs = Arc::new(DirStore::new("/")?);
         let store = match &config.cache_dir {
-            Some(dir) => LocalStore::on_directory(dir, config.cache_capacity)?,
+            Some(dir) => {
+                sweep_exited(dir);
+                let own = dir.join(format!("pid-{}", std::process::id()));
+                LocalStore::on_directory(own, config.cache_capacity)?
+            }
             None => LocalStore::in_memory(config.cache_capacity),
         };
         let cache = Arc::new(CacheManager::new(
             store,
             make_policy(config.eviction, 0x48564143),
         ));
-        let server = HvacServer::new(cache, pfs, HvacServerOptions::default(), "preload")?;
+        let server = HvacServer::new(cache, pfs.clone(), HvacServerOptions::default(), "preload")?;
+        let fabric = Arc::new(Fabric::new());
+        let endpoint = server.serve(&fabric, &server_addr(0, 1))?;
+        let mut client = HvacClient::new(fabric, HvacClientOptions::new(config.dataset_dir, 1, 1))?;
+        client.set_pfs_fallback(pfs);
         Ok(Self {
-            matcher: DatasetMatcher::new(&config.dataset_dir),
+            client,
             server,
-            fds: OrderedMutex::new(classes::AGENT_FDS, HashMap::new()),
-            next_fd: AtomicU64::new(FD_BASE),
-            opens: AtomicU64::new(0),
-            reads: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
+            _endpoint: endpoint,
         })
     }
 
-    /// Whether this path should be intercepted.
-    pub fn intercepts(&self, path: &Path) -> bool {
-        self.matcher.matches(path)
-    }
-
-    /// The embedded server's membership view: always the solo epoch-0
-    /// layout (see the module docs for why the agent may skip the epoch
-    /// check).
-    pub fn view(&self) -> Arc<hvac_types::ClusterView> {
-        self.server.view()
-    }
-
-    /// Whether `fd` is one of ours.
-    pub fn owns_fd(&self, fd: u64) -> bool {
-        fd >= FD_BASE && self.fds.lock().contains_key(&fd)
-    }
-
-    /// Open an intercepted path; returns a virtual descriptor.
-    pub fn open(&self, path: &Path) -> Result<u64> {
-        let (resp, _) = self.server.handle_request(Request::Stat {
-            path: path.to_path_buf(),
-        });
-        let size = match resp.into_result()? {
-            Response::Stat { size } => size,
-            other => {
-                return Err(HvacError::Protocol(format!(
-                    "unexpected stat reply {other:?}"
-                )))
-            }
-        };
-        let fd = self.next_fd.fetch_add(1, Ordering::Relaxed);
-        self.fds.lock().insert(
-            fd,
-            OpenFile {
-                path: path.to_path_buf(),
-                size,
-                pos: 0,
-            },
-        );
-        self.opens.fetch_add(1, Ordering::Relaxed);
-        Ok(fd)
-    }
-
-    fn serve_read(&self, path: &Path, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let (resp, bulk) = self.server.handle_request(Request::Read {
-            path: path.to_path_buf(),
-            offset,
-            len: len as u64,
-        });
-        match resp.into_result()? {
-            Response::Data { .. } => {
-                let data = bulk.unwrap_or_default();
-                self.reads.fetch_add(1, Ordering::Relaxed);
-                self.bytes.fetch_add(data.len() as u64, Ordering::Relaxed);
-                Ok(data.to_vec())
-            }
-            other => Err(HvacError::Protocol(format!(
-                "unexpected read reply {other:?}"
-            ))),
-        }
-    }
-
-    /// Sequential read at the descriptor's position.
-    pub fn read(&self, fd: u64, len: usize) -> Result<Vec<u8>> {
-        let (path, pos) = {
-            let fds = self.fds.lock();
-            let of = fds.get(&fd).ok_or(HvacError::BadFd(fd as i32))?;
-            (of.path.clone(), of.pos)
-        };
-        let data = self.serve_read(&path, pos, len)?;
-        if let Some(of) = self.fds.lock().get_mut(&fd) {
-            of.pos = pos + data.len() as u64;
-        }
-        Ok(data)
-    }
-
-    /// Positional read (`pread`).
-    pub fn pread(&self, fd: u64, offset: u64, len: usize) -> Result<Vec<u8>> {
-        let path = {
-            let fds = self.fds.lock();
-            fds.get(&fd)
-                .ok_or(HvacError::BadFd(fd as i32))?
-                .path
-                .clone()
-        };
-        self.serve_read(&path, offset, len)
-    }
-
-    /// `lseek` with POSIX whence codes (0=SET, 1=CUR, 2=END).
-    pub fn lseek(&self, fd: u64, offset: i64, whence: i32) -> Result<u64> {
-        let mut fds = self.fds.lock();
-        let of = fds.get_mut(&fd).ok_or(HvacError::BadFd(fd as i32))?;
-        let base = match whence {
-            0 => 0i64,
-            1 => of.pos as i64,
-            2 => of.size as i64,
-            w => {
-                return Err(HvacError::Protocol(format!("unsupported whence {w}")));
-            }
-        };
-        let newpos = base
-            .checked_add(offset)
-            .filter(|&p| p >= 0)
-            .ok_or_else(|| HvacError::Protocol("negative seek".into()))?;
-        of.pos = newpos as u64;
-        Ok(of.pos)
-    }
-
-    /// Size recorded at open time (for interposed `fstat`).
-    pub fn fd_size(&self, fd: u64) -> Result<u64> {
-        let fds = self.fds.lock();
-        fds.get(&fd)
-            .map(|of| of.size)
-            .ok_or(HvacError::BadFd(fd as i32))
-    }
-
-    /// Close a virtual descriptor. The server keeps no per-descriptor
-    /// state, so nothing is sent to it.
-    pub fn close(&self, fd: u64) -> Result<()> {
-        self.fds
-            .lock()
-            .remove(&fd)
-            .map(|_| ())
-            .ok_or(HvacError::BadFd(fd as i32))
+    /// The client the shim hands intercepted calls to; its descriptors
+    /// start at [`FD_BASE`].
+    pub fn client(&self) -> &HvacClient {
+        &self.client
     }
 
     /// `(opens, reads, bytes, cache_hits, pfs_copies)` — the stats line.
     pub fn stats(&self) -> (u64, u64, u64, u64, u64) {
-        let snap = self.server.metrics().snapshot();
-        (
-            self.opens.load(Ordering::Relaxed),
-            self.reads.load(Ordering::Relaxed),
-            self.bytes.load(Ordering::Relaxed),
-            snap.cache_hits,
-            snap.pfs_copies,
-        )
+        let (opens, reads, bytes, ..) = self.client.metrics().snapshot();
+        let server = self.server.metrics().snapshot();
+        (opens, reads, bytes, server.cache_hits, server.pfs_copies)
+    }
+}
+
+/// Remove the `pid-*` cache subdirectories of processes that have exited.
+/// Their stores died with them, and a data-loader worker leaves by `_exit`,
+/// which runs no cleanup. Pids are looked up in this process's pid
+/// namespace, which every process sharing the directory must share.
+fn sweep_exited(cache_dir: &Path) {
+    let Ok(entries) = std::fs::read_dir(cache_dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(pid) = name
+            .to_str()
+            .and_then(|n| n.strip_prefix("pid-"))
+            .and_then(|p| p.parse::<i32>().ok())
+            .filter(|&pid| pid > 0)
+        else {
+            continue;
+        };
+        // SAFETY: signal 0 only checks that `pid` exists; nothing is sent.
+        let gone = unsafe { libc::kill(pid, 0) } == -1
+            && std::io::Error::last_os_error().raw_os_error() == Some(libc::ESRCH);
+        if gone {
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hvac_core::client::Whence;
     use std::fs;
 
     fn temp_dataset(tag: &str, files: u32, size: usize) -> PathBuf {
@@ -276,19 +177,19 @@ mod tests {
     fn open_read_close_against_real_files() {
         let dir = temp_dataset("orc", 3, 100);
         let agent = LocalAgent::new(AgentConfig::new(&dir)).unwrap();
+        let client = agent.client();
         let p = dir.join("f1.bin");
-        assert!(agent.intercepts(&p));
-        assert!(!agent.intercepts(Path::new("/etc/hosts")));
+        assert!(client.intercepts(&p));
+        assert!(!client.intercepts(Path::new("/etc/hosts")));
 
-        let fd = agent.open(&p).unwrap();
-        assert!(agent.owns_fd(fd));
+        let fd = client.open(&p).unwrap();
         assert!(fd >= FD_BASE);
-        let data = agent.read(fd, 100).unwrap();
+        let data = client.read(fd, 100).unwrap();
         assert_eq!(data, vec![1u8; 100]);
-        assert!(agent.read(fd, 10).unwrap().is_empty()); // EOF
-        agent.close(fd).unwrap();
-        assert!(!agent.owns_fd(fd));
-        assert!(agent.read(fd, 1).is_err());
+        assert!(client.read(fd, 10).unwrap().is_empty()); // EOF
+        client.close(fd).unwrap();
+        assert!(client.fd_size(fd).is_err());
+        assert!(client.read(fd, 1).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -296,11 +197,12 @@ mod tests {
     fn second_read_of_same_file_hits_cache() {
         let dir = temp_dataset("hits", 1, 64);
         let agent = LocalAgent::new(AgentConfig::new(&dir)).unwrap();
+        let client = agent.client();
         let p = dir.join("f0.bin");
         for _ in 0..3 {
-            let fd = agent.open(&p).unwrap();
-            agent.read(fd, 64).unwrap();
-            agent.close(fd).unwrap();
+            let fd = client.open(&p).unwrap();
+            client.read(fd, 64).unwrap();
+            client.close(fd).unwrap();
         }
         let (opens, reads, bytes, hits, copies) = agent.stats();
         assert_eq!(opens, 3);
@@ -315,26 +217,26 @@ mod tests {
     fn pread_and_lseek() {
         let dir = temp_dataset("seek", 1, 50);
         let agent = LocalAgent::new(AgentConfig::new(&dir)).unwrap();
+        let client = agent.client();
         let p = dir.join("f0.bin");
-        let fd = agent.open(&p).unwrap();
-        assert_eq!(agent.pread(fd, 40, 100).unwrap().len(), 10);
-        assert_eq!(agent.lseek(fd, -5, 2).unwrap(), 45);
-        assert_eq!(agent.read(fd, 100).unwrap().len(), 5);
-        assert_eq!(agent.lseek(fd, 0, 0).unwrap(), 0);
-        assert!(agent.lseek(fd, 0, 9).is_err());
-        assert!(agent.lseek(fd, -1, 0).is_err());
-        agent.close(fd).unwrap();
+        let fd = client.open(&p).unwrap();
+        assert_eq!(client.pread(fd, 40, 100).unwrap().len(), 10);
+        assert_eq!(client.lseek(fd, -5, Whence::End).unwrap(), 45);
+        assert_eq!(client.read(fd, 100).unwrap().len(), 5);
+        assert_eq!(client.lseek(fd, 0, Whence::Set).unwrap(), 0);
+        assert!(client.lseek(fd, -1, Whence::Set).is_err());
+        client.close(fd).unwrap();
         let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn agent_runs_on_the_solo_epoch0_view() {
-        // The agent bypasses the wire and its epoch prefix; that is only
-        // sound while its server stays on the epoch-0 solo view, which can
-        // never bounce a request as stale.
+        // The client stamps every request with its view's epoch; the solo
+        // epoch-0 layout is the one the embedded server starts on, so no
+        // request is ever bounced as stale.
         let dir = temp_dataset("view", 1, 8);
         let agent = LocalAgent::new(AgentConfig::new(&dir)).unwrap();
-        let view = agent.view();
+        let view = agent.client().view();
         assert_eq!(view.epoch(), 0);
         assert_eq!(view.n_servers(), 1);
         let _ = fs::remove_dir_all(&dir);
@@ -344,7 +246,7 @@ mod tests {
     fn missing_file_open_fails() {
         let dir = temp_dataset("missing", 0, 0);
         let agent = LocalAgent::new(AgentConfig::new(&dir)).unwrap();
-        assert!(agent.open(&dir.join("absent")).is_err());
+        assert!(agent.client().open(&dir.join("absent")).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -355,12 +257,35 @@ mod tests {
         let mut cfg = AgentConfig::new(&dir);
         cfg.cache_dir = Some(cache_dir.clone());
         let agent = LocalAgent::new(cfg).unwrap();
+        let client = agent.client();
         let p = dir.join("f0.bin");
-        let fd = agent.open(&p).unwrap();
-        assert_eq!(agent.read(fd, 32).unwrap(), vec![0u8; 32]);
-        agent.close(fd).unwrap();
-        // The cached object landed on disk.
-        assert!(fs::read_dir(&cache_dir).unwrap().count() >= 1);
+        let fd = client.open(&p).unwrap();
+        assert_eq!(client.read(fd, 32).unwrap(), vec![0u8; 32]);
+        client.close(fd).unwrap();
+        // The cached object landed in this process's own subdirectory.
+        let own = cache_dir.join(format!("pid-{}", std::process::id()));
+        assert!(fs::read_dir(own).unwrap().count() >= 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn directory_cache_sweeps_only_exited_processes() {
+        let dir = temp_dataset("sweep", 1, 8);
+        let cache_dir = dir.join("_cache");
+        let mut exited = std::process::Command::new("true").spawn().unwrap();
+        exited.wait().unwrap();
+        let stale = cache_dir.join(format!("pid-{}", exited.id()));
+        let live = cache_dir.join("pid-1");
+        let other = cache_dir.join("not-a-pid");
+        for d in [&stale, &live, &other] {
+            fs::create_dir_all(d).unwrap();
+        }
+        let mut cfg = AgentConfig::new(&dir);
+        cfg.cache_dir = Some(cache_dir);
+        let _agent = LocalAgent::new(cfg).unwrap();
+        assert!(!stale.exists(), "an exited process's objects are removed");
+        assert!(live.exists(), "a running process keeps its objects");
+        assert!(other.exists(), "entries the agent did not name stay");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -11,15 +11,15 @@
 //! Interposed symbols: `open`, `open64`, `openat`, `read`, `pread`,
 //! `pread64`, `lseek`, `lseek64`, `close`. Paths outside `HVAC_DATASET_DIR`
 //! fall through to the real libc functions untouched; matching paths are
-//! served by an embedded [`LocalAgent`] — an in-process HVAC server instance
-//! whose "PFS" is the real file system and whose cache is node-local memory
-//! or a directory (`HVAC_CACHE_DIR`).
+//! served by a per-process [`LocalAgent`]: an
+//! [`HvacClient`](hvac_core::client::HvacClient) whose loopback fabric
+//! serves one embedded HVAC server instance, whose "PFS" is the real file
+//! system and whose cache is node-local memory or a directory
+//! (`HVAC_CACHE_DIR`, one `pid-<pid>` subdirectory per process).
 //!
-//! In a full allocation the shim would forward RPCs to remote HVAC servers
-//! (that is what [`hvac_core::client::HvacClient`] does over a fabric); the
-//! single-process agent here exercises the identical server code path
-//! ([`hvac_core::server::HvacServer::handle_request`]) without requiring a
-//! multi-process deployment, which keeps the shim testable under plain
+//! Every intercepted call therefore takes the client's RPC path, exactly
+//! as in a full allocation; only the fabric differs (in-process instead of
+//! sockets to remote servers), which keeps the shim testable under plain
 //! `cargo test` (see `tests/preload_smoke.rs`).
 //!
 //! Set `HVAC_STATS_FILE=/path` to have the shim append a one-line report at

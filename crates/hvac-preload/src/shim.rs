@@ -2,24 +2,45 @@
 //!
 //! Everything here is `unsafe extern "C"` glue: resolve the real libc
 //! function with `dlsym(RTLD_NEXT, ...)`, decide whether the call targets the
-//! dataset directory, and either forward to the [`crate::agent::LocalAgent`]
-//! or fall through. Three guards prevent recursion:
+//! dataset directory or one of the agent's descriptors, and either forward
+//! to the agent's [`HvacClient`] or fall through. Three guards prevent
+//! recursion:
 //!
 //! 1. a thread-local `IN_HOOK` flag covering agent calls on the intercepted
-//!    thread,
-//! 2. a thread-name check (`hvac-*`) so the agent's own data-mover and RPC
-//!    threads always reach the real libc,
+//!    thread (a loopback call runs the server on that same thread),
+//! 2. a thread-name check (`hvac-*`) so the agent's own data-mover,
+//!    dispatch and hedge threads always reach the real libc,
 //! 3. write-mode opens are never intercepted (HVAC is read-only).
+//!
+//! The agent belongs to the process that built it. A forked child (a
+//! DataLoader worker) inherits its parent's agent but none of its threads,
+//! so a copy queued for the parent's data mover would never run; the first
+//! call in the child builds the child's own agent instead, which takes over
+//! the descriptors the parent had open at the fork.
 
 use crate::agent::{AgentConfig, LocalAgent, FD_BASE};
+use hvac_core::client::Whence;
+use hvac_core::HvacClient;
+use hvac_types::{HvacError, Result};
 use libc::{c_char, c_int, c_void, mode_t, off_t, size_t, ssize_t};
 use std::cell::Cell;
 use std::ffi::CStr;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::Once;
 
-static AGENT: OnceLock<Option<LocalAgent>> = OnceLock::new();
+/// The agent of process `pid` (`None` when the shim is disabled there).
+struct Installed {
+    pid: u32,
+    agent: Option<LocalAgent>,
+}
+
+/// The installed agent. Every pointer stored here comes from
+/// `Box::into_raw` and is never freed: one inherited across `fork` has no
+/// threads left in the child, so it can be neither used nor dropped.
+static AGENT: AtomicPtr<Installed> = AtomicPtr::new(std::ptr::null_mut());
+
+static STATS_HOOK: Once = Once::new();
 
 thread_local! {
     static IN_HOOK: Cell<bool> = const { Cell::new(false) };
@@ -45,8 +66,19 @@ fn on_internal_thread() -> bool {
         .unwrap_or(false)
 }
 
+/// The installed pointer (for a later compare-exchange) and what it points
+/// to.
+fn load_installed() -> (*mut Installed, Option<&'static Installed>) {
+    let ptr = AGENT.load(Ordering::Acquire);
+    // SAFETY: every non-null pointer in `AGENT` came from `Box::into_raw`
+    // and is never freed.
+    (ptr, unsafe { ptr.as_ref() })
+}
+
 extern "C" fn dump_stats_at_exit() {
-    if let Some(Some(agent)) = AGENT.get().map(|a| a.as_ref()) {
+    let pid = std::process::id();
+    let mine = load_installed().1.filter(|i| i.pid == pid);
+    if let Some(agent) = mine.and_then(|i| i.agent.as_ref()) {
         if let Ok(path) = std::env::var("HVAC_STATS_FILE") {
             let (opens, reads, bytes, hits, copies) = agent.stats();
             let line = format!(
@@ -61,24 +93,70 @@ fn agent() -> Option<&'static LocalAgent> {
     if hooked() || on_internal_thread() {
         return None;
     }
-    AGENT
-        .get_or_init(|| {
-            with_guard(|| {
-                let cfg = AgentConfig::from_env()?;
-                let agent = LocalAgent::new(cfg).ok()?;
-                unsafe {
-                    libc::atexit(dump_stats_at_exit);
+    let pid = std::process::id();
+    loop {
+        let (current, installed) = load_installed();
+        if let Some(mine) = installed.filter(|i| i.pid == pid) {
+            return mine.agent.as_ref();
+        }
+        let fresh = Box::into_raw(Box::new(Installed {
+            pid,
+            agent: with_guard(|| {
+                let agent = LocalAgent::new(AgentConfig::from_env()?).ok()?;
+                // In a forked child, `installed` is the parent's agent.
+                if let Some(parent) = installed.and_then(|i| i.agent.as_ref()) {
+                    agent.client().inherit_descriptors(parent.client());
                 }
                 Some(agent)
-            })
-        })
-        .as_ref()
+            }),
+        }));
+        if AGENT
+            .compare_exchange(current, fresh, Ordering::AcqRel, Ordering::Acquire)
+            .is_ok()
+        {
+            // SAFETY: `atexit` stores a plain function pointer; the hook
+            // captures nothing. A forked child inherits the registration.
+            STATS_HOOK.call_once(|| unsafe {
+                libc::atexit(dump_stats_at_exit);
+            });
+            // SAFETY: `fresh` came from `Box::into_raw` and, now installed,
+            // is never freed.
+            return unsafe { &*fresh }.agent.as_ref();
+        }
+        // Another thread of this process installed its agent first: drop
+        // ours (joining its threads) and use that one.
+        // SAFETY: `fresh` came from `Box::into_raw` above, and the failed
+        // exchange never published it.
+        with_guard(|| drop(unsafe { Box::from_raw(fresh) }));
+    }
 }
 
 fn set_errno(code: c_int) {
     unsafe {
         *libc::__errno_location() = code;
     }
+}
+
+/// Run `op` on the agent's client for descriptor `fd`. `None` when `fd` is
+/// not one of the client's descriptors or this call must reach libc; the
+/// caller then makes the real call.
+fn on_own_fd<T>(fd: c_int, op: impl FnOnce(&HvacClient, u64) -> Result<T>) -> Option<Result<T>> {
+    if (fd as u64) < FD_BASE {
+        return None;
+    }
+    let client = agent()?.client();
+    match with_guard(|| op(client, fd as u64)) {
+        Err(HvacError::BadFd(_)) => None,
+        done => Some(done),
+    }
+}
+
+/// The C return of a client call: `ok(value)`, or -1 with `errno` set.
+fn c_return<T, R: From<i8>>(result: Result<T>, ok: impl FnOnce(T) -> R) -> R {
+    result.map(ok).unwrap_or_else(|e| {
+        set_errno(e.errno());
+        R::from(-1)
+    })
 }
 
 /// Resolve a real libc symbol once.
@@ -145,17 +223,11 @@ unsafe fn open_common(path: *const c_char, flags: c_int) -> Option<c_int> {
     if !p.is_absolute() {
         return None;
     }
-    let agent = agent()?;
-    if !agent.intercepts(p) {
+    let client = agent()?.client();
+    if !client.intercepts(p) {
         return None;
     }
-    match with_guard(|| agent.open(p)) {
-        Ok(fd) => Some(fd as c_int),
-        Err(e) => {
-            set_errno(e.errno());
-            Some(-1)
-        }
-    }
+    Some(c_return(with_guard(|| client.open(p)), |fd| fd as c_int))
 }
 
 /// Interposed `open(2)`.
@@ -219,20 +291,10 @@ unsafe fn deliver(buf: *mut c_void, count: size_t, data: &[u8]) -> ssize_t {
 /// `buf` must point to at least `count` writable bytes per the libc contract.
 #[no_mangle]
 pub unsafe extern "C" fn read(fd: c_int, buf: *mut c_void, count: size_t) -> ssize_t {
-    if fd as u64 >= FD_BASE && !hooked() && !on_internal_thread() {
-        if let Some(agent) = agent() {
-            if agent.owns_fd(fd as u64) {
-                return match with_guard(|| agent.read(fd as u64, count)) {
-                    Ok(data) => deliver(buf, count, &data),
-                    Err(e) => {
-                        set_errno(e.errno());
-                        -1
-                    }
-                };
-            }
-        }
+    match on_own_fd(fd, |client, fd| client.read(fd, count)) {
+        Some(result) => c_return(result, |data| deliver(buf, count, &data)),
+        None => real_read()(fd, buf, count),
     }
-    real_read()(fd, buf, count)
 }
 
 unsafe fn pread_common(
@@ -241,28 +303,19 @@ unsafe fn pread_common(
     count: size_t,
     offset: off_t,
 ) -> Option<ssize_t> {
-    if fd as u64 >= FD_BASE && !hooked() && !on_internal_thread() {
-        if let Some(agent) = agent() {
-            if agent.owns_fd(fd as u64) {
-                // POSIX: pread with a negative offset is EINVAL; the cast
-                // below would otherwise turn -1 into a huge u64 offset.
-                if offset < 0 {
-                    set_errno(libc::EINVAL);
-                    return Some(-1);
-                }
-                return Some(
-                    match with_guard(|| agent.pread(fd as u64, offset as u64, count)) {
-                        Ok(data) => deliver(buf, count, &data),
-                        Err(e) => {
-                            set_errno(e.errno());
-                            -1
-                        }
-                    },
-                );
-            }
+    // POSIX: pread with a negative offset is EINVAL; a plain cast would
+    // turn -1 into a huge u64 offset.
+    let result = on_own_fd(fd, |client, fd| match u64::try_from(offset) {
+        Ok(at) => client.pread(fd, at, count).map(Some),
+        Err(_) => client.fd_size(fd).map(|_| None),
+    })?;
+    Some(c_return(result, |data| match data {
+        Some(data) => deliver(buf, count, &data),
+        None => {
+            set_errno(libc::EINVAL);
+            -1
         }
-    }
-    None
+    }))
 }
 
 /// Interposed `pread(2)`.
@@ -299,23 +352,20 @@ pub unsafe extern "C" fn pread64(
     real_pread()(fd, buf, count, offset)
 }
 
-unsafe fn lseek_common(fd: c_int, offset: off_t, whence: c_int) -> Option<off_t> {
-    if fd as u64 >= FD_BASE && !hooked() && !on_internal_thread() {
-        if let Some(agent) = agent() {
-            if agent.owns_fd(fd as u64) {
-                return Some(
-                    match with_guard(|| agent.lseek(fd as u64, offset, whence)) {
-                        Ok(pos) => pos as off_t,
-                        Err(e) => {
-                            set_errno(e.errno());
-                            -1
-                        }
-                    },
-                );
+fn lseek_common(fd: c_int, offset: off_t, whence: c_int) -> Option<off_t> {
+    let result = on_own_fd(fd, |client, fd| {
+        let whence = match whence {
+            0 => Whence::Set,
+            1 => Whence::Cur,
+            2 => Whence::End,
+            w => {
+                client.fd_size(fd)?;
+                return Err(HvacError::Protocol(format!("unsupported whence {w}")));
             }
-        }
-    }
-    None
+        };
+        client.lseek(fd, offset, whence)
+    })?;
+    Some(c_return(result, |pos| pos as off_t))
 }
 
 /// Interposed `lseek(2)`.
@@ -353,23 +403,11 @@ unsafe fn fill_stat(buf: *mut libc::stat, size: u64) {
 }
 
 unsafe fn fstat_common(fd: c_int, buf: *mut libc::stat) -> Option<c_int> {
-    if fd as u64 >= FD_BASE && !hooked() && !on_internal_thread() {
-        if let Some(agent) = agent() {
-            if agent.owns_fd(fd as u64) {
-                return Some(match with_guard(|| agent.fd_size(fd as u64)) {
-                    Ok(size) => {
-                        fill_stat(buf, size);
-                        0
-                    }
-                    Err(e) => {
-                        set_errno(e.errno());
-                        -1
-                    }
-                });
-            }
-        }
-    }
-    None
+    let result = on_own_fd(fd, |client, fd| client.fd_size(fd))?;
+    Some(c_return(result, |size| {
+        fill_stat(buf, size);
+        0
+    }))
 }
 
 real_fn!(real_fstat, b"fstat\0", fn(c_int, *mut libc::stat) -> c_int);
@@ -446,14 +484,10 @@ pub unsafe extern "C" fn posix_fadvise(
     len: off_t,
     advice: c_int,
 ) -> c_int {
-    if fd as u64 >= FD_BASE && !hooked() && !on_internal_thread() {
-        if let Some(agent) = agent() {
-            if agent.owns_fd(fd as u64) {
-                return 0;
-            }
-        }
+    match on_own_fd(fd, |client, fd| client.fd_size(fd)) {
+        Some(result) => c_return(result, |_| 0),
+        None => real_posix_fadvise()(fd, offset, len, advice),
     }
-    real_posix_fadvise()(fd, offset, len, advice)
 }
 
 /// Interposed `close(2)`.
@@ -462,20 +496,10 @@ pub unsafe extern "C" fn posix_fadvise(
 /// Standard libc contract.
 #[no_mangle]
 pub unsafe extern "C" fn close(fd: c_int) -> c_int {
-    if fd as u64 >= FD_BASE && !hooked() && !on_internal_thread() {
-        if let Some(agent) = agent() {
-            if agent.owns_fd(fd as u64) {
-                return match with_guard(|| agent.close(fd as u64)) {
-                    Ok(()) => 0,
-                    Err(e) => {
-                        set_errno(e.errno());
-                        -1
-                    }
-                };
-            }
-        }
+    match on_own_fd(fd, |client, fd| client.close(fd)) {
+        Some(result) => c_return(result, |()| 0),
+        None => real_close()(fd),
     }
-    real_close()(fd)
 }
 
 #[cfg(test)]

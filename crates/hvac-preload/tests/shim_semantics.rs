@@ -3,11 +3,11 @@
 //! The smoke test (`preload_smoke.rs`) proves interception works end-to-end
 //! under `LD_PRELOAD`; this test pins down the POSIX edge cases of the shim
 //! itself by calling the exported `extern "C"` functions in-process: EINVAL
-//! on a negative `pread` offset, short reads near EOF, zero at EOF, and
-//! buffer-bounded delivery.
+//! on a negative `pread` offset, short reads near EOF, zero at EOF,
+//! buffer-bounded delivery, and `lseek`'s whence codes.
 //!
-//! The assertions run in a re-executed child process: the shim's agent is a
-//! process-global `OnceLock` configured from the environment at the *first*
+//! The assertions run in a re-executed child process: the shim's agent is
+//! process-global and configured from the environment at the *first*
 //! interposed call, and the test harness itself touches files through the
 //! interposed symbols during startup (before any `#[test]` runs). Spawning
 //! the test binary again with `HVAC_DATASET_DIR` already in the environment
@@ -80,6 +80,16 @@ fn child_assertions() {
     let r = unsafe { shim::read(fd, buf.as_mut_ptr().cast(), 8) };
     assert_eq!(r, 8);
     assert_eq!(&buf[..8], &payload[8..16]);
+
+    // lseek maps SEEK_SET/CUR/END and rejects any other whence.
+    assert_eq!(unsafe { shim::lseek(fd, -5, 2) }, 95);
+    assert_eq!(unsafe { shim::lseek64(fd, 2, 1) }, 97);
+    let r = unsafe { shim::read(fd, buf.as_mut_ptr().cast(), 8) };
+    assert_eq!(r, 3);
+    assert_eq!(&buf[..3], &payload[97..]);
+    assert_eq!(unsafe { shim::lseek(fd, 0, 0) }, 0);
+    assert_eq!(unsafe { shim::lseek(fd, 0, 9) }, -1);
+    assert_eq!(unsafe { shim::lseek(fd, -1, 0) }, -1);
 
     assert_eq!(unsafe { shim::close(fd) }, 0);
     // The descriptor is gone; a second close falls through to libc, which

@@ -35,7 +35,6 @@
 use crate::device::DeviceModel;
 use bytes::Bytes;
 use hvac_hash::pathhash::{hash_path, split_tenant_key, TENANT_PREFIX};
-use hvac_net::pool::BufferPool;
 use hvac_sync::{classes, OrderedMutex, OrderedRwLock};
 use hvac_types::{ByteSize, HvacError, JobId, JobWeights, Result};
 use std::collections::HashMap;
@@ -177,11 +176,6 @@ pub struct LocalStore {
     /// The default namespace's slot, reachable without taking `tenants`.
     default_tenant: Arc<TenantStat>,
     device: Option<DeviceService>,
-    /// Slab pool for Directory-backed reads: disk bytes land in a recycled
-    /// slab instead of a fresh `Vec` per read. `None` (the default, and the
-    /// only option for Memory backing, which is already zero-copy) keeps
-    /// the legacy `fs::read` path.
-    pool: Option<BufferPool>,
 }
 
 impl LocalStore {
@@ -225,16 +219,7 @@ impl LocalStore {
             tenants: OrderedRwLock::new(classes::STORE_TENANT, HashMap::new()),
             default_tenant: Arc::new(TenantStat::default()),
             device: None,
-            pool: None,
         }
-    }
-
-    /// Serve Directory-backed reads through `pool` (no-op for Memory
-    /// backing). The pool's `NET_POOL` mutex sits strictly inside
-    /// `STORE_SHARD` and `STORE_DEVICE_QUEUE` in the lock hierarchy, so
-    /// acquiring a slab under a shard guard is a declared edge.
-    pub fn set_buffer_pool(&mut self, pool: BufferPool) {
-        self.pool = Some(pool);
     }
 
     /// Arm per-shard device service-time emulation: every read then holds
@@ -490,17 +475,6 @@ impl LocalStore {
         Ok(())
     }
 
-    /// Read one disk object into a pooled slab (size known from the entry,
-    /// so the slab is acquired once and filled with `read_exact`).
-    fn read_disk_pooled(disk: &Path, size: ByteSize, pool: &BufferPool) -> Option<Bytes> {
-        use std::io::Read;
-        let mut f = fs::File::open(disk).ok()?;
-        // lockgraph: acquires NET_POOL
-        let mut buf = pool.acquire(size.bytes() as usize);
-        f.read_exact(&mut buf).ok()?;
-        Some(buf.freeze())
-    }
-
     /// Fetch a whole cached file, or `None` on a miss.
     pub fn get(&self, path: &Path) -> Option<Bytes> {
         let shard = self.shard_of(path);
@@ -511,10 +485,7 @@ impl LocalStore {
                 entry.hits.fetch_add(1, Ordering::Relaxed);
                 match (&entry.data, &entry.disk) {
                     (Some(d), _) => Some(d.clone()),
-                    (None, Some(disk)) => match &self.pool {
-                        Some(pool) => Self::read_disk_pooled(disk, entry.size, pool),
-                        None => fs::read(disk).ok().map(Bytes::from),
-                    },
+                    (None, Some(disk)) => fs::read(disk).ok().map(Bytes::from),
                     _ => None,
                 }
             })
@@ -730,32 +701,6 @@ mod tests {
         s.insert(p, Bytes::from_static(b"x")).unwrap();
         s.purge();
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pooled_directory_reads_match_unpooled_and_quiesce() {
-        let dir = std::env::temp_dir().join(format!(
-            "hvac-localstore-pool-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = fs::remove_dir_all(&dir);
-        let pool = BufferPool::new();
-        let mut s = LocalStore::on_directory(&dir, ByteSize(1 << 20)).unwrap();
-        s.set_buffer_pool(pool.clone());
-        let p = Path::new("/gpfs/data/pooled.bin");
-        let payload = Bytes::from((0..9000u32).map(|x| x as u8).collect::<Vec<u8>>());
-        s.insert(p, payload.clone()).unwrap();
-        for _ in 0..3 {
-            assert_eq!(s.get(p).unwrap(), payload);
-            assert_eq!(
-                &slice_read_at(&s.get(p).unwrap(), 5, 10)[..],
-                &payload[5..15]
-            );
-        }
-        assert_eq!(pool.stats().in_flight(), 0, "all read slabs returned");
-        assert!(pool.stats().pool_hits > 0, "reads recycled a slab");
         let _ = fs::remove_dir_all(&dir);
     }
 

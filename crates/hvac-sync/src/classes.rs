@@ -8,7 +8,7 @@
 //!
 //! A thread may acquire classes left-to-right along this chain (skipping
 //! levels is fine) but never right-to-left. Leaf classes — `CLIENT_FDS`,
-//! `CLIENT_HEALTH`, `AGENT_FDS`, `FABRIC_THREADS`, `SERVER_THREADS`,
+//! `CLIENT_HEALTH`, `FABRIC_THREADS`, `SERVER_THREADS`,
 //! `CACHE_SIZE_MEMO`, `HASH_RINGS`, `NET_SOCKET_POOL`, `NET_SOCKET_CONN` —
 //! are never held while acquiring any other class. The
 //! debug-build order checker in this crate turns any violation into an
@@ -37,8 +37,8 @@ pub const VIEW: &str = "core.view";
 /// original chain; nests inside `VIEW`/`REBALANCER` only.
 pub const FABRIC_ENDPOINTS: &str = "net.fabric.endpoints";
 
-/// Fabric server thread lists (loopback workers, socket connection
-/// threads); held only briefly at spawn, reap or join.
+/// Connection-thread list of a socket server endpoint
+/// (`hvac-net::socket`); held only briefly at spawn, reap or join.
 pub const FABRIC_THREADS: &str = "net.fabric.threads";
 
 /// Fault-injection plan table (`hvac-net::fault`). Fabric level: consulted
@@ -97,9 +97,6 @@ pub const PFS_FILES: &str = "pfs.memstore.files";
 /// dropped before any RPC is issued.
 pub const CLIENT_FDS: &str = "core.client.fds";
 
-/// Preload agent fd table (`hvac-preload::agent`). Leaf.
-pub const AGENT_FDS: &str = "preload.agent.fds";
-
 /// Memoized consistent-hash rings (`hvac-hash::placement`). Leaf: held
 /// only while building/cloning a ring, with no other HVAC lock in scope.
 pub const HASH_RINGS: &str = "hash.placement.rings";
@@ -117,9 +114,8 @@ pub const NET_SOCKET_CONN: &str = "net.socket.conn";
 /// One size class of the reference-counted buffer pool
 /// (`hvac-net::pool`): guards that class's slab free list for the push or
 /// pop only. Innermost of the whole hierarchy — the pool is consulted from
-/// arbitrarily deep in the read path (under a store shard during a
-/// directory-backed read, inside frame decode on a socket reader) and
-/// never acquires anything itself. All size classes share this label: a
+/// deep in the read path (client-side reassembly, frame decode on a socket
+/// reader) and never acquires anything itself. All size classes share this label: a
 /// thread touches exactly one free list per acquire/release.
 pub const NET_POOL: &str = "net.pool.slab";
 
@@ -156,7 +152,6 @@ pub const HIERARCHY: &[(&str, &[&str])] = &[
 pub const LEAVES: &[&str] = &[
     CLIENT_FDS,
     CLIENT_HEALTH,
-    AGENT_FDS,
     FABRIC_THREADS,
     SERVER_THREADS,
     CACHE_SIZE_MEMO,
@@ -219,7 +214,6 @@ mod tests {
         STORE_DEVICE_QUEUE,
         PFS_FILES,
         CLIENT_FDS,
-        AGENT_FDS,
         HASH_RINGS,
         NET_SOCKET_POOL,
         NET_SOCKET_CONN,

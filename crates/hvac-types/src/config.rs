@@ -38,7 +38,8 @@ pub enum PlacementKind {
 /// fault injection behave identically on every backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum TransportKind {
-    /// In-process queues and worker threads; no bytes leave the process.
+    /// In-process calls: the handler runs on the calling thread, and no
+    /// bytes leave the process.
     #[default]
     Loopback,
     /// TCP sockets on 127.0.0.1 with length-prefixed frames.

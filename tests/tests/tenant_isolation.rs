@@ -37,7 +37,7 @@ fn plan() -> JobWeights {
 fn tenant_cluster(retry: RetryPolicy) -> (Arc<MemStore>, Cluster) {
     let pfs = Arc::new(MemStore::new());
     pfs.synthesize_dataset(Path::new("/gpfs/train"), N_FILES, |_| FILE_SIZE);
-    let mut options = ClusterOptions::new(4, 1)
+    let options = ClusterOptions::new(4, 1)
         .dataset_dir("/gpfs/train")
         .clients_per_node(2)
         .cache_capacity(ByteSize(64 * 1024))
@@ -49,9 +49,6 @@ fn tenant_cluster(retry: RetryPolicy) -> (Arc<MemStore>, Cluster) {
         })
         .device_model(DeviceModel::sata_ssd())
         .retry_policy(retry);
-    // Enough RPC workers per server that concurrent tenant requests pile up
-    // on the scheduler (with the default 2 workers nothing ever queues).
-    options.rpc_workers = 8;
     let cluster = Cluster::new(pfs.clone(), options).unwrap();
     (pfs, cluster)
 }
