@@ -27,7 +27,7 @@ use hvac_net::bulk::{chunk_ranges, reassemble_bulk_pooled, Bulk};
 use hvac_net::fabric::{Fabric, Reply};
 use hvac_net::plan::{coalesce_plan, BatchItem, PlanEntry};
 use hvac_net::pool::BufferPool;
-use hvac_net::sq::{SqEntry, SqPool, SubmissionQueue};
+use hvac_net::sq::SqPool;
 use hvac_pfs::FileStore;
 use hvac_sync::{classes, OrderedMutex};
 use hvac_types::{ClusterView, HvacError, JobId, PlacementKind, Result, RetryPolicy, ServerId};
@@ -57,9 +57,6 @@ pub struct HvacClientOptions {
     /// bytes (Mercury's RDMA-sized bulk pieces), tiled from the read's
     /// offset.
     pub bulk_chunk: usize,
-    /// Dispatch workers of the client's submission pool: how many RPCs of
-    /// one multi-RPC read (chunks or batches) are in flight at once.
-    pub bulk_window: usize,
     /// Adjacent same-home segments are merged into one read range of at most
     /// this many bytes (0 disables coalescing).
     pub coalesce_max: u64,
@@ -87,7 +84,6 @@ impl HvacClientOptions {
             instances_per_node,
             retry: RetryPolicy::default(),
             bulk_chunk: hvac_net::BULK_CHUNK_SIZE,
-            bulk_window: hvac_net::DEFAULT_SQ_DEPTH,
             coalesce_max: 1 << 20,
             batch_max: 16,
             job_id: JobId::from_env(),
@@ -158,9 +154,8 @@ pub struct HvacClient {
     /// instead of allocating per read.
     pool: BufferPool,
     /// Persistent dispatch workers for every multi-RPC read (chunked
-    /// whole-file reads and batched segmented reads): every
-    /// [`SubmissionQueue`] this client builds shares them, so the hot path
-    /// never pays a per-read thread spawn.
+    /// whole-file reads and batched segmented reads), so the hot path never
+    /// pays a per-read thread spawn.
     sq: SqPool,
 }
 
@@ -186,9 +181,6 @@ impl HvacClient {
         if options.bulk_chunk == 0 {
             return Err(HvacError::InvalidConfig("bulk_chunk must be >= 1".into()));
         }
-        if options.bulk_window == 0 {
-            return Err(HvacError::InvalidConfig("bulk_window must be >= 1".into()));
-        }
         if options.batch_max == 0 {
             return Err(HvacError::InvalidConfig("batch_max must be >= 1".into()));
         }
@@ -200,7 +192,7 @@ impl HvacClient {
         Ok(Self {
             placement: make_placement(options.placement),
             matcher: DatasetMatcher::new(&options.dataset_dir),
-            sq: SqPool::new(fabric.clone(), options.bulk_window)?,
+            sq: SqPool::new(fabric.clone(), hvac_net::DEFAULT_SQ_DEPTH)?,
             fabric,
             options,
             view,
@@ -847,16 +839,14 @@ impl HvacClient {
         )
     }
 
-    /// Submit one plan's RPCs — a `(destination, request)` per entry,
-    /// stamped with view `epoch` — on the client's [`SqPool`] and collect
-    /// one value per entry, in entry order. Completions are taken by slot,
-    /// never by `user_data`:
-    /// a lost or timed-out dispatch carries a sentinel tag. A stale-view
-    /// reply installs the newer view; `accept` validates every other reply
-    /// for its slot. A failed, lost, stale or rejected entry counts one
-    /// `batch_fallbacks` and is re-read through `fallback`, the full
-    /// per-RPC ladder, in entry order — so the error returned is that of the
-    /// first entry whose ladder fails, and later entries are not retried.
+    /// Issue one plan's RPCs — a `(destination, request)` per entry,
+    /// stamped with view `epoch` — through [`SqPool::call_all`] and collect
+    /// one value per entry, in entry order. A stale-view reply installs the
+    /// newer view; `accept` validates every other reply for its slot. A
+    /// failed, lost, stale or rejected entry counts one `batch_fallbacks`
+    /// and is re-read through `fallback`, the full per-RPC ladder, in entry
+    /// order — so the error returned is that of the first entry whose ladder
+    /// fails, and later entries are not retried.
     fn submit_and_collect<T>(
         &self,
         epoch: u64,
@@ -864,22 +854,17 @@ impl HvacClient {
         accept: impl Fn(usize, Response, Bulk) -> Option<T>,
         fallback: impl Fn(usize) -> Result<T>,
     ) -> Result<Vec<T>> {
-        let n = entries.len();
-        let mut sq = SubmissionQueue::with_pool(&self.sq);
-        for (slot, (dest, req)) in entries.into_iter().enumerate() {
-            sq.prep(SqEntry {
-                dest,
-                payload: req.encode_ctx(epoch, self.options.job_id)?,
-                deadline: self.options.retry.rpc_timeout,
-                user_data: slot as u64,
-            });
-        }
-        let mut completions = sq.submit_and_wait().into_iter();
-        (0..n)
-            .map(|slot| {
-                let accepted = completions
-                    .next()
-                    .and_then(|c| c.result.ok())
+        let calls = entries
+            .into_iter()
+            .map(|(dest, req)| Ok((dest, req.encode_ctx(epoch, self.options.job_id)?)))
+            .collect::<Result<Vec<_>>>()?;
+        self.sq
+            .call_all(calls, self.options.retry.rpc_timeout)
+            .into_iter()
+            .enumerate()
+            .map(|(slot, result)| {
+                let accepted = result
+                    .ok()
                     .and_then(|reply| self.decode_plan_reply(reply))
                     .and_then(|(resp, bulk)| accept(slot, resp, bulk));
                 match accepted {
@@ -924,22 +909,25 @@ impl HvacClient {
     }
 
     /// One segment through the per-segment ladder — the fallback of a failed
-    /// batch: `call_with_view` with the segment's own placement (each
-    /// segment re-resolves its home, so a mid-file membership change
-    /// redirects only later segments), degrading to direct PFS access for
-    /// just this segment when every replica is exhausted. Strict on length:
-    /// a short segment is a protocol error.
-    fn read_one_segment(
-        &self,
-        path: &Path,
-        seg_index: u64,
-        offset: u64,
-        len: u64,
-    ) -> Result<Bytes> {
-        let req = Request::ReadSegment {
-            path: path.to_path_buf(),
-            offset,
-            len,
+    /// batch: a one-item [`Request::Batch`] through `call_with_view` with the
+    /// segment's own placement (each segment re-resolves its home, so a
+    /// mid-file membership change redirects only later segments), degrading
+    /// to direct PFS access for just this segment when every replica is
+    /// exhausted. Strict on length: a short segment is a protocol error.
+    fn read_one_segment(&self, path: &str, seg_index: u64, offset: u64, len: u64) -> Result<Bytes> {
+        let req = Request::Batch {
+            items: vec![BatchItem {
+                path: path.to_string(),
+                offset,
+                len,
+            }],
+        };
+        let path = Path::new(path);
+        let short = |got: usize, from: &str| {
+            HvacError::Protocol(format!(
+                "segment {seg_index} of {} returned {got} bytes{from}, expected {len}",
+                path.display()
+            ))
         };
         let reply = match self.call_with_view(&req, |view| {
             self.segment_replica_addrs_in(view, path, seg_index)
@@ -950,31 +938,19 @@ impl HvacClient {
                 // still try their own (distinct) home servers.
                 let data = self.degraded_read(path, offset, len as usize)?;
                 if data.len() as u64 != len {
-                    return Err(HvacError::Protocol(format!(
-                        "segment {seg_index} of {} returned {} bytes from the PFS, expected {len}",
-                        path.display(),
-                        data.len()
-                    )));
+                    return Err(short(data.len(), " from the PFS"));
                 }
                 return Ok(data);
             }
             Err(e) => return Err(e),
         };
         match Response::decode(reply.header)?.into_result()? {
-            Response::Data { .. } => {
+            Response::Batch { lens } => {
                 let data = self.contiguous(reply.bulk.unwrap_or_default());
-                if data.len() as u64 != len {
-                    return Err(HvacError::Protocol(format!(
-                        "segment {seg_index} of {} returned {} bytes, expected {len}",
-                        path.display(),
-                        data.len()
-                    )));
+                if lens.iter().map(|&l| u64::from(l)).ne([len]) || data.len() as u64 != len {
+                    return Err(short(data.len(), ""));
                 }
-                self.metrics.reads.fetch_add(1, Ordering::Relaxed);
-                self.metrics
-                    .bytes
-                    .fetch_add(data.len() as u64, Ordering::Relaxed);
-                Ok(data)
+                Ok(self.count_read(data))
             }
             other => Err(HvacError::Protocol(format!(
                 "unexpected segment reply: {other:?}"
@@ -988,10 +964,10 @@ impl HvacClient {
     /// ranges (≤ `coalesce_max`), ranges are grouped per destination into
     /// batches of ≤ `batch_max`, and every batch ships as **one**
     /// [`Request::Batch`] RPC through [`Self::submit_and_collect`] (up to
-    /// `bulk_window` in flight). Batches are all-or-nothing on the server;
-    /// any failed, stale, or malformed batch reply is re-read segment by
-    /// segment through [`Self::read_one_segment`] — the full ladder — so the
-    /// fast path never weakens fault tolerance.
+    /// [`hvac_net::DEFAULT_SQ_DEPTH`] in flight). Batches are all-or-nothing
+    /// on the server; any failed, stale, or malformed batch reply is re-read
+    /// segment by segment through [`Self::read_one_segment`] — the full
+    /// ladder — so the fast path never weakens fault tolerance.
     fn read_segmented_batched(&self, path: &Path, size: u64, segment_size: u64) -> Result<Bytes> {
         let path_str = path.to_str().ok_or_else(|| {
             HvacError::Protocol(format!("non-UTF-8 path not supported: {}", path.display()))
@@ -1049,7 +1025,7 @@ impl HvacClient {
                 batches[b]
                     .1
                     .iter()
-                    .map(|&i| self.read_entry_by_segments(path, &plan[i], segment_size))
+                    .map(|&i| self.read_entry_by_segments(path_str, &plan[i], segment_size))
                     .collect()
             },
         )?;
@@ -1094,7 +1070,7 @@ impl HvacClient {
     /// piece is exactly the segment a batch item would have cached.
     fn read_entry_by_segments(
         &self,
-        path: &Path,
+        path: &str,
         entry: &PlanEntry<String>,
         segment_size: u64,
     ) -> Result<Bytes> {
@@ -1555,10 +1531,10 @@ mod tests {
     fn large_reads_pipeline_chunk_rpcs_and_stay_byte_exact() {
         let (pfs, fabric, servers, _client) = setup2(1);
         // Rebuild the client with a tiny chunk so every file (>= 64 B) is a
-        // multi-chunk plan; 3 dispatch workers keep several chunks in flight.
+        // multi-chunk plan; the dispatch workers keep several chunks in
+        // flight.
         let mut opts = HvacClientOptions::new("/gpfs/set", 3, 1);
         opts.bulk_chunk = 16;
-        opts.bulk_window = 3;
         let client = HvacClient::new(fabric, opts).unwrap();
         for i in 0..8 {
             let p = sample(i);
@@ -1580,7 +1556,6 @@ mod tests {
         let (pfs, fabric, _servers, _client) = setup2(1);
         let mut opts = HvacClientOptions::new("/gpfs/set", 3, 1);
         opts.bulk_chunk = 16;
-        opts.bulk_window = 4;
         let mut client = HvacClient::new(fabric.clone(), opts).unwrap();
         client.set_pfs_fallback(pfs.clone());
         let p = sample(2);
@@ -1824,12 +1799,10 @@ mod tests {
         ));
     }
 
-    /// A client on `setup2`'s allocation that reads in `chunk`-byte chunks
-    /// with `workers` dispatch workers.
-    fn chunked_client(fabric: &Arc<Fabric>, chunk: usize, workers: usize) -> HvacClient {
+    /// A client on `setup2`'s allocation that reads in `chunk`-byte chunks.
+    fn chunked_client(fabric: &Arc<Fabric>, chunk: usize) -> HvacClient {
         let mut opts = HvacClientOptions::new("/gpfs/set", 3, 1);
         opts.bulk_chunk = chunk;
-        opts.bulk_window = workers;
         HvacClient::new(fabric.clone(), opts).unwrap()
     }
 
@@ -1844,25 +1817,23 @@ mod tests {
     fn chunked_reads_round_trip_across_windows_and_chunk_sizes() {
         let (pfs, fabric, _servers, _client) = setup2(1);
         for chunk in [1usize, 13, 100, 1 << 14] {
-            for workers in [1usize, 2, 4, 16] {
-                let client = chunked_client(&fabric, chunk, workers);
-                for i in 0..3 {
-                    let p = sample(i);
-                    assert_eq!(
-                        client.read_file(&p).unwrap(),
-                        pfs.read_all(&p).unwrap(),
-                        "chunk={chunk} workers={workers}"
-                    );
-                }
-                assert_eq!(client.metrics().full_snapshot().batch_fallbacks, 0);
+            let client = chunked_client(&fabric, chunk);
+            for i in 0..3 {
+                let p = sample(i);
+                assert_eq!(
+                    client.read_file(&p).unwrap(),
+                    pfs.read_all(&p).unwrap(),
+                    "chunk={chunk}"
+                );
             }
+            assert_eq!(client.metrics().full_snapshot().batch_fallbacks, 0);
         }
     }
 
     #[test]
     fn chunked_reads_recycle_pool_slabs() {
         let (pfs, fabric, _servers, _client) = setup2(1);
-        let client = chunked_client(&fabric, 16, 4);
+        let client = chunked_client(&fabric, 16);
         for _ in 0..3 {
             for i in 0..4 {
                 let p = sample(i);
@@ -1877,7 +1848,7 @@ mod tests {
     #[test]
     fn chunked_pread_honours_offset_and_short_reads_at_eof() {
         let (pfs, fabric, _servers, _client) = setup2(1);
-        let client = chunked_client(&fabric, 16, 4);
+        let client = chunked_client(&fabric, 16);
         let p = sample(4);
         let expected = pfs.read_all(&p).unwrap();
         let size = expected.len();
@@ -1900,7 +1871,7 @@ mod tests {
     #[test]
     fn one_chunk_read_is_a_single_read_rpc_at_any_offset() {
         let (pfs, fabric, servers, _client) = setup2(1);
-        let client = chunked_client(&fabric, 16, 4);
+        let client = chunked_client(&fabric, 16);
         let p = sample(1);
         let size = pfs.read_all(&p).unwrap().len() as u64;
         let fd = client.open(&p).unwrap();
@@ -1931,7 +1902,7 @@ mod tests {
     #[test]
     fn multi_chunk_read_returns_the_lowest_offset_chunk_error() {
         let (_pfs, fabric, _servers, _client) = setup2(1);
-        let client = chunked_client(&fabric, 16, 4);
+        let client = chunked_client(&fabric, 16);
         let p = sample(2);
         let fd = client.open(&p).unwrap();
         let size = client.fd_size(fd).unwrap();
@@ -1992,7 +1963,7 @@ mod tests {
     #[test]
     fn first_failed_chunk_error_wins_deterministically() {
         let (pfs, fabric, _servers, _client) = setup2(1);
-        let mut client = chunked_client(&fabric, 16, 4);
+        let mut client = chunked_client(&fabric, 16);
         client.set_pfs_fallback(Arc::new(FailingTail {
             inner: pfs,
             fail_from: 32,
@@ -2021,7 +1992,7 @@ mod tests {
         // A range whose end overflows u64 must surface as a typed error
         // before any chunk is planned; wrapping would read from offset ~0.
         let (_pfs, fabric, servers, _client) = setup2(1);
-        let client = chunked_client(&fabric, 64, 4);
+        let client = chunked_client(&fabric, 64);
         let err = client
             .read_path_at(&sample(0), u64::MAX - 10, 1024)
             .unwrap_err();

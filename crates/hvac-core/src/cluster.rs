@@ -71,9 +71,6 @@ pub struct ClusterOptions {
     /// Bulk chunk size for client reads (reads larger than this are split
     /// into chunk RPCs).
     pub bulk_chunk: usize,
-    /// Dispatch workers per client: how many RPCs of one multi-RPC read
-    /// (chunks or batches) are in flight at once.
-    pub bulk_window: usize,
     /// Per-client cap on a coalesced read range (0 disables coalescing).
     pub coalesce_max: u64,
     /// Per-client cap on ranges per batch RPC.
@@ -130,7 +127,6 @@ impl ClusterOptions {
             retry: RetryPolicy::default(),
             pfs_fallback: true,
             bulk_chunk: hvac_net::BULK_CHUNK_SIZE,
-            bulk_window: hvac_net::DEFAULT_SQ_DEPTH,
             coalesce_max: 1 << 20,
             batch_max: 16,
             rebalance: true,
@@ -197,10 +193,9 @@ impl ClusterOptions {
         self
     }
 
-    /// Set the bulk chunk size and the per-client dispatch worker count.
-    pub fn bulk_transfer(mut self, chunk: usize, window: usize) -> Self {
+    /// Set the bulk chunk size.
+    pub fn bulk_chunk(mut self, chunk: usize) -> Self {
         self.bulk_chunk = chunk;
-        self.bulk_window = window;
         self
     }
 
@@ -267,13 +262,10 @@ impl ClusterOptions {
                 self.replication
             )));
         }
-        // A zero chunk or window would trip `chunk_ranges`'s assertion deep
-        // in the read path; reject it at configuration time.
+        // A zero chunk would trip `chunk_ranges`'s assertion deep in the
+        // read path; reject it at configuration time.
         if self.bulk_chunk == 0 {
             return Err(HvacError::InvalidConfig("bulk_chunk must be >= 1".into()));
-        }
-        if self.bulk_window == 0 {
-            return Err(HvacError::InvalidConfig("bulk_window must be >= 1".into()));
         }
         if self.batch_max == 0 {
             return Err(HvacError::InvalidConfig("batch_max must be >= 1".into()));
@@ -656,7 +648,6 @@ impl Cluster {
                 instances_per_node: options.instances_per_node,
                 retry: options.retry.clone(),
                 bulk_chunk: options.bulk_chunk,
-                bulk_window: options.bulk_window,
                 coalesce_max: options.coalesce_max,
                 batch_max: options.batch_max,
                 job_id: job,
@@ -1022,18 +1013,13 @@ mod tests {
 
     #[test]
     fn zero_bulk_transfer_knobs_rejected_as_config_errors() {
-        // Regression: a zero chunk or window used to reach a chunking
-        // assertion on the first large read; now both are typed
-        // `InvalidConfig` errors at construction time.
+        // Regression: a zero chunk used to reach a chunking assertion on
+        // the first large read; now it is a typed `InvalidConfig` error at
+        // construction time.
         let pfs = dataset_pfs(1, 8);
-        let chunk0 = ClusterOptions::new(2, 1).bulk_transfer(0, 4);
+        let chunk0 = ClusterOptions::new(2, 1).bulk_chunk(0);
         assert!(matches!(
-            Cluster::new(pfs.clone(), chunk0),
-            Err(HvacError::InvalidConfig(_))
-        ));
-        let window0 = ClusterOptions::new(2, 1).bulk_transfer(4, 0);
-        assert!(matches!(
-            Cluster::new(pfs, window0),
+            Cluster::new(pfs, chunk0),
             Err(HvacError::InvalidConfig(_))
         ));
     }

@@ -1,17 +1,22 @@
 //! The client↔server wire protocol.
 //!
-//! Three operations cover the paper's intercepted I/O profile
-//! (`<open, read, close>` plus job teardown):
+//! Five operations cover the paper's intercepted I/O profile
+//! (`<open, read, close>` plus staging and job teardown):
 //!
 //! * [`Request::Stat`] — size lookup at `open` time,
 //! * [`Request::Read`] — ranged read; the reply carries data as a bulk
 //!   payload (Mercury's RPC/bulk split) and the file's size, so a
 //!   whole-file read needs no `Stat`,
+//! * [`Request::Batch`] — several segment reads homed on one server in one
+//!   RPC (the §III-E segment-level caching alternative); a segment read on
+//!   its own is a one-item batch,
+//! * [`Request::Prefetch`] — stage files into the cache without waiting,
 //! * [`Request::Purge`] — job teardown: drop the node's cache contents.
 //!
 //! `close` sends nothing: the server keeps no per-descriptor state, so the
 //! out-of-band teardown RPC of §III-D step ⑧ would only be an accounting
-//! ping. Its wire tag 3 is retired and never reused.
+//! ping. Two wire tags are retired and never reused: 3 (`Close`) and 6
+//! (`ReadSegment`, a single segment read, now a one-item `Batch`).
 //!
 //! Messages are encoded with the explicit little-endian codec from
 //! [`hvac_net::wire`]. Structural versioning is unnecessary — client and
@@ -41,7 +46,7 @@ const TAG_READ: u8 = 2;
 // Tag 3 was `Close`; retired, never reuse it.
 const TAG_PURGE: u8 = 4;
 const TAG_PREFETCH: u8 = 5;
-const TAG_READ_SEGMENT: u8 = 6;
+// Tag 6 was `ReadSegment`; retired, never reuse it.
 const TAG_BATCH: u8 = 7;
 
 const STATUS_OK: u8 = 0;
@@ -79,24 +84,16 @@ pub enum Request {
         /// Application-space paths, all homed on the receiving server.
         paths: Vec<PathBuf>,
     },
-    /// Segment-granular read (the §III-E segment-level caching alternative):
-    /// the server caches only the `[offset, offset+len)` slice of `path`,
-    /// not the whole file, so huge files spread across many servers.
-    ReadSegment {
-        /// Application-space file path.
-        path: PathBuf,
-        /// Segment start offset.
-        offset: u64,
-        /// Segment length.
-        len: u64,
-    },
-    /// Several segment reads homed on the receiving server, shipped as one
-    /// RPC (FanStore-style small-request batching). Each item is served
-    /// exactly like a [`Request::ReadSegment`]; the reply concatenates the
-    /// per-item payloads into one bulk buffer, delimited by
+    /// Segment-granular reads (the §III-E segment-level caching
+    /// alternative) homed on the receiving server, shipped as one RPC
+    /// (FanStore-style small-request batching). For each item the server
+    /// caches only the `[offset, offset+len)` slice of its path, not the
+    /// whole file, so huge files spread across many servers. The reply
+    /// concatenates the per-item payloads into one bulk buffer, delimited by
     /// [`Response::Batch`] lengths. All-or-nothing: any item failing turns
     /// the whole reply into [`Response::Err`], and the client falls back to
-    /// per-segment RPCs (which keep the full retry/failover ladder).
+    /// one-item batches per segment (which keep the full retry/failover
+    /// ladder).
     Batch {
         /// The batched reads, in reply order.
         items: Vec<BatchItem>,
@@ -200,12 +197,6 @@ impl Request {
                     wire::put_str(&mut b, path_to_str(p)?)?;
                 }
             }
-            Request::ReadSegment { path, offset, len } => {
-                b.extend_from_slice(&[TAG_READ_SEGMENT]);
-                wire::put_str(&mut b, path_to_str(path)?)?;
-                b.extend_from_slice(&offset.to_le_bytes());
-                b.extend_from_slice(&len.to_le_bytes());
-            }
             Request::Batch { items } => {
                 b.extend_from_slice(&[TAG_BATCH]);
                 encode_batch_items(&mut b, items)?;
@@ -266,12 +257,6 @@ impl Request {
                     paths.push(PathBuf::from(wire::get_str(buf)?));
                 }
                 Ok(Request::Prefetch { paths })
-            }
-            TAG_READ_SEGMENT => {
-                let path = PathBuf::from(wire::get_str(buf)?);
-                let offset = wire::get_u64(buf)?;
-                let len = wire::get_u64(buf)?;
-                Ok(Request::ReadSegment { path, offset, len })
             }
             TAG_BATCH => Ok(Request::Batch {
                 // The item-count guard lives inside the codec.
@@ -497,11 +482,6 @@ mod tests {
             Request::Prefetch {
                 paths: vec![PathBuf::from("/a"), PathBuf::from("/gpfs/b.bin")],
             },
-            Request::ReadSegment {
-                path: PathBuf::from("/gpfs/huge.h5"),
-                offset: 16 << 20,
-                len: 16 << 20,
-            },
             Request::Batch { items: vec![] },
             Request::Batch {
                 items: vec![
@@ -564,14 +544,20 @@ mod tests {
 
     #[test]
     fn retired_close_tag_is_rejected() {
-        // Tag 3 was `Close`: a frame carrying it is an unknown request.
-        let mut b = BytesMut::new();
-        b.extend_from_slice(&0u64.to_le_bytes());
-        b.extend_from_slice(&[3]);
-        wire::put_str(&mut b, "/z").unwrap();
-        match Request::decode(b.freeze()) {
-            Err(HvacError::Protocol(msg)) => assert_eq!(msg, "unknown request tag 3"),
-            other => panic!("unexpected {other:?}"),
+        // Tag 3 was `Close` and tag 6 `ReadSegment`: a frame carrying
+        // either, with the body it used to have, is an unknown request.
+        for (tag, tail) in [(3u8, 0usize), (6, 16)] {
+            let mut b = BytesMut::new();
+            b.extend_from_slice(&0u64.to_le_bytes());
+            b.extend_from_slice(&[tag]);
+            wire::put_str(&mut b, "/z").unwrap();
+            b.extend_from_slice(&vec![0u8; tail]);
+            match Request::decode(b.freeze()) {
+                Err(HvacError::Protocol(msg)) => {
+                    assert_eq!(msg, format!("unknown request tag {tag}"))
+                }
+                other => panic!("unexpected {other:?}"),
+            }
         }
     }
 

@@ -513,20 +513,6 @@ impl HvacServer {
                 self.cache.purge();
                 (Response::Ok, None)
             }
-            Request::ReadSegment { path, offset, len } => {
-                match self.read_segment(job, &path, offset, len) {
-                    Ok((cache_hit, data)) => (
-                        Response::Data {
-                            // total_size of the *segment*; the client tracks
-                            // whole-file size from its open-time stat.
-                            total_size: data.len() as u64,
-                            cache_hit,
-                        },
-                        Some(data.into()),
-                    ),
-                    Err(e) => (Response::from_error(&e), None),
-                }
-            }
             Request::Prefetch { paths } => {
                 for path in &paths {
                     let key = tenant_key(job, path);

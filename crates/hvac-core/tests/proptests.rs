@@ -157,7 +157,7 @@ proptest! {
             ClusterOptions::new(2, 1)
                 .dataset_dir("/gpfs/prop")
                 .transport(TransportKind::Loopback)
-                .bulk_transfer(bulk_chunk, 3)
+                .bulk_chunk(bulk_chunk)
                 .rebalance(false)
                 .repair(false),
         )
@@ -193,7 +193,7 @@ proptest! {
             ClusterOptions::new(2, 1)
                 .dataset_dir("/gpfs/prop")
                 .transport(TransportKind::Loopback)
-                .bulk_transfer(bulk_chunk, 3)
+                .bulk_chunk(bulk_chunk)
                 .rebalance(false)
                 .repair(false),
         )

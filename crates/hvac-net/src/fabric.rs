@@ -5,26 +5,37 @@
 //! containing a small response header plus an optional bulk payload —
 //! Mercury's RPC/bulk split.
 //!
-//! Two backends implement that contract: the in-process **loopback** fabric
-//! (the default — the handler runs on the calling thread, and no bytes
-//! leave the process) and the **socket** transport of [`crate::socket`]
-//! (TCP or Unix-domain streams with length-prefixed frames and
-//! per-destination pools of idle connections, each carrying one call at a
-//! time, answered on the thread that made it). The backend is chosen at
+//! Two transports implement that contract: the in-process **loopback**
+//! fabric (the default — the handler runs on the calling thread, and no
+//! bytes leave the process) and the **socket** transport of
+//! [`crate::socket`] (TCP or Unix-domain streams with length-prefixed frames
+//! and per-destination pools of idle connections, each carrying one call at
+//! a time, answered on the thread that made it). The transport is chosen at
 //! construction ([`Fabric::new`] vs. [`Fabric::socket`]/
 //! [`Fabric::for_transport`]) and is invisible to callers.
+//!
+//! **One endpoint table** serves both. It maps each logical name
+//! (`node0/srv0`) to a down-latch and a route: the handler of an endpoint
+//! this loopback fabric serves, or a concrete socket address
+//! (`tcp:127.0.0.1:4123`, `unix:/tmp/hvac-7-0.sock`). A socket address is
+//! *served* when this fabric's own listener is bound there (recorded by
+//! [`Fabric::serve`], at the address it actually bound), and *unserved* when
+//! it came from [`Fabric::register_endpoint`] or `HVAC_ENDPOINTS` — the
+//! cross-process client's view of a server elsewhere. A call reads the route
+//! and the latch once, under the table's read lock, and releases it before
+//! any handler runs or any socket is dialled.
 //!
 //! Fault injection comes in two flavours: `set_down` (a *dead* server —
 //! calls fail fast with `ServerDown`) and the seeded [`FaultInjector`]
 //! (a *misbehaving* server — requests dropped, delayed, hung, or answered
 //! with errors), which together exercise both halves of the paper's §III-H
-//! "node-local NVMe fails ⇒ failed training run" scenario. All fault
-//! decisions, liveness checks, deadline bookkeeping, and traffic accounting
-//! live in backend-independent code, so the injector (including Crash
-//! latching) behaves identically over loopback and real sockets. Calls
-//! carry a per-call deadline ([`Fabric::call_with_deadline`]); missing it
-//! returns a typed [`HvacError::RpcTimeout`] that the client's failover
-//! path matches.
+//! "node-local NVMe fails ⇒ failed training run" scenario. The endpoint
+//! table, all fault decisions, liveness checks, deadline bookkeeping, and
+//! traffic accounting live in transport-independent code, so the injector
+//! (including Crash latching) behaves identically over loopback and real
+//! sockets. Calls carry a per-call deadline
+//! ([`Fabric::call_with_deadline`]); missing it returns a typed
+//! [`HvacError::RpcTimeout`] that the client's failover path matches.
 //!
 //! The stats ledger keeps one invariant: every call lands in exactly one of
 //! `rpcs` (answered) or `failed_calls` (any error), and `request_bytes`
@@ -73,9 +84,33 @@ where
     }
 }
 
-struct EndpointSlot {
-    handler: Arc<dyn RpcHandler>,
+/// Where calls to an endpoint name go.
+#[derive(Clone)]
+enum Route {
+    /// Served by this loopback fabric: a call runs the handler on the
+    /// caller's thread.
+    Handler(Arc<dyn RpcHandler>),
+    /// A socket address. `served` when this fabric's own listener is bound
+    /// there; an address from [`Fabric::register_endpoint`] or
+    /// `HVAC_ENDPOINTS` is unserved, and `serve` may still claim its name.
+    Socket { uri: EndpointUri, served: bool },
+}
+
+/// One name in the endpoint table: its route and its down-latch.
+struct Endpoint {
+    route: Route,
     down: Arc<AtomicBool>,
+}
+
+impl Endpoint {
+    /// Whether a server of this fabric answers the name, so `serve` may not
+    /// take it.
+    fn is_served(&self) -> bool {
+        match self.route {
+            Route::Handler(_) => true,
+            Route::Socket { served, .. } => served,
+        }
+    }
 }
 
 /// Cumulative traffic counters of a fabric.
@@ -111,27 +146,12 @@ impl FabricStats {
     }
 }
 
-/// The transport behind a [`Fabric`]: in-process handler calls or real
-/// sockets.
-enum Backend {
-    Loopback {
-        endpoints: OrderedRwLock<HashMap<String, EndpointSlot>>,
-    },
-    Socket(SocketBackend),
-}
-
-impl Backend {
-    fn loopback() -> Self {
-        Backend::Loopback {
-            endpoints: OrderedRwLock::new(classes::FABRIC_ENDPOINTS, HashMap::new()),
-        }
-    }
-}
-
-/// The interconnect: endpoint registry + traffic accounting over a
-/// loopback or socket backend.
+/// The interconnect: one endpoint table plus traffic accounting, over
+/// in-process handler calls or real sockets.
 pub struct Fabric {
-    backend: Backend,
+    endpoints: OrderedRwLock<HashMap<String, Endpoint>>,
+    /// The socket transport; `None` on a loopback fabric.
+    sockets: Option<SocketBackend>,
     stats: FabricStats,
     call_timeout: Duration,
     faults: FaultInjector,
@@ -144,9 +164,10 @@ impl Default for Fabric {
 }
 
 impl Fabric {
-    fn with_backend(backend: Backend) -> Self {
+    fn with_sockets(sockets: Option<SocketBackend>) -> Self {
         Self {
-            backend,
+            endpoints: OrderedRwLock::new(classes::FABRIC_ENDPOINTS, HashMap::new()),
+            sockets,
             stats: FabricStats::default(),
             call_timeout: Duration::from_secs(30),
             faults: FaultInjector::new(),
@@ -155,7 +176,7 @@ impl Fabric {
 
     /// A loopback fabric with the default 30 s call timeout.
     pub fn new() -> Self {
-        Self::with_backend(Backend::loopback())
+        Self::with_sockets(None)
     }
 
     /// A socket-backed fabric of the given family with default knobs.
@@ -168,11 +189,11 @@ impl Fabric {
 
     /// A socket-backed fabric with explicit [`SocketConfig`] knobs.
     pub fn socket_with(config: SocketConfig) -> Self {
-        Self::with_backend(Backend::Socket(SocketBackend::new(config)))
+        Self::with_sockets(Some(SocketBackend::new(config)))
     }
 
     /// A fabric for the given [`TransportKind`] (how `Cluster` and the
-    /// `hvac-server` binary pick their backend).
+    /// `hvac-server` binary pick their transport).
     pub fn for_transport(kind: TransportKind) -> Self {
         match kind {
             TransportKind::Loopback => Self::new(),
@@ -194,17 +215,33 @@ impl Fabric {
 
     /// Record the concrete socket address of a logical endpoint name
     /// (`tcp:host:port` or `unix:/path`). Errors on a loopback fabric,
-    /// which has no remote endpoints to point at.
+    /// which has no remote endpoints to point at. A known name keeps its
+    /// down-latch and whether it is served, so re-registering an address
+    /// never silently revives a crashed endpoint.
     pub fn register_endpoint(&self, addr: &str, uri: &str) -> Result<()> {
-        match &self.backend {
-            Backend::Loopback { .. } => Err(HvacError::InvalidConfig(format!(
+        if self.sockets.is_none() {
+            return Err(HvacError::InvalidConfig(format!(
                 "cannot register remote endpoint {addr} on a loopback fabric"
-            ))),
-            Backend::Socket(sb) => {
-                sb.register_endpoint(addr, EndpointUri::parse(uri)?);
-                Ok(())
+            )));
+        }
+        let uri = EndpointUri::parse(uri)?;
+        let mut eps = self.endpoints.write();
+        match eps.get_mut(addr) {
+            Some(Endpoint {
+                route: Route::Socket { uri: old, .. },
+                ..
+            }) => *old = uri,
+            _ => {
+                eps.insert(
+                    addr.to_string(),
+                    Endpoint {
+                        route: Route::Socket { uri, served: false },
+                        down: Arc::new(AtomicBool::new(false)),
+                    },
+                );
             }
         }
+        Ok(())
     }
 
     /// The concrete `tcp:`/`unix:` address a logical endpoint resolves to
@@ -212,9 +249,9 @@ impl Fabric {
     /// bound to an ephemeral address use this to announce where they
     /// actually listen.
     pub fn endpoint_uri(&self, addr: &str) -> Option<String> {
-        match &self.backend {
-            Backend::Loopback { .. } => None,
-            Backend::Socket(sb) => sb.endpoint_uri(addr),
+        match &self.endpoints.read().get(addr)?.route {
+            Route::Socket { uri, .. } => Some(uri.to_string()),
+            Route::Handler(_) => None,
         }
     }
 
@@ -229,37 +266,47 @@ impl Fabric {
     }
 
     /// Register a server endpoint under `addr`. A loopback call runs
-    /// `handler` on the calling thread; a socket endpoint serves each
-    /// connection on that connection's own thread. Returns a handle that
-    /// unregisters on drop.
+    /// `handler` on the calling thread; a socket endpoint binds a listener
+    /// (at the name's registered address, else an ephemeral one) and serves
+    /// each connection on that connection's own thread. Returns a handle
+    /// that unregisters on drop.
     pub fn serve(
         self: &Arc<Self>,
         addr: &str,
         handler: Arc<dyn RpcHandler>,
     ) -> Result<ServerEndpoint> {
-        let (down, core) = match &self.backend {
-            Backend::Loopback { endpoints } => {
-                let mut eps = endpoints.write();
-                if eps.contains_key(addr) {
-                    return Err(HvacError::InvalidConfig(format!(
-                        "endpoint {addr} already registered"
-                    )));
-                }
-                let down = Arc::new(AtomicBool::new(false));
-                eps.insert(
-                    addr.to_string(),
-                    EndpointSlot {
-                        handler,
-                        down: down.clone(),
-                    },
-                );
-                (down, None)
-            }
-            Backend::Socket(sb) => {
-                let (core, down) = sb.serve(addr, handler)?;
-                (down, Some(core))
+        let taken = || HvacError::InvalidConfig(format!("endpoint {addr} already registered"));
+        let registered = {
+            let eps = self.endpoints.read();
+            match eps.get(addr) {
+                Some(ep) if ep.is_served() => return Err(taken()),
+                Some(Endpoint {
+                    route: Route::Socket { uri, .. },
+                    ..
+                }) => Some(uri.clone()),
+                _ => None,
             }
         };
+        let (route, core) = match &self.sockets {
+            None => (Route::Handler(handler), None),
+            Some(sb) => {
+                let (core, uri) = sb.serve(addr, registered, handler)?;
+                (Route::Socket { uri, served: true }, Some(core))
+            }
+        };
+        // Binding ran without the lock, so check the name again: a
+        // concurrent `serve` may have taken it meanwhile. A losing core is
+        // dropped on return, which stops its listener.
+        let down = Arc::new(AtomicBool::new(false));
+        {
+            let mut eps = self.endpoints.write();
+            if eps.get(addr).is_some_and(Endpoint::is_served) {
+                drop(eps);
+                return Err(taken());
+            }
+            let down = down.clone();
+            eps.insert(addr.to_string(), Endpoint { route, down });
+        }
         Ok(ServerEndpoint {
             fabric: self.clone(),
             addr: addr.to_string(),
@@ -310,7 +357,7 @@ impl Fabric {
         result
     }
 
-    /// Backend-independent fault prologue: decide this call's fate after
+    /// Transport-independent fault prologue: decide this call's fate after
     /// the liveness check (so `set_down` always wins) and before any bytes
     /// move (so a dropped request really never reaches the server). Returns
     /// whether the reply must be discarded (Hang).
@@ -357,44 +404,31 @@ impl Fabric {
 
     fn call_inner(&self, addr: &str, request: Bytes, deadline: Duration) -> Result<Reply> {
         let start = Instant::now();
-        let endpoints = match &self.backend {
-            Backend::Loopback { endpoints } => endpoints,
-            Backend::Socket(sb) => {
-                let Some((uri, down)) = sb.resolve(addr) else {
-                    return Err(HvacError::ServerDown(format!("{addr} (not registered)")));
-                };
-                if down.load(Ordering::Relaxed) {
-                    return Err(HvacError::ServerDown(addr.to_string()));
-                }
-                let discard_reply = self.apply_faults(addr, &down, deadline, start)?;
-                return sb.dispatch(
-                    addr,
-                    &uri,
-                    request,
-                    CallClock { deadline, start },
-                    discard_reply,
-                    &self.stats,
-                );
-            }
+        // Take the route and the down-latch, then release the table before
+        // anything else runs: a slow handler or dial never blocks `serve` or
+        // `unregister`, and no server lock nests inside the table's.
+        let (route, down) = {
+            let eps = self.endpoints.read();
+            let Some(ep) = eps.get(addr) else {
+                return Err(HvacError::ServerDown(format!("{addr} (not registered)")));
+            };
+            (ep.route.clone(), ep.down.clone())
         };
-        // Take the handler and the down-flag, then release the registry
-        // before the handler runs: a slow handler never blocks `serve` or
-        // `unregister`, and no server lock nests inside the registry's.
-        let (handler, down) = {
-            let eps = endpoints.read();
-            match eps.get(addr) {
-                None => {
-                    return Err(HvacError::ServerDown(format!("{addr} (not registered)")));
-                }
-                Some(slot) => {
-                    if slot.down.load(Ordering::Relaxed) {
-                        return Err(HvacError::ServerDown(addr.to_string()));
-                    }
-                    (slot.handler.clone(), slot.down.clone())
-                }
-            }
-        };
+        if down.load(Ordering::Relaxed) {
+            return Err(HvacError::ServerDown(addr.to_string()));
+        }
         let discard_reply = self.apply_faults(addr, &down, deadline, start)?;
+        let handler = match (route, &self.sockets) {
+            (Route::Handler(handler), _) => handler,
+            (Route::Socket { uri, .. }, Some(sb)) => {
+                let clock = CallClock { deadline, start };
+                return sb.dispatch(addr, &uri, request, clock, discard_reply, &self.stats);
+            }
+            // `register_endpoint` refuses socket routes on a loopback fabric.
+            (Route::Socket { .. }, None) => {
+                return Err(HvacError::ServerDown(format!("{addr} (not registered)")));
+            }
+        };
         self.stats
             .request_bytes
             .fetch_add(request.len() as u64, Ordering::Relaxed);
@@ -421,53 +455,32 @@ impl Fabric {
     /// Mark an endpoint up/down without unregistering it (fault injection).
     /// Returns false if the endpoint is unknown.
     pub fn set_down(&self, addr: &str, down: bool) -> bool {
-        match &self.backend {
-            Backend::Loopback { endpoints } => {
-                let eps = endpoints.read();
-                match eps.get(addr) {
-                    Some(slot) => {
-                        slot.down.store(down, Ordering::Relaxed);
-                        true
-                    }
-                    None => false,
-                }
+        match self.endpoints.read().get(addr) {
+            Some(ep) => {
+                ep.down.store(down, Ordering::Relaxed);
+                true
             }
-            Backend::Socket(sb) => sb.set_down(addr, down),
+            None => false,
         }
     }
 
     /// Whether an endpoint exists and is up.
     pub fn is_up(&self, addr: &str) -> bool {
-        match &self.backend {
-            Backend::Loopback { endpoints } => {
-                let eps = endpoints.read();
-                eps.get(addr)
-                    .map(|s| !s.down.load(Ordering::Relaxed))
-                    .unwrap_or(false)
-            }
-            Backend::Socket(sb) => sb.is_up(addr),
-        }
+        self.endpoints
+            .read()
+            .get(addr)
+            .is_some_and(|ep| !ep.down.load(Ordering::Relaxed))
     }
 
     /// Registered endpoint names (sorted, for reporting).
     pub fn endpoint_names(&self) -> Vec<String> {
-        match &self.backend {
-            Backend::Loopback { endpoints } => {
-                let mut names: Vec<String> = endpoints.read().keys().cloned().collect();
-                names.sort();
-                names
-            }
-            Backend::Socket(sb) => sb.endpoint_names(),
-        }
+        let mut names: Vec<String> = self.endpoints.read().keys().cloned().collect();
+        names.sort();
+        names
     }
 
     fn unregister(&self, addr: &str) {
-        match &self.backend {
-            Backend::Loopback { endpoints } => {
-                endpoints.write().remove(addr);
-            }
-            Backend::Socket(sb) => sb.unregister(addr),
-        }
+        self.endpoints.write().remove(addr);
     }
 }
 
@@ -478,7 +491,7 @@ pub struct ServerEndpoint {
     fabric: Arc<Fabric>,
     addr: String,
     down: Arc<AtomicBool>,
-    /// Socket backends park their listener and connection threads here;
+    /// Socket endpoints park their listener and connection threads here;
     /// loopback endpoints keep it `None`. Dropped (= stopped and joined)
     /// after the address is unregistered.
     core: Option<ServerCore>,

@@ -12,7 +12,8 @@
 //! * **request** — `[kind u8 = 1][req_id u64][deadline_ms u32][payload…]`.
 //!   The reply echoes `req_id`, and the caller checks it against the
 //!   request it sent; `deadline_ms` carries the caller's remaining per-call
-//!   budget at send time.
+//!   budget at send time. The tenant rides inside the payload (the protocol
+//!   layer's `JOB_FLAG`), not in the frame.
 //! * **reply** — `[kind u8 = 2][req_id u64][flags u8][hdr_len u32][header…]
 //!   [bulk…]`. Bit 0 of `flags` says whether a bulk payload follows the
 //!   header — the same header/bulk split the loopback [`Reply`] models
@@ -45,11 +46,8 @@ pub const DEFAULT_MAX_FRAME: usize = 64 << 20;
 
 const KIND_REQUEST: u8 = 1;
 const KIND_REPLY: u8 = 2;
-/// Tenant-stamped request: same layout as [`KIND_REQUEST`] with a u64 job
-/// id spliced in after the deadline. Legacy (kind-1) frames decode as job 0,
-/// and job-0 senders keep emitting kind 1, so the two framings interoperate
-/// in both directions.
-const KIND_REQUEST_JOB: u8 = 3;
+// Kind 3 was a tenant-stamped request that no sender produced; retired,
+// never reuse it.
 const FLAG_HAS_BULK: u8 = 1;
 
 /// A decoded request frame body.
@@ -60,9 +58,6 @@ pub struct RequestFrame {
     /// Remaining per-call deadline at send time, in milliseconds
     /// (saturated).
     pub deadline_ms: u32,
-    /// Sender's tenant identity (0 = the legacy/default namespace; always 0
-    /// for kind-1 frames).
-    pub job: u64,
     /// The opaque RPC payload (the protocol layer's encoded `Request`).
     pub payload: Bytes,
 }
@@ -96,37 +91,16 @@ pub fn encode_frame(body: &[u8], max_frame: usize) -> Result<Vec<u8>> {
 }
 
 /// Encode a request frame (header + body) ready to write to a stream.
-/// Equivalent to [`encode_request_job`] with job 0 (the legacy framing).
 pub fn encode_request(
     req_id: u64,
     deadline_ms: u32,
     payload: &[u8],
     max_frame: usize,
 ) -> Result<Vec<u8>> {
-    encode_request_job(req_id, deadline_ms, 0, payload, max_frame)
-}
-
-/// Encode a request frame carrying the sender's tenant identity. Job 0
-/// emits the legacy kind-1 layout byte-for-byte; any other job emits a
-/// kind-3 frame with the id after the deadline.
-pub fn encode_request_job(
-    req_id: u64,
-    deadline_ms: u32,
-    job: u64,
-    payload: &[u8],
-    max_frame: usize,
-) -> Result<Vec<u8>> {
-    let mut body = Vec::with_capacity(21 + payload.len());
-    body.push(if job == 0 {
-        KIND_REQUEST
-    } else {
-        KIND_REQUEST_JOB
-    });
+    let mut body = Vec::with_capacity(13 + payload.len());
+    body.push(KIND_REQUEST);
     body.extend_from_slice(&req_id.to_le_bytes());
     body.extend_from_slice(&deadline_ms.to_le_bytes());
-    if job != 0 {
-        body.extend_from_slice(&job.to_le_bytes());
-    }
     body.extend_from_slice(payload);
     encode_frame(&body, max_frame)
 }
@@ -234,26 +208,18 @@ fn write_all_vectored<W: Write>(w: &mut W, mut bufs: &[&[u8]]) -> std::io::Resul
 }
 
 /// Decode a request frame body (the bytes after the 8-byte frame header).
-/// Accepts both the legacy kind-1 layout (job 0) and the tenant-stamped
-/// kind-3 layout.
 pub fn decode_request(mut body: Bytes) -> Result<RequestFrame> {
     let kind = crate::wire::get_u8(&mut body)?;
-    if kind != KIND_REQUEST && kind != KIND_REQUEST_JOB {
+    if kind != KIND_REQUEST {
         return Err(HvacError::Protocol(format!(
-            "expected request frame (kind {KIND_REQUEST} or {KIND_REQUEST_JOB}), got kind {kind}"
+            "expected request frame (kind {KIND_REQUEST}), got kind {kind}"
         )));
     }
     let req_id = crate::wire::get_u64(&mut body)?;
     let deadline_ms = crate::wire::get_u32(&mut body)?;
-    let job = if kind == KIND_REQUEST_JOB {
-        crate::wire::get_u64(&mut body)?
-    } else {
-        0
-    };
     Ok(RequestFrame {
         req_id,
         deadline_ms,
-        job,
         payload: body,
     })
 }
@@ -386,30 +352,18 @@ mod tests {
     }
 
     #[test]
-    fn cross_version_framing_legacy_and_tenant_stamped_interoperate() {
-        // Old sender → new decoder: a legacy kind-1 frame decodes as job 0.
-        let legacy = encode_request(42, 1500, b"payload", DEFAULT_MAX_FRAME).unwrap();
-        let body = read_frame(&mut Cursor::new(&legacy), DEFAULT_MAX_FRAME)
-            .unwrap()
-            .unwrap();
-        let req = decode_request(body).unwrap();
-        assert_eq!((req.req_id, req.deadline_ms, req.job), (42, 1500, 0));
-        assert_eq!(&req.payload[..], b"payload");
-
-        // New sender with job 0 → old decoder: byte-identical to legacy, so
-        // a pre-tenancy peer parses it unchanged.
-        let job0 = encode_request_job(42, 1500, 0, b"payload", DEFAULT_MAX_FRAME).unwrap();
-        assert_eq!(job0, legacy, "job 0 must stay on the legacy wire format");
-
-        // New sender with a real tenant → new decoder: job rides the frame.
-        let stamped = encode_request_job(42, 1500, 7, b"payload", DEFAULT_MAX_FRAME).unwrap();
-        assert_ne!(stamped, legacy);
-        let body = read_frame(&mut Cursor::new(&stamped), DEFAULT_MAX_FRAME)
-            .unwrap()
-            .unwrap();
-        let req = decode_request(body).unwrap();
-        assert_eq!((req.req_id, req.deadline_ms, req.job), (42, 1500, 7));
-        assert_eq!(&req.payload[..], b"payload");
+    fn retired_request_kind_3_is_rejected() {
+        // Kind 3 was a tenant-stamped request: kind 1's layout with a u64
+        // job after the deadline. Its body is now an unknown kind.
+        let mut body = vec![3u8];
+        body.extend_from_slice(&42u64.to_le_bytes());
+        body.extend_from_slice(&1500u32.to_le_bytes());
+        body.extend_from_slice(&7u64.to_le_bytes());
+        body.extend_from_slice(b"payload");
+        match decode_request(Bytes::from(body)) {
+            Err(HvacError::Protocol(msg)) => assert!(msg.ends_with("got kind 3"), "{msg}"),
+            other => panic!("expected a Protocol error, got {other:?}"),
+        }
     }
 
     #[test]

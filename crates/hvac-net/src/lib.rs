@@ -9,15 +9,16 @@
 //! transport (TCP or Unix-domain) for multi-process deployments:
 //!
 //! * [`wire`] — a small, explicit binary codec over [`bytes`],
-//! * [`fabric`] — the [`Fabric`] registry of endpoints, server endpoints
-//!   (a loopback call runs its handler on the calling thread), fault
-//!   injection (mark a server down), and traffic accounting, over either
-//!   backend,
+//! * [`fabric`] — the [`Fabric`]: one endpoint table (each name's
+//!   down-latch and route: a loopback handler, run on the calling thread,
+//!   or a socket address), server endpoints, fault injection (mark a server
+//!   down), and traffic accounting, over either transport,
 //! * [`framing`] — length-prefixed socket frames with a bounded-allocation
 //!   decoder (truncated/oversized/garbage input → typed `Protocol` errors),
-//! * [`socket`] — the socket transport: endpoint resolution (config/env),
-//!   per-destination pools of one-call-at-a-time connections, and the
-//!   server accept loop with one thread per connection,
+//! * [`socket`] — the socket transport: endpoint addresses (parsed from
+//!   config or `HVAC_ENDPOINTS`), per-destination pools of
+//!   one-call-at-a-time connections, and the server accept loop with one
+//!   thread per connection,
 //! * [`fault`] — the seeded [`FaultInjector`] (per-endpoint drop / delay /
 //!   hang / error-reply schedules) driving the hung-server tests,
 //! * [`bulk`] — chunk tiling, the [`Bulk`](bulk::Bulk) gather list a
@@ -27,10 +28,9 @@
 //!   behind the zero-copy data plane (return-to-pool on last `Bytes` drop),
 //! * [`plan`] — the adjacent-segment coalescer and per-destination batch
 //!   planner plus the batch payload codec,
-//! * [`sq`] — an io_uring-shaped [`SubmissionQueue`](sq::SubmissionQueue)
-//!   on a persistent [`SqPool`](sq::SqPool) of dispatch workers: every
-//!   multi-RPC read (bulk chunks, per-destination batches) is submitted
-//!   through it.
+//! * [`sq`] — the client's persistent [`SqPool`](sq::SqPool) of dispatch
+//!   workers: every multi-RPC read (bulk chunks, per-destination batches)
+//!   issues its calls through one [`SqPool::call_all`](sq::SqPool::call_all).
 //!
 //! The loopback fabric hands real bytes to the handler on the calling
 //! thread; latency and bandwidth of the modeled interconnect are accounted

@@ -1,7 +1,8 @@
 //! Read planning: adjacent-segment coalescing and per-destination batching.
 //!
-//! A segmented read issues one small RPC per fixed-size segment, each
-//! placed independently by its segment hash. FanStore's observation is
+//! A segmented read asks for fixed-size segments, each placed independently
+//! by its segment hash; one small RPC per segment would be the naive plan.
+//! FanStore's observation is
 //! that small-request overhead, not bandwidth, dominates distributed DL
 //! reads — so the client first *plans* the request:
 //!
@@ -12,8 +13,8 @@
 //!    request: no gap, no overlap, no reordering, and never a merge across
 //!    destinations — so each entry is still a single-server read.
 //! 2. The caller groups entries per destination (order preserved) and
-//!    ships each group as **one** batch RPC via the
-//!    [`sq`](crate::sq) submission queue, using the
+//!    ships each group as **one** batch RPC through the
+//!    [`sq`](crate::sq) dispatch pool, using the
 //!    [`encode_batch_items`]/[`decode_batch_items`] payload codec below
 //!    (which rides inside the ordinary request framing of
 //!    [`framing`](crate::framing)).
@@ -110,7 +111,8 @@ where
 /// One read in a batch RPC: `len` bytes at `offset` of `path`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchItem {
-    /// File path (the cache key namespace, same as `Request::ReadSegment`).
+    /// Application-space file path. The server caches the item's range
+    /// under a key of this path, the tenant, the offset and the length.
     pub path: String,
     /// Byte offset within the file.
     pub offset: u64,

@@ -1,16 +1,13 @@
 //! Real socket transport: TCP and Unix-domain streams behind the [`Fabric`]
 //! abstraction.
 //!
-//! The loopback fabric models Mercury with in-process queues; this module
+//! The loopback fabric runs a handler on the caller's thread; this module
 //! carries the same RPCs over real stream sockets using the length-prefixed
-//! frames of [`crate::framing`]. A call is answered on the thread that made
-//! it, at both ends:
+//! frames of [`crate::framing`]. The fabric's endpoint table maps each
+//! logical name to the [`EndpointUri`] a call dials; this module does the
+//! socket work only. A call is answered on the thread that made it, at both
+//! ends:
 //!
-//! * **Endpoint registry** — logical names (`node0/srv0`) map to concrete
-//!   [`EndpointUri`]s (`tcp:127.0.0.1:4123`, `unix:/tmp/hvac-7-0.sock`),
-//!   registered either by a local [`SocketBackend::serve`] (which binds and
-//!   records its actual address) or externally via config/env
-//!   (`HVAC_ENDPOINTS`) for cross-process clients.
 //! * **Connection pool** — per destination URI, a stack of idle
 //!   connections, each carrying one call at a time. A call checks one out
 //!   (dialling when none is idle), writes its request frame, reads its own
@@ -41,7 +38,7 @@ use crate::fabric::{FabricStats, Reply, RpcHandler};
 use crate::framing;
 use crate::pool::BufferPool;
 use bytes::Bytes;
-use hvac_sync::{classes, OrderedMutex, OrderedRwLock};
+use hvac_sync::{classes, OrderedMutex};
 use hvac_types::{HvacError, Result};
 use std::collections::HashMap;
 use std::io::{ErrorKind, IoSlice, Read, Write};
@@ -238,12 +235,6 @@ impl Write for Stream {
     }
 }
 
-struct SocketEndpointEntry {
-    uri: EndpointUri,
-    served: bool,
-    down: Arc<AtomicBool>,
-}
-
 /// One call's time budget: the total deadline and when the call started.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CallClock {
@@ -324,13 +315,12 @@ impl Write for Timed<'_> {
     }
 }
 
-/// The socket half of [`crate::fabric::Fabric`]: endpoint registry plus
-/// client connection pool. Fault injection, stats, and the down-latch
-/// semantics live in the shared fabric prologue so they behave identically
-/// on both backends.
+/// The socket half of [`crate::fabric::Fabric`]: listeners and the client
+/// connection pool. The endpoint table, fault injection, stats and the
+/// down-latches live in the fabric, so they behave identically on both
+/// transports.
 pub(crate) struct SocketBackend {
     config: SocketConfig,
-    endpoints: OrderedRwLock<HashMap<String, SocketEndpointEntry>>,
     /// Idle connections by destination URI; the last one checked in is the
     /// first checked out, so a lone caller keeps reusing one connection.
     idle: OrderedMutex<HashMap<String, Vec<Stream>>>,
@@ -342,158 +332,49 @@ impl SocketBackend {
     pub(crate) fn new(config: SocketConfig) -> Self {
         Self {
             config,
-            endpoints: OrderedRwLock::new(classes::FABRIC_ENDPOINTS, HashMap::new()),
             idle: OrderedMutex::new(classes::NET_SOCKET_POOL, HashMap::new()),
             next_req_id: AtomicU64::new(1),
         }
     }
 
-    /// Record (or overwrite) the concrete address of a logical endpoint.
-    /// The down-latch of an existing entry survives, so re-registering an
-    /// address never silently revives a crashed endpoint.
-    pub(crate) fn register_endpoint(&self, addr: &str, uri: EndpointUri) {
-        let mut eps = self.endpoints.write();
-        match eps.get_mut(addr) {
-            Some(entry) => entry.uri = uri,
-            None => {
-                eps.insert(
-                    addr.to_string(),
-                    SocketEndpointEntry {
-                        uri,
-                        served: false,
-                        down: Arc::new(AtomicBool::new(false)),
-                    },
-                );
-            }
-        }
-    }
-
-    /// `(uri, down-latch)` of a registered endpoint.
-    pub(crate) fn resolve(&self, addr: &str) -> Option<(EndpointUri, Arc<AtomicBool>)> {
-        let eps = self.endpoints.read();
-        eps.get(addr).map(|e| (e.uri.clone(), e.down.clone()))
-    }
-
-    pub(crate) fn endpoint_uri(&self, addr: &str) -> Option<String> {
-        let eps = self.endpoints.read();
-        eps.get(addr).map(|e| e.uri.to_string())
-    }
-
-    pub(crate) fn set_down(&self, addr: &str, down: bool) -> bool {
-        let eps = self.endpoints.read();
-        match eps.get(addr) {
-            Some(e) => {
-                e.down.store(down, Ordering::Relaxed);
-                true
-            }
-            None => false,
-        }
-    }
-
-    pub(crate) fn is_up(&self, addr: &str) -> bool {
-        let eps = self.endpoints.read();
-        eps.get(addr)
-            .map(|e| !e.down.load(Ordering::Relaxed))
-            .unwrap_or(false)
-    }
-
-    pub(crate) fn endpoint_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.endpoints.read().keys().cloned().collect();
-        names.sort();
-        names
-    }
-
-    pub(crate) fn unregister(&self, addr: &str) {
-        self.endpoints.write().remove(addr);
-    }
-
-    /// Bind a listener for `addr` (honouring a pre-registered address, else
-    /// an ephemeral one of the configured family), record the actual bound
-    /// address in the registry, and spawn the accept thread.
+    /// Bind a listener for endpoint `addr` at `registered` (else at an
+    /// ephemeral address of the configured family) and spawn its accept
+    /// thread. Returns the running core and the address actually bound.
     pub(crate) fn serve(
         &self,
         addr: &str,
+        registered: Option<EndpointUri>,
         handler: Arc<dyn RpcHandler>,
-    ) -> Result<(ServerCore, Arc<AtomicBool>)> {
-        let hint = {
-            let eps = self.endpoints.read();
-            match eps.get(addr) {
-                Some(e) if e.served => {
-                    return Err(HvacError::InvalidConfig(format!(
-                        "endpoint {addr} already registered"
-                    )));
-                }
-                Some(e) => Some(e.uri.clone()),
-                None => None,
-            }
-        };
-        let listen = match hint {
-            Some(uri) => uri,
-            None => match self.config.family {
-                SocketFamily::Tcp => EndpointUri::Tcp("127.0.0.1:0".to_string()),
-                SocketFamily::Unix => EndpointUri::Unix(ephemeral_unix_path()),
-            },
-        };
-        let (listener, actual, uds_path) = Listener::bind(&listen).map_err(HvacError::Io)?;
-        let down = Arc::new(AtomicBool::new(false));
-        {
-            let mut eps = self.endpoints.write();
-            if eps.get(addr).is_some_and(|e| e.served) {
-                drop(eps);
-                if let Some(p) = &uds_path {
-                    let _ = std::fs::remove_file(p);
-                }
-                return Err(HvacError::InvalidConfig(format!(
-                    "endpoint {addr} already registered"
-                )));
-            }
-            eps.insert(
-                addr.to_string(),
-                SocketEndpointEntry {
-                    uri: actual.clone(),
-                    served: true,
-                    down: down.clone(),
-                },
-            );
-        }
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let shared = Arc::new(ServerShared {
-            handler,
-            max_frame: self.config.max_frame,
-            pool: self.config.pool.clone(),
-            conns: OrderedMutex::new(classes::NET_SOCKET_CONN, HashMap::new()),
+    ) -> Result<(ServerCore, EndpointUri)> {
+        let listen = registered.unwrap_or_else(|| match self.config.family {
+            SocketFamily::Tcp => EndpointUri::Tcp("127.0.0.1:0".to_string()),
+            SocketFamily::Unix => EndpointUri::Unix(ephemeral_unix_path()),
         });
-        let readers = Arc::new(OrderedMutex::new(classes::FABRIC_THREADS, Vec::new()));
-        let accept = {
-            let shutdown = shutdown.clone();
-            let shared = shared.clone();
-            let readers = readers.clone();
-            std::thread::Builder::new()
-                .name(format!("hvac-sock-accept-{addr}"))
-                .spawn(move || accept_loop(listener, shutdown, shared, readers))
+        let (listener, actual, uds_path) = Listener::bind(&listen).map_err(HvacError::Io)?;
+        let mut core = ServerCore {
+            shutdown: Arc::new(AtomicBool::new(false)),
+            accept: None,
+            readers: Arc::new(OrderedMutex::new(classes::FABRIC_THREADS, Vec::new())),
+            shared: Arc::new(ServerShared {
+                handler,
+                max_frame: self.config.max_frame,
+                pool: self.config.pool.clone(),
+                conns: OrderedMutex::new(classes::NET_SOCKET_CONN, HashMap::new()),
+            }),
+            uds_path,
         };
-        let accept = match accept {
-            Ok(h) => h,
-            Err(e) => {
-                self.unregister(addr);
-                if let Some(p) = &uds_path {
-                    let _ = std::fs::remove_file(p);
-                }
-                return Err(HvacError::Io(e));
-            }
-        };
-
-        Ok((
-            ServerCore {
-                shutdown,
-                accept: Some(accept),
-                readers,
-                shared,
-                uds_path,
-            },
-            down,
-        ))
+        let (shutdown, shared, readers) = (
+            core.shutdown.clone(),
+            core.shared.clone(),
+            core.readers.clone(),
+        );
+        // On a failed spawn the core drops here, unlinking its socket file.
+        let accept = std::thread::Builder::new()
+            .name(format!("hvac-sock-accept-{addr}"))
+            .spawn(move || accept_loop(listener, shutdown, shared, readers))
+            .map_err(HvacError::Io)?;
+        core.accept = Some(accept);
+        Ok((core, actual))
     }
 
     /// Send one framed request on a connection of this caller's own and

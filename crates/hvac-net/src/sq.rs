@@ -1,29 +1,21 @@
-//! Submission-queue API for multi-RPC reads.
+//! The client's dispatch pool for multi-RPC reads.
 //!
-//! io_uring replaced one-syscall-per-I/O with a prepared queue of
-//! submission entries drained by persistent kernel workers; this module
-//! gives the HVAC client the same shape for the RPCs of one read — the
-//! chunks of a large whole-file read and the per-destination batches of a
-//! segmented one: `prep` entries into a [`SubmissionQueue`], then
-//! `submit_and_wait` drains them — dispatching up to the pool's worker
-//! count concurrently — and returns one [`Completion`] per entry, in
-//! submission order, tagged with the caller's `user_data` like a CQE.
+//! A read that needs several RPCs — the chunks of a large whole-file read,
+//! the per-destination batches of a segmented one — hands them to
+//! [`SqPool::call_all`] as one list of `(destination, payload)` calls. The
+//! first call runs on the calling thread; the rest go to a small set of
+//! long-lived worker threads fed over a crossbeam channel, so up to the
+//! pool's worker count run at once. Every call goes through
+//! [`Fabric::call_with_deadline`] with the same deadline, so each carries
+//! the full deadline/fault-injection semantics of a standalone RPC, and the
+//! results come back in call order.
 //!
-//! Keeping the io_uring signature (prep / submit_and_wait / user_data) is
-//! deliberate: a future liburing backend slots in behind this API without
-//! touching callers. The current backend issues each entry through
-//! [`Fabric::call_with_deadline`], so every entry carries the full
-//! deadline/fault-injection semantics of a standalone RPC.
-//!
-//! Dispatch concurrency comes from an [`SqPool`] — a small set of
-//! long-lived worker threads fed over a crossbeam channel, mirroring
-//! io_uring's persistent workers. Spawning threads per submit was
-//! measured at ~100 µs per read on the segmented hot path, swamping the
-//! round trips it parallelized; a pool pays that cost once at client
-//! construction. The submitting thread always runs the first entry
-//! itself, so a submit makes progress even when every pool worker is
-//! busy with other submits. Nothing here enters the `hvac-sync` lock
-//! hierarchy: the queue and pool own channels and atomics only.
+//! Spawning threads per read was measured at ~100 µs per read on the
+//! segmented hot path, swamping the round trips it parallelized; a pool
+//! pays that cost once at client construction. Running the first call on
+//! the caller's thread means a read makes progress even when every worker
+//! is busy with other reads. Nothing here enters the `hvac-sync` lock
+//! hierarchy: the pool owns channels and atomics only.
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Sender};
@@ -35,48 +27,25 @@ use std::time::{Duration, Instant};
 
 use crate::fabric::{Fabric, Reply};
 
-/// Default number of dispatch workers per client [`SqPool`], which bounds
-/// how many RPCs of one submit are in flight at once.
+/// Number of dispatch workers per client [`SqPool`], which bounds how many
+/// RPCs of one read are in flight at once.
 pub const DEFAULT_SQ_DEPTH: usize = 4;
 
-/// One prepared RPC: `payload` to `dest`, answered within `deadline`.
-#[derive(Debug, Clone)]
-pub struct SqEntry {
-    /// Destination endpoint address (a [`Fabric`] endpoint name).
-    pub dest: String,
-    /// Encoded request payload, handed to the fabric verbatim.
-    pub payload: Bytes,
-    /// Per-entry RPC deadline.
-    pub deadline: Duration,
-    /// Opaque caller tag, echoed on the matching [`Completion`].
-    pub user_data: u64,
-}
-
-/// One completed RPC, tagged with the submitting entry's `user_data`.
-#[derive(Debug)]
-pub struct Completion {
-    /// The `user_data` of the [`SqEntry`] this completes.
-    pub user_data: u64,
-    /// The RPC outcome: a reply, or the entry's own typed error.
-    pub result: Result<Reply>,
-}
-
-/// One dispatched entry in flight on a pool worker.
+/// One call in flight on a pool worker.
 struct Job {
     dest: String,
     payload: Bytes,
     deadline: Duration,
-    user_data: u64,
-    /// Position of this entry in its submit, echoed back so the caller
-    /// can reassemble completions in submission order.
+    /// Position of this call in its list, echoed back so the caller can
+    /// put the results in call order.
     idx: usize,
-    done: Sender<(usize, Completion)>,
+    done: Sender<(usize, Result<Reply>)>,
 }
 
 struct PoolInner {
     fabric: Arc<Fabric>,
     /// Jobs dispatched to the channel and not yet completed (queued or
-    /// running). Shared with every worker; used to scale a submit's
+    /// running). Shared with every worker; used to scale a call list's
     /// overall recv bound by the backlog it queues behind.
     outstanding: Arc<AtomicU64>,
     /// `Some` for the pool's whole life; taken in `Drop` to close the
@@ -94,10 +63,8 @@ impl Drop for PoolInner {
     }
 }
 
-/// A persistent pool of RPC dispatch workers shared by every
-/// [`SubmissionQueue`] built over it (io_uring's kernel workers, in
-/// userspace). Cloning is cheap and shares the same workers; the threads
-/// exit when the last clone drops.
+/// A persistent pool of RPC dispatch workers. Cloning is cheap and shares
+/// the same workers; the threads exit when the last clone drops.
 #[derive(Clone)]
 pub struct SqPool {
     inner: Arc<PoolInner>,
@@ -121,15 +88,9 @@ impl SqPool {
                     while let Ok(job) = rx.recv() {
                         let result =
                             fabric.call_with_deadline(&job.dest, job.payload, job.deadline);
-                        // Submitter may have given up on the batch; a dead
-                        // completion channel is not the worker's problem.
-                        let _ = job.done.send((
-                            job.idx,
-                            Completion {
-                                user_data: job.user_data,
-                                result,
-                            },
-                        ));
+                        // The caller may have given up on the list; a dead
+                        // result channel is not the worker's problem.
+                        let _ = job.done.send((job.idx, result));
                         outstanding.fetch_sub(1, Ordering::Relaxed);
                     }
                 });
@@ -171,127 +132,72 @@ impl SqPool {
             }
         }
     }
-}
 
-/// Overall recv bound for one submit. Per-entry deadlines are enforced by
-/// the fabric once a job reaches a worker, but on a shared pool a job can
-/// first sit in the channel behind `backlog` earlier jobs (and behind this
-/// submit's own earlier entries) — queue wait a single `max_deadline + 5s`
-/// bound does not cover, which falsely abandoned whole batches under load.
-/// The pool drains at least `workers` jobs per `max_deadline` round, so
-/// `ceil((backlog + dispatched) / workers)` rounds plus slack covers the
-/// worst-case queueing; the bound still exists only to turn a lost worker
-/// into per-slot errors instead of a hang.
-fn overall_bound(max_deadline: Duration, dispatched: u64, backlog: u64, workers: u64) -> Duration {
-    let rounds = backlog
-        .saturating_add(dispatched)
-        .div_ceil(workers.max(1))
-        .max(1);
-    max_deadline
-        .saturating_mul(u32::try_from(rounds).unwrap_or(u32::MAX))
-        .saturating_add(Duration::from_secs(5))
-}
-
-/// A prepared queue of small RPCs drained concurrently on submit.
-pub struct SubmissionQueue {
-    pool: SqPool,
-    entries: Vec<SqEntry>,
-}
-
-impl SubmissionQueue {
-    /// Create a queue over an existing pool. Costs nothing: the queue is a
-    /// prep buffer, and dispatch concurrency lives in the shared pool.
-    pub fn with_pool(pool: &SqPool) -> Self {
-        Self {
-            pool: pool.clone(),
-            entries: Vec::new(),
-        }
-    }
-
-    /// Queue one entry for the next submit. No I/O happens here.
-    pub fn prep(&mut self, entry: SqEntry) {
-        self.entries.push(entry);
-    }
-
-    /// Number of entries queued for the next submit.
-    pub fn pending(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Drain the queue: dispatch every prepared entry to the pool (the
-    /// first entry runs on the submitting thread itself) and block until
-    /// all complete. Completions are returned in submission order (index
-    /// `i` completes entry `i`); one entry failing does not cancel the
-    /// others — each completion carries its own `Result`, and the caller
-    /// decides whether a partial batch is usable.
-    ///
-    /// The queue is empty afterwards and can be re-prepped and resubmitted.
-    pub fn submit_and_wait(&mut self) -> Vec<Completion> {
-        let mut entries = std::mem::take(&mut self.entries);
-        if entries.is_empty() {
-            return Vec::new();
-        }
-        let fabric = &self.pool.inner.fabric;
-        if entries.len() == 1 {
-            // Degenerate queue: no dispatch, same as a plain call.
-            return entries
-                .drain(..)
-                .map(|e| Completion {
-                    user_data: e.user_data,
-                    result: fabric.call_with_deadline(&e.dest, e.payload, e.deadline),
-                })
-                .collect();
-        }
-        let n = entries.len();
-        let max_deadline = entries.iter().map(|e| e.deadline).max().unwrap_or_default();
-        // Snapshot the pool backlog before dispatching: our n-1 dispatched
-        // jobs queue behind it, and the bound must absorb that wait.
-        let backlog = self.pool.inner.outstanding.load(Ordering::Relaxed);
-        let overall = overall_bound(
-            max_deadline,
-            (n - 1) as u64,
-            backlog,
-            self.pool.workers() as u64,
-        );
-        let (done_tx, done_rx) = bounded::<(usize, Completion)>(n);
-        let mut drained = entries.drain(..);
-        let Some(first) = drained.next() else {
+    /// Issue every `(destination, payload)` call, each answered within
+    /// `deadline`, and block until all complete. The first call runs on
+    /// this thread; the rest run on the pool's workers. Results come back
+    /// in call order (index `i` answers call `i`); one call failing does
+    /// not cancel the others, and the caller decides whether a partial
+    /// answer is usable. A call whose worker never answers is an
+    /// [`HvacError::Rpc`].
+    pub fn call_all(&self, calls: Vec<(String, Bytes)>, deadline: Duration) -> Vec<Result<Reply>> {
+        let n = calls.len();
+        let fabric = &self.inner.fabric;
+        let mut calls = calls.into_iter();
+        let Some((first_dest, first_payload)) = calls.next() else {
             return Vec::new();
         };
-        for (off, e) in drained.enumerate() {
-            self.pool.dispatch(Job {
-                dest: e.dest,
-                payload: e.payload,
-                deadline: e.deadline,
-                user_data: e.user_data,
+        if n == 1 {
+            // One call: no dispatch, same as a plain call.
+            return vec![fabric.call_with_deadline(&first_dest, first_payload, deadline)];
+        }
+        // Snapshot the pool backlog before dispatching: our n-1 dispatched
+        // jobs queue behind it, and the bound must absorb that wait.
+        let backlog = self.inner.outstanding.load(Ordering::Relaxed);
+        let overall = overall_bound(deadline, (n - 1) as u64, backlog, self.workers() as u64);
+        let (done_tx, done_rx) = bounded::<(usize, Result<Reply>)>(n);
+        for (off, (dest, payload)) in calls.enumerate() {
+            self.dispatch(Job {
+                dest,
+                payload,
+                deadline,
                 idx: off + 1,
                 done: done_tx.clone(),
             });
         }
-        let mut slots: Vec<Option<Completion>> = (0..n).map(|_| None).collect();
-        slots[0] = Some(Completion {
-            user_data: first.user_data,
-            result: fabric.call_with_deadline(&first.dest, first.payload, first.deadline),
-        });
+        let mut slots: Vec<Option<Result<Reply>>> = (0..n).map(|_| None).collect();
+        slots[0] = Some(fabric.call_with_deadline(&first_dest, first_payload, deadline));
         let start = Instant::now();
         for _ in 1..n {
             match done_rx.recv_timeout(overall.saturating_sub(start.elapsed())) {
-                Ok((idx, c)) => slots[idx] = Some(c),
+                Ok((idx, result)) => slots[idx] = Some(result),
                 Err(_) => break,
             }
         }
         slots
             .into_iter()
-            .map(|s| {
-                s.unwrap_or(Completion {
-                    user_data: u64::MAX,
-                    result: Err(HvacError::Rpc(
-                        "submission queue lost a dispatch worker".into(),
-                    )),
-                })
-            })
+            .map(|s| s.unwrap_or_else(|| Err(HvacError::Rpc("dispatch pool lost a worker".into()))))
             .collect()
     }
+}
+
+/// Overall recv bound for one call list. Per-call deadlines are enforced by
+/// the fabric once a job reaches a worker, but on a shared pool a job can
+/// first sit in the channel behind `backlog` earlier jobs (and behind this
+/// list's own earlier calls) — queue wait a single `deadline + 5s` bound
+/// does not cover, which falsely abandoned whole batches under load. The
+/// pool drains at least `workers` jobs per `deadline` round, so
+/// `ceil((backlog + dispatched) / workers)` rounds plus slack covers the
+/// worst-case queueing; the bound still exists only to turn a lost worker
+/// into per-call errors instead of a hang.
+fn overall_bound(deadline: Duration, dispatched: u64, backlog: u64, workers: u64) -> Duration {
+    let rounds = backlog
+        .saturating_add(dispatched)
+        .div_ceil(workers.max(1))
+        .max(1);
+    deadline
+        .saturating_mul(u32::try_from(rounds).unwrap_or(u32::MAX))
+        .saturating_add(Duration::from_secs(5))
 }
 
 #[cfg(test)]
@@ -318,27 +224,19 @@ mod tests {
         (fabric, servers)
     }
 
+    const DEADLINE: Duration = Duration::from_secs(5);
+
     #[test]
     fn completions_come_back_in_submission_order() {
         let (fabric, _servers) = fabric_with_echo(&["s0", "s1"]);
         let pool = SqPool::new(fabric, 4).unwrap();
-        let mut sq = SubmissionQueue::with_pool(&pool);
-        for i in 0..16u64 {
-            sq.prep(SqEntry {
-                dest: format!("s{}", i % 2),
-                payload: Bytes::from(format!("req-{i}")),
-                deadline: Duration::from_secs(5),
-                user_data: i,
-            });
-        }
-        assert_eq!(sq.pending(), 16);
-        let completions = sq.submit_and_wait();
-        assert_eq!(sq.pending(), 0);
-        assert_eq!(completions.len(), 16);
-        for (i, c) in completions.iter().enumerate() {
-            assert_eq!(c.user_data, i as u64);
-            let reply = c.result.as_ref().unwrap();
-            assert_eq!(reply.header, Bytes::from(format!("req-{i}")));
+        let calls = (0..16)
+            .map(|i| (format!("s{}", i % 2), Bytes::from(format!("req-{i}"))))
+            .collect();
+        let results = pool.call_all(calls, DEADLINE);
+        assert_eq!(results.len(), 16);
+        for (i, r) in results.iter().enumerate() {
+            assert_eq!(r.as_ref().unwrap().header, Bytes::from(format!("req-{i}")));
         }
     }
 
@@ -346,62 +244,29 @@ mod tests {
     fn one_failure_does_not_poison_the_batch() {
         let (fabric, _servers) = fabric_with_echo(&["s0"]);
         let pool = SqPool::new(fabric, 3).unwrap();
-        let mut sq = SubmissionQueue::with_pool(&pool);
-        // The middle entry targets an endpoint that was never registered,
-        // so only it fails; the batch's other completions are unaffected.
-        for (i, dest) in ["s0", "nowhere", "s0"].iter().enumerate() {
-            sq.prep(SqEntry {
-                dest: (*dest).into(),
-                payload: Bytes::from_static(b"ok"),
-                deadline: Duration::from_secs(5),
-                user_data: i as u64,
-            });
-        }
-        let completions = sq.submit_and_wait();
-        assert!(completions[0].result.is_ok());
-        assert!(completions[1].result.is_err());
-        assert!(completions[2].result.is_ok());
+        // The middle call targets an endpoint that was never registered,
+        // so only it fails; the other results are unaffected.
+        let calls = ["s0", "nowhere", "s0"]
+            .iter()
+            .map(|dest| (dest.to_string(), Bytes::from_static(b"ok")))
+            .collect();
+        let results = pool.call_all(calls, DEADLINE);
+        assert!(results[0].is_ok());
+        assert!(results[1].is_err());
+        assert!(results[2].is_ok());
     }
 
     #[test]
     fn empty_and_single_entry_submits_avoid_dispatch() {
         let (fabric, _servers) = fabric_with_echo(&["s0"]);
         let pool = SqPool::new(fabric, 8).unwrap();
-        let mut sq = SubmissionQueue::with_pool(&pool);
-        assert!(sq.submit_and_wait().is_empty());
-        sq.prep(SqEntry {
-            dest: "s0".into(),
-            payload: Bytes::from_static(b"solo"),
-            deadline: Duration::from_secs(5),
-            user_data: 42,
-        });
-        let completions = sq.submit_and_wait();
-        assert_eq!(completions.len(), 1);
-        assert_eq!(completions[0].user_data, 42);
+        assert!(pool.call_all(Vec::new(), DEADLINE).is_empty());
+        let results = pool.call_all(vec![("s0".into(), Bytes::from_static(b"solo"))], DEADLINE);
+        assert_eq!(results.len(), 1);
         assert_eq!(
-            completions[0].result.as_ref().unwrap().header,
+            results[0].as_ref().unwrap().header,
             Bytes::from_static(b"solo")
         );
-    }
-
-    #[test]
-    fn queue_is_reusable_after_submit() {
-        let (fabric, _servers) = fabric_with_echo(&["s0"]);
-        let pool = SqPool::new(fabric, 2).unwrap();
-        let mut sq = SubmissionQueue::with_pool(&pool);
-        for round in 0..3u64 {
-            for i in 0..4u64 {
-                sq.prep(SqEntry {
-                    dest: "s0".into(),
-                    payload: Bytes::from(format!("r{round}-{i}")),
-                    deadline: Duration::from_secs(5),
-                    user_data: i,
-                });
-            }
-            let completions = sq.submit_and_wait();
-            assert_eq!(completions.len(), 4);
-            assert!(completions.iter().all(|c| c.result.is_ok()));
-        }
     }
 
     #[test]
@@ -410,25 +275,18 @@ mod tests {
         let pool = SqPool::new(fabric, 4).unwrap();
         assert_eq!(pool.workers(), 4);
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..8u64)
+            let handles: Vec<_> = (0..8)
                 .map(|t| {
                     let pool = pool.clone();
                     s.spawn(move || {
-                        let mut sq = SubmissionQueue::with_pool(&pool);
-                        for i in 0..6u64 {
-                            sq.prep(SqEntry {
-                                dest: format!("s{}", i % 2),
-                                payload: Bytes::from(format!("t{t}-{i}")),
-                                deadline: Duration::from_secs(5),
-                                user_data: i,
-                            });
-                        }
-                        let completions = sq.submit_and_wait();
-                        assert_eq!(completions.len(), 6);
-                        for (i, c) in completions.iter().enumerate() {
-                            assert_eq!(c.user_data, i as u64);
+                        let calls = (0..6)
+                            .map(|i| (format!("s{}", i % 2), Bytes::from(format!("t{t}-{i}"))))
+                            .collect();
+                        let results = pool.call_all(calls, DEADLINE);
+                        assert_eq!(results.len(), 6);
+                        for (i, r) in results.iter().enumerate() {
                             assert_eq!(
-                                c.result.as_ref().unwrap().header,
+                                r.as_ref().unwrap().header,
                                 Bytes::from(format!("t{t}-{i}"))
                             );
                         }
@@ -465,17 +323,8 @@ mod tests {
         let clone = pool.clone();
         drop(pool);
         // The clone still dispatches fine.
-        let mut sq = SubmissionQueue::with_pool(&clone);
-        for i in 0..3u64 {
-            sq.prep(SqEntry {
-                dest: "s0".into(),
-                payload: Bytes::from_static(b"x"),
-                deadline: Duration::from_secs(5),
-                user_data: i,
-            });
-        }
-        assert_eq!(sq.submit_and_wait().len(), 3);
-        drop(sq);
+        let calls = vec![("s0".to_string(), Bytes::from_static(b"x")); 3];
+        assert_eq!(clone.call_all(calls, DEADLINE).len(), 3);
         drop(clone); // joins the workers; a hang here would fail the test
     }
 }

@@ -409,6 +409,80 @@ fn set_down_latches_the_socket_endpoint() {
     assert!(fabric.call("d", Bytes::new()).is_ok());
 }
 
+/// The fabric keeps one endpoint table for every transport, so serving,
+/// listing, the duplicate check, the down-latch and unregistering behave
+/// the same on a loopback, a TCP and a UDS fabric.
+#[test]
+fn one_endpoint_table_behaves_the_same_on_every_backend() {
+    let fabrics = [
+        ("loopback", Fabric::new()),
+        ("tcp", Fabric::socket(SocketFamily::Tcp)),
+        ("unix", Fabric::socket(SocketFamily::Unix)),
+    ];
+    for (kind, fabric) in fabrics {
+        let fabric = Arc::new(fabric);
+        let ep = fabric.serve("node0/srv0", echo_handler()).unwrap();
+        assert_eq!(fabric.endpoint_names(), ["node0/srv0"], "{kind}");
+        assert!(fabric.is_up("node0/srv0"), "{kind}");
+        assert!(
+            matches!(
+                fabric.serve("node0/srv0", echo_handler()),
+                Err(HvacError::InvalidConfig(_))
+            ),
+            "{kind}: a served name was served twice"
+        );
+
+        assert!(fabric.set_down("node0/srv0", true), "{kind}");
+        assert!(!fabric.is_up("node0/srv0"), "{kind}");
+        let err = fabric
+            .call("node0/srv0", Bytes::from_static(b"x"))
+            .unwrap_err();
+        assert!(matches!(err, HvacError::ServerDown(_)), "{kind}: {err}");
+        assert_eq!(fabric.stats().snapshot().1, 0, "{kind}: bytes moved");
+
+        ep.set_down(false);
+        assert!(fabric.is_up("node0/srv0"), "{kind}");
+        let reply = fabric
+            .call("node0/srv0", Bytes::from_static(b"ab"))
+            .unwrap();
+        assert_eq!(reply.header.as_ref(), b"ba", "{kind}");
+
+        drop(ep);
+        assert!(fabric.endpoint_names().is_empty(), "{kind}");
+        assert!(!fabric.is_up("node0/srv0"), "{kind}");
+        match fabric.call("node0/srv0", Bytes::new()) {
+            Err(HvacError::ServerDown(msg)) => {
+                assert!(msg.ends_with("(not registered)"), "{kind}: {msg}")
+            }
+            other => panic!("{kind}: expected ServerDown, got {other:?}"),
+        }
+    }
+
+    for family in [SocketFamily::Tcp, SocketFamily::Unix] {
+        let fabric = Arc::new(Fabric::socket(family));
+        let _ep = fabric.serve("served", echo_handler()).unwrap();
+        let uri = fabric.endpoint_uri("served").unwrap();
+        fabric.register_endpoint("remote", &uri).unwrap();
+        // Re-registering a down name, served or not, never revives it.
+        for name in ["served", "remote"] {
+            assert!(fabric.set_down(name, true));
+            fabric.register_endpoint(name, &uri).unwrap();
+            assert!(!fabric.is_up(name), "{family:?} {name}");
+            let err = fabric.call(name, Bytes::new()).unwrap_err();
+            assert!(matches!(err, HvacError::ServerDown(_)), "{err}");
+            assert!(fabric.set_down(name, false));
+        }
+        // Re-registering a served name's address leaves it served.
+        let err = fabric.serve("served", echo_handler()).unwrap_err();
+        assert!(matches!(err, HvacError::InvalidConfig(_)), "{err}");
+        assert_eq!(fabric.endpoint_uri("served"), Some(uri));
+        for name in ["served", "remote"] {
+            let reply = fabric.call(name, Bytes::from_static(b"up")).unwrap();
+            assert_eq!(reply.header.as_ref(), b"pu", "{family:?} {name}");
+        }
+    }
+}
+
 // ---- fault-injector parity: all five actions over real sockets ----------
 
 #[test]

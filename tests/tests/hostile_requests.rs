@@ -1,11 +1,13 @@
 //! Requests whose offset and length come straight off the wire must never
-//! take a server down. A `Read` or `ReadSegment` asking for `u64::MAX`
-//! bytes past offset 5 is a short read of the file's tail, not an
-//! overflow: the RPC workers and the data mover keep serving, later reads
-//! never degrade to the PFS, and the cluster shuts down cleanly.
+//! take a server down. A `Read`, or a segment read sent as a one-item
+//! `Batch`, asking for `u64::MAX` bytes past offset 5 is a short read of the
+//! file's tail, not an overflow: the server's connection threads and its
+//! data mover keep serving, later reads never degrade to the PFS, and the
+//! cluster shuts down cleanly.
 
 use hvac_core::cluster::{Cluster, ClusterOptions};
 use hvac_core::protocol::{Request, Response};
+use hvac_net::plan::BatchItem;
 use hvac_pfs::MemStore;
 use hvac_types::TransportKind;
 use std::path::{Path, PathBuf};
@@ -26,8 +28,13 @@ fn hostile(cluster: &Cluster, path: &Path, req: Request) -> Vec<u8> {
         .fabric()
         .call_with_deadline(home, req.encode().unwrap(), Duration::from_secs(5))
         .unwrap_or_else(|e| panic!("{}: server stopped answering: {e}", path.display()));
+    let bulk = reply.bulk.unwrap_or_default().to_vec();
     match Response::decode(reply.header).unwrap() {
-        Response::Data { .. } => reply.bulk.unwrap_or_default().to_vec(),
+        Response::Data { .. } => bulk,
+        Response::Batch { lens } => {
+            assert_eq!(lens, [bulk.len() as u32], "one item, all of the bulk");
+            bulk
+        }
         other => panic!("unexpected reply {other:?}"),
     }
 }
@@ -45,8 +52,9 @@ fn overflowing_read_ranges_are_short_reads_and_the_server_keeps_serving() {
     .unwrap();
     let tail = |i: u64| MemStore::sample_content(i, FILE_SIZE).slice(5..).to_vec();
 
-    // Four hostile reads of a resident file: more than the RPC workers of
-    // its home server, so one panic each would leave none.
+    // Four hostile reads of a resident file, one after another on its home
+    // server: each must be answered, so none may have panicked the thread
+    // serving it.
     let resident = sample(0);
     cluster.client(0).read_file(&resident).unwrap();
     for _ in 0..4 {
@@ -59,14 +67,16 @@ fn overflowing_read_ranges_are_short_reads_and_the_server_keeps_serving() {
     }
     // A hostile segment read of an uncached file runs in the data mover.
     let missing = sample(1);
-    let req = Request::ReadSegment {
-        path: missing.clone(),
-        offset: 5,
-        len: u64::MAX,
+    let req = Request::Batch {
+        items: vec![BatchItem {
+            path: missing.to_str().unwrap().to_string(),
+            offset: 5,
+            len: u64::MAX,
+        }],
     };
     assert_eq!(hostile(&cluster, &missing, req), tail(1));
 
-    // Every worker and mover still serves: no read degrades to the PFS.
+    // Every server and mover still serves: no read degrades to the PFS.
     for rank in 0..cluster.n_clients() {
         let client = cluster.client(rank);
         for i in 0..N_FILES {

@@ -88,7 +88,7 @@ fn all_read_shapes_agree_across_arms_and_transports() {
     for transport in TRANSPORTS {
         // Small bulk chunks turn whole-file reads of the larger files into
         // chunk plans; segmented reads batch per destination.
-        let (_pfs, cluster) = build(transport, |o| o.bulk_transfer(8 * 1024, 4));
+        let (_pfs, cluster) = build(transport, |o| o.bulk_chunk(8 * 1024));
         read_all(&cluster, 0, &format!("{transport:?}/clean"));
         let s = cluster.client(0).metrics().full_snapshot();
         assert!(
@@ -168,7 +168,7 @@ fn drop_and_delay_faults_stay_byte_exact_on_both_arms() {
         let (_pfs, cluster) = build(transport, |o| {
             o.replication(2)
                 .retry_policy(fault_retry())
-                .bulk_transfer(8 * 1024, 4)
+                .bulk_chunk(8 * 1024)
         });
         // Warm pass (clean) so the dataset is cached, then arm faults.
         read_all(&cluster, 0, &format!("{transport:?}/warm"));
@@ -198,7 +198,7 @@ fn crash_faults_stay_byte_exact_on_both_arms() {
             o.replication(2)
                 .retry_policy(fault_retry())
                 .repair(false)
-                .bulk_transfer(8 * 1024, 4)
+                .bulk_chunk(8 * 1024)
         });
         read_all(&cluster, 0, &format!("{transport:?}/pre-crash"));
         cluster.crash_node(1).unwrap();

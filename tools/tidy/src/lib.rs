@@ -412,6 +412,20 @@ fn library_crate_of(rel: &Path) -> Option<String> {
     Some((*crate_name).to_string())
 }
 
+/// Non-test Rust lines of the program: [`non_test_lines`] summed over the
+/// sources under `crates/*/src` and `tools/*/src`. Every change reports its
+/// net change in this number (`cargo run -p tidy -- loc`).
+pub fn count_loc(files: &[SourceFile]) -> usize {
+    files
+        .iter()
+        .filter(|f| {
+            let parts: Vec<_> = f.rel_path.iter().take(3).collect();
+            matches!(parts[..], [top, _, src] if (top == "crates" || top == "tools") && src == "src")
+        })
+        .map(|f| non_test_lines(&f.text).into_iter().filter(|&l| l).count())
+        .sum()
+}
+
 /// Locate the workspace root from this crate's own manifest dir.
 pub fn workspace_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -683,6 +697,23 @@ mod tests {
         let mut report = Report::default();
         check_unwrap_ratchet(&files, &ratchet, &mut report);
         assert!(report.is_clean());
+    }
+
+    #[test]
+    fn loc_counts_non_test_lines_of_crate_and_tool_sources_only() {
+        let files = [
+            file(
+                "crates/hvac-x/src/lib.rs",
+                "//! doc\nfn a() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\n",
+            ),
+            file("crates/hvac-x/src/bin/b.rs", "fn main() {}\n\n"),
+            file("tools/t/src/main.rs", "fn main() {}\n"),
+            file("crates/hvac-x/tests/t.rs", "fn t() {}\n"),
+            file("crates/hvac-x/benches/b.rs", "fn b() {}\n"),
+            file("examples/quickstart.rs", "fn main() {}\n"),
+            file("tests/tests/t.rs", "fn t() {}\n"),
+        ];
+        assert_eq!(count_loc(&files), 2 + 2 + 1);
     }
 
     #[test]

@@ -4,12 +4,21 @@
 //! hierarchy, per-class acquisition sites, extracted edges with witness
 //! file:line pairs) and exits non-zero if the lockgraph pass found
 //! violations. CI archives this dump next to the runtime-coverage report.
+//!
+//! `cargo run -p tidy -- loc` prints one number: the program's non-test
+//! Rust lines (`crates/*/src` and `tools/*/src`, `#[cfg(test)]` items
+//! excluded), the figure each change reports its net line change in.
 
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let root = tidy::workspace_root();
-    if std::env::args().nth(1).as_deref() == Some("lockgraph") {
+    let command = std::env::args().nth(1);
+    if command.as_deref() == Some("loc") {
+        println!("{}", tidy::count_loc(&tidy::collect_sources(&root)));
+        return ExitCode::SUCCESS;
+    }
+    if command.as_deref() == Some("lockgraph") {
         let analysis = tidy::lockgraph::analyze_workspace(&root);
         print!("{}", tidy::lockgraph::render(&analysis));
         return if analysis.violations.is_empty() {
