@@ -5,10 +5,11 @@
 //!   rendezvous, ring and straw2 compare on balance, and what fraction of
 //!   files move when the allocation grows by one node (the elasticity the
 //!   alternatives are supposed to buy)?
-//! * **Eviction** — §III-G picks random eviction; how do FIFO/LRU/LFU
-//!   compare on hit rate when the dataset exceeds the aggregate cache, under
-//!   the re-read-everything-each-epoch access pattern? (Theory says: under
-//!   uniform random re-reads nothing beats random by much — worth measuring.)
+//! * **Eviction** — §III-G picks random eviction; how do FIFO/LRU/LFU and
+//!   CoorDL's MinIO compare on hit rate when the dataset exceeds the
+//!   aggregate cache, under the re-read-everything-each-epoch access
+//!   pattern? (Each row names its policy, so the table does not depend on
+//!   the default; MinIO's lead is why it is the default.)
 //! * **Prefetch** — §IV-C proposes pre-populating the cache to remove the
 //!   epoch-1 penalty; how much does staged warm-up buy per job length?
 //! * **Topology** — §IV-G proposes topology-aware placement; how often do

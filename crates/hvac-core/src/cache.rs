@@ -2,9 +2,9 @@
 //!
 //! [`CacheManager`] owns the node's [`LocalStore`] plus an eviction policy
 //! and keeps them consistent: an insert that does not fit evicts victims
-//! until it does (or fails if the file can never fit), every store mutation
-//! is mirrored into the policy, and eviction counts flow into the server
-//! metrics.
+//! until it does, or is refused (a file that can never fit, or a policy
+//! that does not replace); every store mutation is mirrored into the
+//! policy, and eviction counts flow into the server metrics.
 //!
 //! One `CacheManager` is shared by all HVAC server *instances* on a node —
 //! the instances have separate request queues and data movers (that is what
@@ -20,9 +20,9 @@
 use crate::eviction::EvictionPolicy;
 use bytes::Bytes;
 use hvac_hash::pathhash::split_tenant_key;
-use hvac_storage::{LocalStore, TenantUsage};
+use hvac_storage::LocalStore;
 use hvac_sync::{classes, OrderedMutex, OrderedRwLock};
-use hvac_types::{ByteSize, HvacError, Result};
+use hvac_types::{ByteSize, HvacError, JobId, Result};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -70,12 +70,17 @@ impl CacheManager {
     /// evicts only its own keys (a tenant at quota can never displace a
     /// neighbour's resident entries), while genuine global pressure shrinks
     /// tenants in proportion to their quota share — the tenant furthest
-    /// over its share loses first.
+    /// over its share loses first. A policy that does not
+    /// [replace](EvictionPolicy::replaces) never evicts the inserter's own
+    /// keys: under quota pressure the insert is refused, and under global
+    /// pressure it only reclaims from tenants strictly further over their
+    /// share than the inserter would be with the new entry.
     ///
-    /// Fails with [`HvacError::CapacityExhausted`] only when the file is
-    /// larger than the whole device or the tenant's quota — the paper's
+    /// Fails with [`HvacError::CapacityExhausted`] when the file is larger
+    /// than the whole device or the tenant's quota — the paper's
     /// expectation is that real datasets never outgrow the *aggregate*
-    /// allocation capacity (§III-G), but a single node can still churn.
+    /// allocation capacity (§III-G), but a single node can still fill — or
+    /// when the policy finds no victim it may take.
     pub fn insert(&self, path: &Path, data: Bytes) -> Result<InsertOutcome> {
         let size = ByteSize(data.len() as u64);
         if !self.store.can_ever_fit(size) {
@@ -103,10 +108,13 @@ impl CacheManager {
             let existing = self.store.size_of(path).unwrap_or(ByteSize::ZERO);
             let incoming = ByteSize(size.bytes().saturating_sub(existing.bytes()));
             if self.store.tenant_over_quota(job, incoming) {
-                // Quota pressure: the offending tenant pays for itself.
+                // Quota pressure: the offending tenant pays for itself, or
+                // is refused by a policy that does not replace.
                 let own = |k: &Path| split_tenant_key(k).0 == job && k != path;
                 let victim = policy
-                    .victim_where(&own)
+                    .replaces()
+                    .then(|| policy.victim_where(&own))
+                    .flatten()
                     .ok_or(HvacError::CapacityExhausted {
                         requested: size.bytes(),
                         capacity: self
@@ -125,12 +133,12 @@ impl CacheManager {
                     return Ok(outcome);
                 }
                 Err(HvacError::CapacityExhausted { .. }) => {
-                    let victim = self.pressure_victim(&mut policy, path).ok_or(
-                        HvacError::CapacityExhausted {
+                    let victim = self
+                        .pressure_victim(&mut policy, path, job, incoming)
+                        .ok_or(HvacError::CapacityExhausted {
                             requested: size.bytes(),
                             capacity: self.store.capacity().bytes(),
-                        },
-                    )?;
+                        })?;
                     // Never evict the path we are inserting (re-insert case).
                     if victim == path {
                         policy.on_remove(&victim);
@@ -160,32 +168,43 @@ impl CacheManager {
     /// proportion to their quota share, so the tenant furthest over its
     /// share (unlimited tenants are measured against whole-device capacity)
     /// loses first; the policy keeps its own preference order *within* the
-    /// chosen tenant. Falls back to the policy's unrestricted choice if no
-    /// per-tenant search yields a victim.
+    /// chosen tenant. A replacing policy falls back to its unrestricted
+    /// choice if no per-tenant search yields a victim. A policy that does
+    /// not replace only considers tenants strictly further over their share
+    /// than the inserting tenant `job` would be after landing `incoming` more
+    /// bytes, so reclaim stops once the shares meet instead of trading
+    /// entries back and forth.
     fn pressure_victim(
         &self,
         policy: &mut Box<dyn EvictionPolicy>,
         inserting: &Path,
+        job: JobId,
+        incoming: ByteSize,
     ) -> Option<PathBuf> {
         let cap = self.store.capacity().bytes().max(1) as f64;
-        let share = |u: &TenantUsage| {
-            u.used.bytes() as f64 / u.quota.map_or(cap, |q| q.bytes().max(1) as f64)
+        let share = |used: u64, quota: Option<ByteSize>| {
+            used as f64 / quota.map_or(cap, |q| q.bytes().max(1) as f64)
         };
         let mut usage = self.store.tenant_usage();
-        usage.retain(|u| u.resident > 0);
+        let floor = (!policy.replaces()).then(|| {
+            let used = self.store.tenant_used(job) + incoming;
+            share(used.bytes(), self.store.tenant_quota(job))
+        });
+        usage
+            .retain(|u| u.resident > 0 && floor.is_none_or(|f| share(u.used.bytes(), u.quota) > f));
         usage.sort_by(|a, b| {
-            share(b)
-                .partial_cmp(&share(a))
+            share(b.used.bytes(), b.quota)
+                .partial_cmp(&share(a.used.bytes(), a.quota))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
         for u in &usage {
-            let job = u.job;
-            let in_tenant = |k: &Path| split_tenant_key(k).0 == job && k != inserting;
+            let tenant = u.job;
+            let in_tenant = |k: &Path| split_tenant_key(k).0 == tenant && k != inserting;
             if let Some(v) = policy.victim_where(&in_tenant) {
                 return Some(v);
             }
         }
-        policy.victim()
+        policy.replaces().then(|| policy.victim()).flatten()
     }
 
     /// Whether `path` is resident.
@@ -416,6 +435,50 @@ mod tests {
         assert_eq!(m.store().tenant_used(JobId(1)), ByteSize(40));
         assert_eq!(m.store().tenant_used(JobId(2)), ByteSize(40));
         assert_eq!(m.store().tenant_used(JobId::DEFAULT), ByteSize(20));
+    }
+
+    #[test]
+    fn pinned_policy_reclaims_across_tenants_but_never_within_one() {
+        use hvac_hash::pathhash::tenant_key;
+        use hvac_types::JobId;
+        let m = mgr(100, make_policy(EvictionPolicyKind::MinIo, 1));
+        let k = |job: u64, i: u64| tenant_key(JobId(job), Path::new(&format!("/f{i}")));
+        let used = |job: u64| m.store().tenant_used(JobId(job)).bytes();
+        for i in 0..10 {
+            m.insert(&k(1, i), blob(10, 1)).unwrap();
+        }
+        // A lone tenant on a full device is refused, never replaces.
+        assert!(m.insert(&k(1, 10), blob(10, 1)).is_err());
+        assert_eq!(m.evictions(), 0);
+        // Job 2 (no quota either) reclaims job 1's newest entries until the
+        // two shares meet.
+        let admitted = (0..10)
+            .filter(|&i| m.insert(&k(2, i), blob(10, 2)).is_ok())
+            .count() as u64;
+        assert!(admitted > 0, "job 2 starved on a node job 1 filled");
+        assert!(
+            used(1).abs_diff(used(2)) <= 10,
+            "{} vs {}",
+            used(1),
+            used(2)
+        );
+        assert_eq!((m.evictions(), used(2)), (admitted, 10 * admitted));
+        for i in 0..10 - admitted {
+            assert!(m.contains(&k(1, i)), "job 1's first-admitted prefix stays");
+        }
+        // Once the shares meet, neither job gets in, and neither loses an
+        // entry of its own.
+        let resident: Vec<_> = (0..10)
+            .map(|i| (m.contains(&k(1, i)), m.contains(&k(2, i))))
+            .collect();
+        for job in [1, 2] {
+            assert!(m.insert(&k(job, 99), blob(10, 3)).is_err(), "job {job}");
+        }
+        assert_eq!(m.evictions(), admitted);
+        let after: Vec<_> = (0..10)
+            .map(|i| (m.contains(&k(1, i)), m.contains(&k(2, i))))
+            .collect();
+        assert_eq!(resident, after);
     }
 
     #[test]

@@ -110,8 +110,9 @@ pub struct ClusterOptions {
 }
 
 impl ClusterOptions {
-    /// Defaults: 1 client/node, modulo placement, random eviction, 1 GiB of
-    /// cache per node, no replication.
+    /// Defaults: 1 client/node, modulo placement, the default eviction
+    /// policy ([`EvictionPolicyKind::default`], MinIO: no replacement once a
+    /// node is full), 1 GiB of cache per node, no replication.
     pub fn new(nodes: u32, instances_per_node: u32) -> Self {
         Self {
             nodes,
@@ -119,7 +120,7 @@ impl ClusterOptions {
             clients_per_node: 1,
             dataset_dir: PathBuf::from("/"),
             placement: PlacementKind::Modulo,
-            eviction: EvictionPolicyKind::Random,
+            eviction: EvictionPolicyKind::default(),
             replication: 1,
             cache_capacity: ByteSize::gib(1),
             movers_per_instance: 1,

@@ -2,8 +2,13 @@
 //!
 //! The paper (§III-G): *"Currently, HVAC is designed to perform eviction and
 //! replacement randomly and various cache-eviction and replacement policies
-//! can be considered."* — so [`RandomPolicy`] is the default, and FIFO, LRU
-//! and LFU are the "various policies" for the ablation bench.
+//! can be considered."* The default here is CoorDL's MinIO instead
+//! ([`MinIoPolicy`]; DESIGN §3): a training epoch reads each sample once in
+//! a fresh shuffle, so replacing an entry trades one that may still be read
+//! this epoch for one that will not be. A full node refuses further inserts
+//! and serves those misses from the PFS. [`RandomPolicy`] (the paper's),
+//! FIFO, LRU and LFU stay selectable as the "various policies" for the
+//! ablation bench.
 //!
 //! A policy only tracks *which* resident file to sacrifice; the byte
 //! accounting lives in [`hvac_storage::LocalStore`], and the orchestration in
@@ -36,12 +41,15 @@ pub trait EvictionPolicy: Send {
 
     /// [`victim`](Self::victim) restricted to files satisfying `eligible` —
     /// the same preference order, applied to a sub-population. The cache
-    /// manager uses this to confine quota-driven eviction to one tenant's
-    /// keys. The default filters the unrestricted choice, which is only
-    /// right for policies that never evict anyway; real policies override
-    /// it with a genuine restricted search.
-    fn victim_where(&mut self, eligible: &dyn Fn(&Path) -> bool) -> Option<PathBuf> {
-        self.victim().filter(|p| eligible(p))
+    /// manager uses this to confine eviction to one tenant's keys.
+    fn victim_where(&mut self, eligible: &dyn Fn(&Path) -> bool) -> Option<PathBuf>;
+
+    /// Whether the policy replaces a tenant's entries with its own newer
+    /// ones. A policy that does not ([`MinIoPolicy`]) only gives entries up
+    /// across tenants, to one under its share (DESIGN §14); its victim
+    /// order is then the reclaim order.
+    fn replaces(&self) -> bool {
+        true
     }
 
     /// Number of tracked files (for invariant checks).
@@ -294,13 +302,16 @@ impl EvictionPolicy for LfuPolicy {
     }
 }
 
-/// CoorDL's MinIO: never evict. Once the cache fills, further inserts are
-/// refused and the server serves those files from the PFS directly — so a
-/// *stable* subset of the dataset is always cache-resident, instead of the
-/// whole dataset churning (the §V-cited design).
+/// CoorDL's MinIO, the default: never replace. Once the cache fills,
+/// further inserts are refused and the server serves those files from the
+/// PFS directly — so a *stable* subset of the dataset is always
+/// cache-resident, instead of the whole dataset churning (the §V-cited
+/// design). Its victims are only for cross-tenant reclaim, newest-admitted
+/// first, so the first-admitted prefix is the last to go.
 #[derive(Default)]
 pub struct MinIoPolicy {
-    resident: std::collections::HashSet<PathBuf>,
+    clock: u64,
+    admitted_at: HashMap<PathBuf, u64>,
 }
 
 impl MinIoPolicy {
@@ -315,17 +326,29 @@ impl EvictionPolicy for MinIoPolicy {
         "minio"
     }
     fn on_insert(&mut self, path: &Path) {
-        self.resident.insert(path.to_path_buf());
+        self.clock += 1;
+        let t = self.clock;
+        self.admitted_at.entry(path.to_path_buf()).or_insert(t);
     }
     fn on_access(&mut self, _path: &Path) {}
     fn on_remove(&mut self, path: &Path) {
-        self.resident.remove(path);
+        self.admitted_at.remove(path);
     }
     fn victim(&mut self) -> Option<PathBuf> {
-        None // pinned: nothing is ever sacrificed
+        self.victim_where(&|_| true)
+    }
+    fn victim_where(&mut self, eligible: &dyn Fn(&Path) -> bool) -> Option<PathBuf> {
+        self.admitted_at
+            .iter()
+            .filter(|(p, _)| eligible(p))
+            .max_by_key(|(_, &t)| t)
+            .map(|(p, _)| p.clone())
+    }
+    fn replaces(&self) -> bool {
+        false
     }
     fn len(&self) -> usize {
-        self.resident.len()
+        self.admitted_at.len()
     }
 }
 
@@ -355,6 +378,7 @@ mod tests {
             Box::new(FifoPolicy::new()),
             Box::new(LruPolicy::new()),
             Box::new(LfuPolicy::new()),
+            Box::new(MinIoPolicy::new()),
         ]
     }
 
@@ -498,10 +522,18 @@ mod tests {
             lru.victim_where(&|x| x.starts_with("/t1")).unwrap(),
             p("/t1/c")
         );
-        // MinIO still never evicts, restricted or not.
+        // MinIO reclaims newest-admitted first, so the prefix it pinned
+        // first is the last to go; re-admitting a resident entry keeps its
+        // place.
         let mut pinned = MinIoPolicy::new();
-        pinned.on_insert(&p("/t1/x"));
-        assert!(pinned.victim_where(&|_| true).is_none());
+        for n in ["/t0/a", "/t1/b", "/t1/c", "/t0/d", "/t1/b"] {
+            pinned.on_insert(&p(n));
+        }
+        assert_eq!(
+            pinned.victim_where(&|x| x.starts_with("/t1")).unwrap(),
+            p("/t1/c")
+        );
+        assert_eq!(pinned.victim().unwrap(), p("/t0/d"));
     }
 
     #[test]
@@ -511,16 +543,32 @@ mod tests {
             EvictionPolicyKind::Fifo,
             EvictionPolicyKind::Lru,
             EvictionPolicyKind::Lfu,
+            EvictionPolicyKind::MinIo,
         ] {
             let mut pol = make_policy(kind, 3);
             pol.on_insert(&p("/x"));
             assert_eq!(pol.victim().unwrap(), p("/x"));
+            assert_eq!(
+                pol.replaces(),
+                kind != EvictionPolicyKind::MinIo,
+                "{kind:?}"
+            );
         }
-        let mut pinned = make_policy(EvictionPolicyKind::MinIo, 3);
-        pinned.on_insert(&p("/x"));
-        assert!(pinned.victim().is_none(), "MinIO never evicts");
+        // The default never replaces; its reclaim order is newest first,
+        // where FIFO's is oldest first.
+        assert_eq!(EvictionPolicyKind::default(), EvictionPolicyKind::MinIo);
+        let mut pinned = make_policy(EvictionPolicyKind::default(), 3);
+        let mut fifo = make_policy(EvictionPolicyKind::Fifo, 3);
+        for n in ["/x", "/y"] {
+            pinned.on_insert(&p(n));
+            fifo.on_insert(&p(n));
+        }
+        assert_eq!(
+            (pinned.victim().unwrap(), fifo.victim().unwrap()),
+            (p("/y"), p("/x"))
+        );
+        pinned.on_remove(&p("/y"));
+        assert_eq!(pinned.victim().unwrap(), p("/x"));
         assert_eq!(pinned.len(), 1);
-        pinned.on_remove(&p("/x"));
-        assert_eq!(pinned.len(), 0);
     }
 }

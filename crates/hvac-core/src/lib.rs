@@ -25,7 +25,8 @@
 //! ## Crate layout
 //!
 //! * [`protocol`] — the client↔server wire protocol,
-//! * [`eviction`] — Random (paper default), FIFO, LRU, LFU policies,
+//! * [`eviction`] — MinIO (the default: no replacement), Random (the
+//!   paper's §III-G policy), FIFO, LRU, LFU,
 //! * [`cache`] — the per-node cache manager (capacity + eviction + metrics),
 //! * [`server`] — the HVAC server instance: RPC handlers, shared FIFO queue,
 //!   data movers,

@@ -991,7 +991,8 @@ mod tests {
     #[test]
     fn eviction_under_pressure_keeps_serving() {
         // Cache fits only 3 of the 16 files; every file must still be
-        // readable (paper §III-G: random replacement when dataset > cache).
+        // readable while `setup`'s Random policy replaces entries (paper
+        // §III-G's replacement when dataset > cache).
         let (_pfs, server) = setup(350);
         for round in 0..3 {
             for i in 0..16 {

@@ -28,7 +28,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Configuration of the embedded agent, read from the environment by the
-/// shim (all paths absolute).
+/// shim (all paths absolute). The embedded cache runs the default eviction
+/// policy ([`EvictionPolicyKind::default`]), the same as a cluster's.
 #[derive(Debug, Clone)]
 pub struct AgentConfig {
     /// Directory to cache (`HVAC_DATASET_DIR`).
@@ -37,8 +38,6 @@ pub struct AgentConfig {
     pub cache_capacity: ByteSize,
     /// Optional on-disk cache directory (`HVAC_CACHE_DIR`); memory if unset.
     pub cache_dir: Option<PathBuf>,
-    /// Eviction policy (paper default: random).
-    pub eviction: EvictionPolicyKind,
 }
 
 impl AgentConfig {
@@ -48,7 +47,6 @@ impl AgentConfig {
             dataset_dir: dataset_dir.into(),
             cache_capacity: ByteSize::mib(512),
             cache_dir: None,
-            eviction: EvictionPolicyKind::Random,
         }
     }
 
@@ -65,7 +63,6 @@ impl AgentConfig {
             dataset_dir: PathBuf::from(dataset_dir),
             cache_capacity: ByteSize::mib(capacity_mb),
             cache_dir,
-            eviction: EvictionPolicyKind::Random,
         })
     }
 }
@@ -98,7 +95,7 @@ impl LocalAgent {
         };
         let cache = Arc::new(CacheManager::new(
             store,
-            make_policy(config.eviction, 0x48564143),
+            make_policy(EvictionPolicyKind::default(), 0x48564143),
         ));
         let server = HvacServer::new(cache, pfs.clone(), HvacServerOptions::default(), "preload")?;
         let fabric = Arc::new(Fabric::new());

@@ -159,7 +159,7 @@ fn run(config: ServerConfig) -> Result<()> {
     store.set_tenant_quotas(&config.job_weights);
     let cache = Arc::new(CacheManager::new(
         store,
-        make_policy(EvictionPolicyKind::Random, 0x4856_4143),
+        make_policy(EvictionPolicyKind::default(), 0x4856_4143),
     ));
     let server = HvacServer::new(
         cache,

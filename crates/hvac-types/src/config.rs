@@ -72,12 +72,15 @@ impl TransportKind {
     }
 }
 
-/// Cache eviction policy (paper §III-G: "Currently, HVAC is designed to
-/// perform eviction and replacement randomly").
+/// Cache eviction policy. The default is [`MinIo`](Self::MinIo), a
+/// deliberate deviation from paper §III-G ("Currently, HVAC is designed to
+/// perform eviction and replacement randomly"): a training epoch reads each
+/// sample once in a fresh shuffle, so a replacement swaps an entry that may
+/// still be read this epoch for one that will not be. The replacing
+/// policies stay selectable for ablations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
 pub enum EvictionPolicyKind {
-    /// Evict a uniformly random resident file — the paper's default.
-    #[default]
+    /// Evict a uniformly random resident file — the paper's policy.
     Random,
     /// First-in first-out.
     Fifo,
@@ -85,10 +88,12 @@ pub enum EvictionPolicyKind {
     Lru,
     /// Least frequently used.
     Lfu,
-    /// CoorDL's MinIO (cited in §II-D/§V): fill the cache once, then never
-    /// replace — "at least some fraction of data for an epoch is always
-    /// accessible from the cache". Un-admitted files are served from the
-    /// PFS directly (cache bypass).
+    /// CoorDL's MinIO (cited in §II-D/§V), the default: fill the cache
+    /// once, then never replace — "at least some fraction of data for an
+    /// epoch is always accessible from the cache". Un-admitted files are
+    /// served from the PFS directly (cache bypass). Only a tenant over its
+    /// share yields entries, to a tenant under it (DESIGN §14).
+    #[default]
     MinIo,
 }
 
@@ -101,8 +106,6 @@ pub struct HvacConfig {
     pub movers_per_instance: u32,
     /// Placement algorithm.
     pub placement: PlacementKind,
-    /// Eviction policy when a node-local store fills.
-    pub eviction: EvictionPolicyKind,
     /// Number of replicas per file (1 = paper's single-home design; >1
     /// enables the fail-over extension of §III-H).
     pub replication: u32,
@@ -123,7 +126,6 @@ impl Default for HvacConfig {
             instances_per_node: 1,
             movers_per_instance: 1,
             placement: PlacementKind::Modulo,
-            eviction: EvictionPolicyKind::Random,
             replication: 1,
             request_overhead_ns: 60_000,
             client_dispatch_ns: 5_000,

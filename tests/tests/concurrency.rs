@@ -5,8 +5,9 @@
 
 use bytes::Bytes;
 use hvac_core::cluster::{Cluster, ClusterOptions};
+use hvac_core::metrics::ServerMetricsSnapshot;
 use hvac_pfs::{FileMeta, FileStore, MemStore, StoreStats};
-use hvac_types::{ByteSize, Result};
+use hvac_types::{ByteSize, EvictionPolicyKind, Result};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -112,19 +113,23 @@ fn racing_ranks_fetch_each_file_exactly_once() {
     );
 }
 
-#[test]
-fn concurrent_reads_under_eviction_pressure_never_corrupt() {
+/// Six threads read a dataset whose aggregate cache holds ~40% of it under
+/// `eviction`, checking every byte. Returns the PFS and the cluster's
+/// aggregated server counters.
+fn concurrent_reads_under_pressure(
+    eviction: EvictionPolicyKind,
+) -> (Arc<MemStore>, ServerMetricsSnapshot) {
     let n_files = 64u64;
     let file_size = 1024usize;
     let pfs = Arc::new(MemStore::new());
     pfs.synthesize_dataset(Path::new("/gpfs/train"), n_files, |_| file_size);
     let cluster = Arc::new(
         Cluster::new(
-            pfs,
+            pfs.clone(),
             ClusterOptions::new(4, 1)
                 .dataset_dir("/gpfs/train")
-                // Aggregate cache holds ~40% of the dataset: heavy churn.
-                .cache_capacity(ByteSize(n_files * file_size as u64 / 10)),
+                .cache_capacity(ByteSize(n_files * file_size as u64 / 10))
+                .eviction(eviction),
         )
         .unwrap(),
     );
@@ -151,8 +156,31 @@ fn concurrent_reads_under_eviction_pressure_never_corrupt() {
     for j in joins {
         j.join().unwrap();
     }
-    let agg = cluster.aggregate_metrics();
+    (pfs, cluster.aggregate_metrics())
+}
+
+/// Replacement under concurrency: a replacing policy churns the cache while
+/// six threads read, and no byte is corrupted.
+#[test]
+fn concurrent_reads_under_eviction_pressure_never_corrupt() {
+    let (_pfs, agg) = concurrent_reads_under_pressure(EvictionPolicyKind::Random);
     assert!(agg.evictions > 0, "pressure should have forced evictions");
+}
+
+/// The same readers on the default pinned cache: a full node refuses the
+/// rest and serves them from the mover's bytes, so nothing is evicted and
+/// each miss costs one PFS read unless it joined a copy already in flight.
+#[test]
+fn concurrent_reads_on_a_full_pinned_cache_never_corrupt() {
+    let (pfs, agg) = concurrent_reads_under_pressure(EvictionPolicyKind::default());
+    assert_eq!(agg.evictions, 0, "the default policy never replaces");
+    assert!(agg.pfs_bypass_reads > 0, "refused misses must be served");
+    let (opens, reads, _) = pfs.stats().snapshot();
+    assert_eq!(
+        opens + reads,
+        agg.cache_misses - agg.dedup_waits,
+        "PFS ops == cache misses that did not join an in-flight copy: {agg:?}"
+    );
 }
 
 #[test]

@@ -75,8 +75,9 @@ fn all_policies_serve_correct_bytes_under_pressure() {
     }
     // The epoch access pattern is a full cyclic scan — FIFO/LRU's worst
     // case (they evict exactly what is needed next and can hit 0 %), while
-    // random eviction is scan-resistant. This is precisely why the paper's
-    // default policy (§III-G) is random.
+    // random eviction (the paper's §III-G policy) is scan-resistant. Never
+    // replacing does better still (`minio_policy_pins_a_stable_subset`),
+    // which is why the default policy is MinIO.
     let rate = |k: EvictionPolicyKind| hit_rates.iter().find(|(p, _)| *p == k).unwrap().1;
     assert!(
         rate(EvictionPolicyKind::Random) > 0.05,

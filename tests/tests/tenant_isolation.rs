@@ -5,15 +5,17 @@
 //! the same nodes with an unbounded read loop. With a weighted-fair plan
 //! installed, admission control sheds the aggressor's overflow to the PFS
 //! degradation ladder while the victim's reads stay byte-exact — including
-//! under injected drop/delay faults. Exporting `HVAC_TRANSPORT=tcp|unix`
-//! reruns the whole tier over real sockets, like every other tier.
+//! under injected drop/delay faults. A second job also gets its share of
+//! nodes the first job filled, under the pinned cache that never replaces
+//! a tenant's own entries. Exporting `HVAC_TRANSPORT=tcp|unix` reruns the
+//! whole tier over real sockets, like every other tier.
 
 use hvac_core::cluster::{Cluster, ClusterOptions};
 use hvac_core::qos::QosOptions;
 use hvac_net::FaultSpec;
 use hvac_pfs::MemStore;
 use hvac_storage::DeviceModel;
-use hvac_types::{ByteSize, JobId, JobWeights, RetryPolicy};
+use hvac_types::{ByteSize, EvictionPolicyKind, JobId, JobWeights, RetryPolicy};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -227,4 +229,78 @@ fn default_namespace_epoch_is_unaffected_by_the_plan() {
     }
     let agg = cluster.aggregate_metrics();
     assert!(agg.cache_hits > 0, "warm re-read should hit: {agg:?}");
+}
+
+/// DESIGN §14's cross-tenant reclaim under the pinned (MinIO) cache: job A's
+/// epoch fills every node, then job B — unquota'd like A — reclaims A's
+/// newest entries until their shares meet, instead of being refused on
+/// every node A filled. B's second epoch hits what B holds, and once the
+/// shares meet nobody replaces anything.
+#[test]
+fn second_job_gets_its_share_of_nodes_the_first_job_filled() {
+    const JOB_A: JobId = JobId(21);
+    const JOB_B: JobId = JobId(22);
+    let pfs = Arc::new(MemStore::new());
+    pfs.synthesize_dataset(Path::new("/gpfs/train"), N_FILES, |_| FILE_SIZE);
+    // Each node holds 4 files, about half of one job's slice of the dataset.
+    let capacity = 4 * FILE_SIZE as u64;
+    let cluster = Cluster::new(
+        pfs,
+        ClusterOptions::new(4, 1)
+            .dataset_dir("/gpfs/train")
+            .cache_capacity(ByteSize(capacity))
+            .eviction(EvictionPolicyKind::MinIo),
+    )
+    .unwrap();
+    let epoch = |job: JobId| {
+        let client = cluster.client_for_job(job).unwrap();
+        for i in 0..N_FILES {
+            let data = client.read_file(&sample(i)).unwrap();
+            assert_eq!(
+                data,
+                MemStore::sample_content(i, FILE_SIZE),
+                "job {} read of file {i} corrupted",
+                job.0
+            );
+        }
+    };
+    // (resident entries, bytes, hits) of `job`, summed over the nodes.
+    let usage = |job: JobId| {
+        (0..cluster.n_servers())
+            .flat_map(|s| cluster.server(s).cache().store().tenant_usage())
+            .filter(|u| u.job == job)
+            .fold((0, 0, 0), |(n, b, h), u| {
+                (n + u.resident, b + u.used.bytes(), h + u.hits)
+            })
+    };
+
+    epoch(JOB_A);
+    assert!(
+        cluster.per_node_bytes().iter().all(|&b| b == capacity),
+        "job A must fill every node: {:?}",
+        cluster.per_node_bytes()
+    );
+    epoch(JOB_B);
+    for s in 0..cluster.n_servers() {
+        let store = cluster.server(s).cache().store();
+        let (a, b) = (store.tenant_used(JOB_A), store.tenant_used(JOB_B));
+        assert!(b.bytes() > 0, "node {s}: job B starved");
+        assert!(
+            a.bytes().abs_diff(b.bytes()) <= FILE_SIZE as u64,
+            "node {s}: shares must meet within one entry: A {a:?}, B {b:?}"
+        );
+        assert_eq!(store.used().bytes(), capacity, "node {s} stays full");
+    }
+    let (resident, bytes, hits) = usage(JOB_B);
+    assert_eq!(hits, 0, "one pass reads each file once");
+    let evictions = cluster.aggregate_metrics().evictions;
+    assert_eq!(evictions, resident, "each B entry reclaimed one A entry");
+
+    epoch(JOB_B);
+    assert_eq!(
+        usage(JOB_B),
+        (resident, bytes, resident),
+        "B's second epoch hits every entry B holds, and keeps them"
+    );
+    assert_eq!(cluster.aggregate_metrics().evictions, evictions);
 }
