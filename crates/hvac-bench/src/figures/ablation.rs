@@ -16,18 +16,23 @@
 //!   the naive replica schemes co-locate both copies of a file in one rack?
 //! * **Latency tails** — barrier-synchronized training stalls on the
 //!   slowest read; where do p50/p99/max access latencies sit per system?
+//! * **PFS concurrency** — a server overlaps a request's misses on its data
+//!   movers; how much of that survives a PFS with a finite server pool?
 
 use crate::report::{fmt_pct, Table};
+use bytes::Bytes;
 use hvac_core::cluster::{Cluster, ClusterOptions};
 use hvac_hash::pathhash::mix64;
 use hvac_hash::placement::{
     JumpPlacement, ModuloPlacement, Placement, RendezvousPlacement, RingPlacement, Straw2Placement,
 };
 use hvac_hash::stats::{DistributionStats, LoadCdf};
-use hvac_pfs::MemStore;
-use hvac_types::{ByteSize, EvictionPolicyKind, FileId};
-use std::path::Path;
+use hvac_pfs::{FileMeta, FileStore, MemStore, StoreStats, ThrottledStore};
+use hvac_types::{Bandwidth, ByteSize, EvictionPolicyKind, FileId, Result};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// One topology-ablation case: label, baseline placement, topology-aware
 /// counterpart.
@@ -394,6 +399,130 @@ pub fn latency_table(quick: bool) -> Table {
     t
 }
 
+/// A PFS wrapper that records the most operations outstanding on it at
+/// once, queued for a server slot or in service.
+struct InflightProbe<S> {
+    inner: S,
+    now: AtomicUsize,
+    max: AtomicUsize,
+}
+
+impl<S: FileStore> InflightProbe<S> {
+    fn track<T>(&self, op: impl FnOnce(&S) -> T) -> T {
+        let now = self.now.fetch_add(1, Ordering::Relaxed) + 1;
+        self.max.fetch_max(now, Ordering::Relaxed);
+        let out = op(&self.inner);
+        self.now.fetch_sub(1, Ordering::Relaxed);
+        out
+    }
+}
+
+impl<S: FileStore> FileStore for InflightProbe<S> {
+    fn open_meta(&self, path: &Path) -> Result<FileMeta> {
+        self.track(|s| s.open_meta(path))
+    }
+    fn read_all(&self, path: &Path) -> Result<Bytes> {
+        self.track(|s| s.read_all(path))
+    }
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
+        self.track(|s| s.read_at(path, offset, len))
+    }
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+    fn list(&self, prefix: &Path) -> Result<Vec<PathBuf>> {
+        self.inner.list(prefix)
+    }
+    fn stats(&self) -> &StoreStats {
+        self.inner.stats()
+    }
+}
+
+/// Data movers per server against PFS server slots: a cosmo-shaped run
+/// (4 nodes, 2 ranks, 2.5 MB samples read as 512-KiB segments, an aggregate
+/// cache of half the dataset under the default no-replacement policy) over
+/// a PFS that charges 500 us per operation plus the bytes at 512 MiB/s and
+/// serves at most k operations at once. One fill epoch, then timed epochs;
+/// samples/s is the median over them, and `pfs_max_inflight` counts the
+/// operations outstanding at once (queued for a slot or in service).
+pub fn pfs_concurrency_table(quick: bool) -> Table {
+    const SEGMENT: u64 = 512 * 1024;
+    const FILE_SIZE: usize = 2_500_000;
+    const RANKS: u64 = 2;
+    let (n_files, epochs) = if quick { (16u64, 1u32) } else { (128, 4) };
+    let per_node_capacity = ByteSize(n_files * FILE_SIZE as u64 / 8);
+    let mut t = Table::new(
+        "ablation_pfs_concurrency",
+        format!(
+            "PFS concurrency: {n_files} x 2.5 MB files as 512-KiB segments, aggregate cache holds ~50%, {epochs} timed epochs, k PFS server slots x movers per server"
+        ),
+        vec!["pfs_slots", "movers", "samples_per_s", "pfs_max_inflight"],
+    );
+    for slots in [Some(1usize), Some(2), Some(4), None] {
+        for movers in [1usize, 4] {
+            let mem = MemStore::new();
+            mem.synthesize_dataset(Path::new("/gpfs/train"), n_files, |_| FILE_SIZE);
+            let throttled = ThrottledStore::new(
+                mem,
+                Duration::from_micros(500),
+                Some(Bandwidth::mib_per_sec(512.0)),
+            );
+            let pfs = Arc::new(InflightProbe {
+                inner: match slots {
+                    Some(k) => throttled.with_slots(k),
+                    None => throttled,
+                },
+                now: AtomicUsize::new(0),
+                max: AtomicUsize::new(0),
+            });
+            let cluster = Cluster::new(
+                pfs.clone(),
+                ClusterOptions::new(4, 1)
+                    .dataset_dir("/gpfs/train")
+                    .cache_capacity(per_node_capacity)
+                    .movers_per_instance(movers)
+                    .rebalance(false)
+                    .repair(false),
+            )
+            .unwrap_or_else(|e| panic!("ablation cluster construction failed: {e}"));
+            let sampler = hvac_dl::DistributedSampler::new(n_files, RANKS, 7);
+            // Every rank reads its share of `epoch` on a thread of its own;
+            // returns the epoch's wall time.
+            let run_epoch = |epoch: u32| {
+                let t0 = Instant::now();
+                std::thread::scope(|scope| {
+                    for rank in 0..RANKS {
+                        let (client, sampler) = (cluster.client(rank as usize), &sampler);
+                        scope.spawn(move || {
+                            for idx in sampler.rank_iter(epoch, rank) {
+                                let path = format!("/gpfs/train/sample_{idx:08}.bin");
+                                let data = client
+                                    .read_file_segmented(Path::new(&path), SEGMENT)
+                                    .unwrap_or_else(|e| panic!("read of {path} failed: {e}"));
+                                assert_eq!(data.len(), FILE_SIZE, "{path}");
+                            }
+                        });
+                    }
+                });
+                t0.elapsed().as_secs_f64()
+            };
+            run_epoch(0);
+            pfs.max.store(0, Ordering::Relaxed);
+            let mut rates: Vec<f64> = (1..=epochs)
+                .map(|epoch| n_files as f64 / run_epoch(epoch))
+                .collect();
+            rates.sort_by(f64::total_cmp);
+            t.push_row(vec![
+                slots.map_or("inf".to_string(), |k| k.to_string()),
+                movers.to_string(),
+                format!("{:.0}", rates[rates.len() / 2]),
+                pfs.max.load(Ordering::Relaxed).to_string(),
+            ]);
+        }
+    }
+    t
+}
+
 /// Run all ablations.
 pub fn run(quick: bool) -> Vec<Table> {
     vec![
@@ -404,6 +533,7 @@ pub fn run(quick: bool) -> Vec<Table> {
         segment_balance_table(quick),
         failure_table(quick),
         latency_table(quick),
+        pfs_concurrency_table(quick),
     ]
 }
 
@@ -489,6 +619,34 @@ mod tests {
         // Every row parses and p99 >= p50 is guaranteed by the histogram;
         // check XFS p50 is the lowest of the three systems.
         assert_eq!(t.rows[4][0], "XFS-on-NVMe");
+    }
+
+    #[test]
+    fn pfs_concurrency_table_sweeps_slots_against_movers() {
+        let t = super::pfs_concurrency_table(true);
+        let cells: Vec<(&str, &str)> = t
+            .rows
+            .iter()
+            .map(|r| (r[0].as_str(), r[1].as_str()))
+            .collect();
+        assert_eq!(
+            cells,
+            [
+                ("1", "1"),
+                ("1", "4"),
+                ("2", "1"),
+                ("2", "4"),
+                ("4", "1"),
+                ("4", "4"),
+                ("inf", "1"),
+                ("inf", "4")
+            ]
+        );
+        for row in &t.rows {
+            let rate: f64 = row[2].parse().unwrap();
+            let inflight: u64 = row[3].parse().unwrap();
+            assert!(rate > 0.0 && inflight >= 1, "{row:?}");
+        }
     }
 
     #[test]

@@ -57,7 +57,8 @@ pub struct ClusterOptions {
     pub replication: u32,
     /// Node-local cache capacity per node.
     pub cache_capacity: ByteSize,
-    /// Data-mover threads per server instance.
+    /// Data-mover threads per server instance
+    /// ([`DEFAULT_MOVERS`](crate::server::DEFAULT_MOVERS)).
     pub movers_per_instance: usize,
     /// Seed for randomized eviction.
     pub seed: u64,
@@ -112,7 +113,9 @@ pub struct ClusterOptions {
 impl ClusterOptions {
     /// Defaults: 1 client/node, modulo placement, the default eviction
     /// policy ([`EvictionPolicyKind::default`], MinIO: no replacement once a
-    /// node is full), 1 GiB of cache per node, no replication.
+    /// node is full), 1 GiB of cache per node, no replication, and
+    /// [`DEFAULT_MOVERS`](crate::server::DEFAULT_MOVERS) data movers per
+    /// instance.
     pub fn new(nodes: u32, instances_per_node: u32) -> Self {
         Self {
             nodes,
@@ -123,7 +126,7 @@ impl ClusterOptions {
             eviction: EvictionPolicyKind::default(),
             replication: 1,
             cache_capacity: ByteSize::gib(1),
-            movers_per_instance: 1,
+            movers_per_instance: crate::server::DEFAULT_MOVERS,
             seed: 0x4856_4143, // "HVAC"
             retry: RetryPolicy::default(),
             pfs_fallback: true,

@@ -145,15 +145,23 @@ impl EvictionPolicy for RandomPolicy {
 /// First-in, first-out.
 #[derive(Default)]
 pub struct FifoPolicy {
-    // Insertion-ordered queue with tombstone-free removal via the slot map.
-    order: std::collections::VecDeque<PathBuf>,
-    resident: HashMap<PathBuf, ()>,
+    /// Admission-ordered slots, each stamped with its admission sequence.
+    /// Removal is lazy: a slot is live only while `resident` maps its path
+    /// to the same sequence, so a path removed and admitted again is aged
+    /// from its new slot, not its stale older one.
+    order: std::collections::VecDeque<(u64, PathBuf)>,
+    resident: HashMap<PathBuf, u64>,
+    next_seq: u64,
 }
 
 impl FifoPolicy {
     /// Empty FIFO policy.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn is_live(&self, (seq, path): &(u64, PathBuf)) -> bool {
+        self.resident.get(path) == Some(seq)
     }
 }
 
@@ -162,19 +170,22 @@ impl EvictionPolicy for FifoPolicy {
         "fifo"
     }
     fn on_insert(&mut self, path: &Path) {
-        if self.resident.insert(path.to_path_buf(), ()).is_none() {
-            self.order.push_back(path.to_path_buf());
+        if !self.resident.contains_key(path) {
+            let seq = self.next_seq;
+            self.next_seq += 1;
+            self.resident.insert(path.to_path_buf(), seq);
+            self.order.push_back((seq, path.to_path_buf()));
         }
     }
     fn on_access(&mut self, _path: &Path) {}
     fn on_remove(&mut self, path: &Path) {
         self.resident.remove(path);
-        // Lazy removal: stale entries are skipped in victim().
+        // Lazy removal: stale slots are skipped in victim().
     }
     fn victim(&mut self) -> Option<PathBuf> {
         while let Some(front) = self.order.front() {
-            if self.resident.contains_key(front) {
-                return Some(front.clone());
+            if self.is_live(front) {
+                return Some(front.1.clone());
             }
             self.order.pop_front();
         }
@@ -182,17 +193,17 @@ impl EvictionPolicy for FifoPolicy {
     }
     fn victim_where(&mut self, eligible: &dyn Fn(&Path) -> bool) -> Option<PathBuf> {
         // Oldest eligible entry; live-but-ineligible entries keep their
-        // queue positions (only true tombstones at the front are dropped).
+        // queue positions (only stale slots at the front are dropped).
         while let Some(front) = self.order.front() {
-            if self.resident.contains_key(front) {
+            if self.is_live(front) {
                 break;
             }
             self.order.pop_front();
         }
         self.order
             .iter()
-            .find(|p| self.resident.contains_key(*p) && eligible(p))
-            .cloned()
+            .find(|slot| self.is_live(slot) && eligible(&slot.1))
+            .map(|slot| slot.1.clone())
     }
     fn len(&self) -> usize {
         self.resident.len()
@@ -420,6 +431,22 @@ mod tests {
         assert_eq!(pol.victim().unwrap(), p("/a"));
         pol.on_remove(&p("/a"));
         assert_eq!(pol.victim().unwrap(), p("/b"));
+    }
+
+    #[test]
+    fn fifo_ages_a_readmitted_path_from_its_new_slot() {
+        let mut pol = FifoPolicy::new();
+        pol.on_insert(&p("/a"));
+        pol.on_insert(&p("/b"));
+        pol.on_remove(&p("/a"));
+        pol.on_insert(&p("/c"));
+        pol.on_insert(&p("/a"));
+        assert_eq!(pol.victim().unwrap(), p("/b"));
+        assert_eq!(
+            pol.victim_where(&|x| x != Path::new("/b")).unwrap(),
+            p("/c")
+        );
+        assert_eq!(pol.len(), 3);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use std::time::Duration;
 /// Safety net for a lost grant: a waiter never blocks longer than this —
 /// after the timeout it proceeds as if granted (without holding a slot), so
 /// a scheduler bug degrades to "no QoS" instead of a hung read.
-const GRANT_TIMEOUT: Duration = Duration::from_secs(30);
+pub(crate) const GRANT_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Tuning knobs of the [`TenantScheduler`].
 #[derive(Debug, Clone, Copy, PartialEq)]

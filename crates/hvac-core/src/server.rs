@@ -1,13 +1,15 @@
 //! The HVAC server instance (paper §III-C, §III-D).
 //!
 //! Each instance owns a **shared FIFO queue** drained by dedicated
-//! **data-mover threads**. RPC handler threads enqueue copy work and wait;
-//! the mover fetches the file from the PFS exactly once even when many
-//! clients race for it (the paper's "mutex lock on shared queue to ...
-//! avoid repeated copying"), inserts it into the node's cache, and hands the
-//! fetched bytes to all waiters, which serve them without reading the cache
-//! back. Servers never talk to each other — a file's home is computed by
-//! every client independently.
+//! **data-mover threads** ([`DEFAULT_MOVERS`] of them). RPC handler threads
+//! enqueue copy work and wait; a request's misses are all enqueued before it
+//! waits on any, so a batch's PFS copies overlap on the movers. A mover
+//! fetches the file from the PFS exactly once even when many clients race
+//! for it (the paper's "mutex lock on shared queue to ... avoid repeated
+//! copying"), inserts it into the node's cache, and hands the fetched bytes
+//! to all waiters, which serve them without reading the cache back. Servers
+//! never talk to each other — a file's home is computed by every client
+//! independently.
 //!
 //! Multiple instances on one node (HVAC (2×1), (4×1)) share the node's
 //! [`CacheManager`] but have private queues and movers, which is exactly the
@@ -34,10 +36,16 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+/// Data-mover threads per server instance unless configured otherwise.
+/// The paper dedicates one (§III-D); four let the PFS copies of one
+/// request's misses run together (DESIGN §3).
+pub const DEFAULT_MOVERS: usize = 4;
+
 /// Tuning knobs of one server instance.
 #[derive(Debug, Clone)]
 pub struct HvacServerOptions {
-    /// Data-mover threads draining the FIFO queue (paper default: 1).
+    /// Data-mover threads draining the FIFO queue ([`DEFAULT_MOVERS`]; the
+    /// paper's HVAC runs 1).
     pub movers: usize,
     /// Per-tenant weighted-fair-share plan. Empty (the default) disables
     /// QoS entirely: every read is admitted immediately and nothing is
@@ -50,7 +58,7 @@ pub struct HvacServerOptions {
 impl Default for HvacServerOptions {
     fn default() -> Self {
         Self {
-            movers: 1,
+            movers: DEFAULT_MOVERS,
             job_weights: JobWeights::default(),
             qos: QosOptions::default(),
         }
@@ -74,6 +82,28 @@ enum Found {
 /// What a data-mover copy hands its waiters: the bytes it fetched from the
 /// PFS, and whether the cache admitted them.
 type CopyResult = std::result::Result<(Bytes, Found), Arc<HvacError>>;
+
+/// A lookup that has started: a hit's resident bytes, or the copy a miss
+/// waits on.
+enum Started {
+    Resident(Bytes),
+    Copy(Receiver<CopyResult>),
+}
+
+impl Started {
+    /// The entry's bytes and how they were found, once its copy (if any)
+    /// has finished.
+    fn wait(self) -> Result<(Bytes, Found)> {
+        match self {
+            Started::Resident(entry) => Ok((entry, Found::Resident)),
+            Started::Copy(rx) => match rx.recv() {
+                Ok(Ok(copied)) => Ok(copied),
+                Ok(Err(e)) => Err(clone_error(&e)),
+                Err(_) => Err(HvacError::Rpc("data mover died".into())),
+            },
+        }
+    }
+}
 
 struct CopyJob {
     /// Application-space source path on the PFS.
@@ -214,7 +244,20 @@ impl DataMover {
                             None => pfs.read_all(&job.path),
                             Some((offset, len)) => pfs.read_at(&job.path, offset, len as usize),
                         };
+                        let idx = inflight.stripe_of(&job.key);
+                        let mut stripe = inflight.lock(idx, &metrics);
+                        // A crash-stop during the fetch wiped this copy's
+                        // waiters and purged the cache; any waiters on the
+                        // key now belong to the new generation and its own
+                        // copy. So a stale copy neither inserts nor answers
+                        // them. A crash wipes this stripe before it purges,
+                        // so inserting under the stripe orders the insert
+                        // before that purge.
+                        if job.generation != generation.load(Ordering::Relaxed) {
+                            continue;
+                        }
                         let result: CopyResult = fetched.map_err(Arc::new).map(|data| {
+                            // lockgraph: acquires CACHE_POLICY
                             let found = match cache.insert(&job.key, data.clone()) {
                                 Ok(outcome) => {
                                     let n = data.len() as u64;
@@ -228,11 +271,8 @@ impl DataMover {
                             };
                             (data, found)
                         });
-                        let idx = inflight.stripe_of(&job.key);
-                        let waiters = inflight
-                            .lock(idx, &metrics)
-                            .remove(&job.key)
-                            .unwrap_or_default();
+                        let waiters = stripe.remove(&job.key).unwrap_or_default();
+                        drop(stripe);
                         for w in waiters {
                             let _ = w.send(result.clone());
                         }
@@ -296,26 +336,27 @@ impl DataMover {
             .is_ok()
     }
 
-    /// The bytes of cache entry `key`, sourced from `path` (optionally a
-    /// byte range of it), and how they were found. A hit is one cache
-    /// lookup. A miss waits for the data mover's copy — joining the one in
-    /// flight (§III-D dedup) or enqueuing a new one — and takes the bytes
-    /// the copy fetched, so it never reads the cache back and an eviction
-    /// cannot take them away.
-    fn lookup(
+    /// Start looking up cache entry `key`, sourced from `path` (optionally
+    /// a byte range of it), without blocking. A hit is one cache lookup and
+    /// returns the resident bytes. A miss joins the data mover's copy in
+    /// flight (§III-D dedup) or enqueues a new one, and returns the copy to
+    /// [wait](Started::wait) on: a waiter takes the bytes the copy fetched,
+    /// so it never reads the cache back and an eviction cannot take them
+    /// away.
+    fn start(
         &self,
         cache: &CacheManager,
         metrics: &ServerMetrics,
         path: &Path,
         key: &Path,
         range: Option<(u64, u64)>,
-    ) -> Result<(Bytes, Found)> {
+    ) -> Result<Started> {
         let idx = self.inflight.stripe_of(key);
         let mut recheck = true;
-        let rx = loop {
+        loop {
             if let Some(entry) = cache.read_all(key) {
                 metrics.stripe_hit(idx);
-                return Ok((entry, Found::Resident));
+                return Ok(Started::Resident(entry));
             }
             let mut inflight = self.inflight.lock(idx, metrics);
             // Re-check under the lock: a copy may have landed, and left the
@@ -345,12 +386,7 @@ impl DataMover {
                         .map_err(|_| HvacError::Rpc("data mover queue closed".into()))?;
                 }
             }
-            break rx;
-        };
-        match rx.recv() {
-            Ok(Ok(copied)) => Ok(copied),
-            Ok(Err(e)) => Err(clone_error(&e)),
-            Err(_) => Err(HvacError::Rpc("data mover died".into())),
+            return Ok(Started::Copy(rx));
         }
     }
 }
@@ -389,6 +425,20 @@ fn clone_error(e: &HvacError) -> HvacError {
         other => HvacError::Rpc(other.to_string()),
     }
 }
+
+/// One read a request asks for: `len` bytes at offset `at` of cache entry
+/// `key`, which holds `copy` (offset, length) of `path` — the whole file
+/// when `None`.
+struct ReadItem<'a> {
+    path: &'a Path,
+    key: PathBuf,
+    copy: Option<(u64, u64)>,
+    at: u64,
+    len: u64,
+}
+
+/// A served read: the entry's size, whether it was a hit, and the bytes.
+type Served = (u64, bool, Bytes);
 
 /// One HVAC server instance.
 pub struct HvacServer {
@@ -498,14 +548,22 @@ impl HvacServer {
                 }
             }
             Request::Read { path, offset, len } => {
-                match self.read(job, &path, &tenant_key(job, &path), None, offset, len) {
-                    Ok((total_size, cache_hit, data)) => (
+                let item = ReadItem {
+                    path: &path,
+                    key: tenant_key(job, &path),
+                    copy: None,
+                    at: offset,
+                    len,
+                };
+                match self.read(job, &[item]).map(|mut served| served.pop()) {
+                    Ok(Some((total_size, cache_hit, data))) => (
                         Response::Data {
                             total_size,
                             cache_hit,
                         },
                         Some(data.into()),
                     ),
+                    Ok(None) => unreachable!("a read serves one entry per item"),
                     Err(e) => (Response::from_error(&e), None),
                 }
             }
@@ -527,27 +585,42 @@ impl HvacServer {
             }
             Request::Batch { items } => {
                 self.metrics.batch_rpcs.fetch_add(1, Ordering::Relaxed);
-                let mut lens = Vec::with_capacity(items.len());
-                let mut parts = Vec::with_capacity(items.len());
-                for item in &items {
-                    match self.read_segment(job, Path::new(&item.path), item.offset, item.len) {
-                        Ok((_hit, data)) if data.len() <= u32::MAX as usize => {
-                            lens.push(data.len() as u32);
-                            parts.push(data);
+                // Segment-granular reads (§III-E alternative): each item
+                // caches and serves only its byte range, keyed apart from
+                // whole-file entries (and per tenant).
+                let reads: Vec<ReadItem> = items
+                    .iter()
+                    .map(|item| {
+                        let path = Path::new(&item.path);
+                        ReadItem {
+                            path,
+                            key: segment_key(&tenant_key(job, path), item.offset, item.len),
+                            copy: Some((item.offset, item.len)),
+                            at: 0,
+                            len: item.len,
                         }
-                        Ok(_) => {
-                            return (
-                                Response::from_error(&HvacError::Protocol(
-                                    "batch item payload exceeds the u32 length field".into(),
-                                )),
-                                None,
-                            )
-                        }
-                        // All-or-nothing: one failed item fails the batch;
-                        // the client re-reads every item through the
-                        // per-segment retry/failover ladder.
-                        Err(e) => return (Response::from_error(&e), None),
-                    }
+                    })
+                    .collect();
+                // All-or-nothing: one failed item fails the batch; the
+                // client re-reads every item through the per-segment
+                // retry/failover ladder.
+                let served = match self.read(job, &reads) {
+                    Ok(served) => served,
+                    Err(e) => return (Response::from_error(&e), None),
+                };
+                let mut lens = Vec::with_capacity(served.len());
+                let mut parts = Vec::with_capacity(served.len());
+                for (_, _, data) in served {
+                    let Ok(len) = u32::try_from(data.len()) else {
+                        return (
+                            Response::from_error(&HvacError::Protocol(
+                                "batch item payload exceeds the u32 length field".into(),
+                            )),
+                            None,
+                        );
+                    };
+                    lens.push(len);
+                    parts.push(data);
                 }
                 (Response::Batch { lens }, Some(Bulk::from(parts)))
             }
@@ -596,21 +669,6 @@ impl HvacServer {
         Ok(size)
     }
 
-    /// Segment-granular read (§III-E alternative): cache and serve only the
-    /// requested byte range, keyed separately from whole-file entries (and
-    /// per tenant).
-    fn read_segment(
-        &self,
-        job: JobId,
-        path: &Path,
-        offset: u64,
-        len: u64,
-    ) -> Result<(bool, Bytes)> {
-        let key = segment_key(&tenant_key(job, path), offset, len);
-        let (_, hit, data) = self.read(job, path, &key, Some((offset, len)), 0, len)?;
-        Ok((hit, data))
-    }
-
     /// Bytes QoS admission charges a read of `len` at offset `at` of entry
     /// `key`: what the read will serve when the entry is resident — a fused
     /// whole-file read asks for a whole chunk of a file that is often far
@@ -630,13 +688,7 @@ impl HvacServer {
     /// reads are still served, just not accelerated. A short read from
     /// offset 0 already proves the file's size, so only a full-length read
     /// pays an `open_meta` for it.
-    fn pfs_bypass_read(
-        &self,
-        job: JobId,
-        path: &Path,
-        offset: u64,
-        len: u64,
-    ) -> Result<(u64, bool, Bytes)> {
+    fn pfs_bypass_read(&self, job: JobId, path: &Path, offset: u64, len: u64) -> Result<Served> {
         let data = self.pfs.read_at(path, offset, len as usize)?;
         let total_size = if offset == 0 && (data.len() as u64) < len {
             data.len() as u64
@@ -654,32 +706,53 @@ impl HvacServer {
         Ok((total_size, false, data))
     }
 
-    /// Serve `len` bytes at offset `at` of cache entry `key`, returning the
-    /// entry's size, whether the read was a hit, and the bytes. The entry
-    /// holds `copy` (offset, length) of `path` — the whole file when `None`
-    /// — and a miss is served from the bytes the data mover copied in from
-    /// the PFS, so it costs one PFS read even when the cache refuses them
-    /// (counted as a `pfs_bypass_reads` miss). A shed tenant reads the
-    /// range straight from the PFS.
-    fn read(
-        &self,
-        job: JobId,
-        path: &Path,
-        key: &Path,
-        copy: Option<(u64, u64)>,
-        at: u64,
-        len: u64,
-    ) -> Result<(u64, bool, Bytes)> {
-        self.metrics.reads.fetch_add(1, Ordering::Relaxed);
-        let Some(_grant) = self.admit(job, self.qos_cost(key, at, len)) else {
+    /// Serve `items`, returning each item's entry size, whether it was a
+    /// hit, and its bytes, in item order. The request takes one QoS
+    /// admission, charged the sum of its items' costs and held until its
+    /// last item is served; a shed request reads every item straight from
+    /// the PFS. Otherwise every item's lookup starts before any is waited
+    /// on, so the request's misses are copied in on the movers together. A
+    /// miss is served from the bytes the data mover copied in from the PFS,
+    /// so it costs one PFS read even when the cache refuses them (counted
+    /// as a `pfs_bypass_reads` miss). The first failed item, in item order,
+    /// fails the request; copies already started still finish.
+    fn read(&self, job: JobId, items: &[ReadItem<'_>]) -> Result<Vec<Served>> {
+        let cost = items.iter().fold(0u64, |sum, item| {
+            sum.saturating_add(self.qos_cost(&item.key, item.at, item.len))
+        });
+        let Some(_grant) = self.admit(job, cost) else {
             // Over-limit tenant: degrade to the PFS ladder (§III-G) rather
             // than queueing behind well-behaved tenants' device reads.
-            let pfs_offset = copy.map_or(at, |(start, _)| start + at);
-            return self.pfs_bypass_read(job, path, pfs_offset, len);
+            return items
+                .iter()
+                .map(|item| {
+                    self.metrics.reads.fetch_add(1, Ordering::Relaxed);
+                    let pfs_offset = item.copy.map_or(item.at, |(start, _)| start + item.at);
+                    self.pfs_bypass_read(job, item.path, pfs_offset, item.len)
+                })
+                .collect();
         };
-        let (entry, found) = self
-            .mover
-            .lookup(&self.cache, &self.metrics, path, key, copy)?;
+        let started: Vec<Result<Started>> = items
+            .iter()
+            .map(|item| {
+                self.mover
+                    .start(&self.cache, &self.metrics, item.path, &item.key, item.copy)
+            })
+            .collect();
+        started
+            .into_iter()
+            .zip(items)
+            .map(|(started, item)| {
+                self.metrics.reads.fetch_add(1, Ordering::Relaxed);
+                let (entry, found) = started?.wait()?;
+                Ok(self.deliver(job, found, &entry, item.at, item.len))
+            })
+            .collect()
+    }
+
+    /// Count one served item and slice its `len` bytes at offset `at` out
+    /// of the entry's bytes.
+    fn deliver(&self, job: JobId, found: Found, entry: &Bytes, at: u64, len: u64) -> Served {
         if found == Found::Resident {
             self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
         } else {
@@ -690,12 +763,12 @@ impl HvacServer {
                 .pfs_bypass_reads
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let data = slice_read_at(&entry, at, len as usize);
+        let data = slice_read_at(entry, at, len as usize);
         self.metrics
             .served_bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         self.metrics.tenant_read(job.0, data.len() as u64);
-        Ok((entry.len() as u64, found == Found::Resident, data))
+        (entry.len() as u64, found == Found::Resident, data)
     }
 }
 
@@ -749,9 +822,11 @@ impl Drop for DataMover {
 mod tests {
     use super::*;
     use crate::eviction::make_policy;
+    use hvac_net::plan::BatchItem;
     use hvac_pfs::{FileMeta, MemStore, StoreStats};
     use hvac_storage::LocalStore;
     use hvac_types::{ByteSize, EvictionPolicyKind};
+    use std::sync::atomic::AtomicUsize;
     use std::time::{Duration, Instant};
 
     fn dataset() -> Arc<MemStore> {
@@ -761,11 +836,19 @@ mod tests {
     }
 
     fn server_over(pfs: Arc<dyn FileStore>, cap: u64) -> Arc<HvacServer> {
+        server_with(pfs, cap, HvacServerOptions::default())
+    }
+
+    fn server_with(
+        pfs: Arc<dyn FileStore>,
+        cap: u64,
+        options: HvacServerOptions,
+    ) -> Arc<HvacServer> {
         let cache = Arc::new(CacheManager::new(
             LocalStore::in_memory(ByteSize(cap)),
             make_policy(EvictionPolicyKind::Random, 1),
         ));
-        HvacServer::new(cache, pfs, HvacServerOptions::default(), "test").unwrap()
+        HvacServer::new(cache, pfs, options, "test").unwrap()
     }
 
     fn setup(cap: u64) -> (Arc<MemStore>, Arc<HvacServer>) {
@@ -773,11 +856,39 @@ mod tests {
         (pfs.clone(), server_over(pfs, cap))
     }
 
-    /// A PFS whose whole-file reads park until the test sends on the gate,
-    /// holding a data-mover copy in flight for as long as the test needs.
+    /// A PFS whose data reads park until the test sends on the gate (or
+    /// drops its sender, which releases them all), holding data-mover
+    /// copies in flight for as long as the test needs. It counts the reads
+    /// parked at once.
     struct GatedStore {
         inner: Arc<MemStore>,
         gate: Receiver<()>,
+        parked: AtomicUsize,
+    }
+
+    impl GatedStore {
+        /// A gated store over `inner`, and the sender that opens its gate.
+        fn over(inner: Arc<MemStore>) -> (Sender<()>, Arc<Self>) {
+            let (open_gate, gate) = bounded(1);
+            let store = Arc::new(Self {
+                inner,
+                gate,
+                parked: AtomicUsize::new(0),
+            });
+            (open_gate, store)
+        }
+
+        fn park(&self) {
+            self.parked.fetch_add(1, Ordering::SeqCst);
+            // Bounded, so a test that never opens the gate fails its
+            // assertions instead of hanging.
+            let _ = self.gate.recv_timeout(Duration::from_secs(30));
+            self.parked.fetch_sub(1, Ordering::SeqCst);
+        }
+
+        fn parked(&self) -> usize {
+            self.parked.load(Ordering::SeqCst)
+        }
     }
 
     impl FileStore for GatedStore {
@@ -786,13 +897,12 @@ mod tests {
         }
 
         fn read_all(&self, path: &Path) -> Result<Bytes> {
-            // Bounded, so a test that never opens the gate fails its
-            // assertions instead of hanging.
-            let _ = self.gate.recv_timeout(Duration::from_secs(30));
+            self.park();
             self.inner.read_all(path)
         }
 
         fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
+            self.park();
             self.inner.read_at(path, offset, len)
         }
 
@@ -811,6 +921,44 @@ mod tests {
 
     fn sample(i: u32) -> PathBuf {
         PathBuf::from(format!("/data/sample_{i:08}.bin"))
+    }
+
+    /// Poll `done` every millisecond for up to 30 s; a test whose condition
+    /// never holds fails its assertions instead of hanging.
+    fn wait_until(done: impl Fn() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Batch items reading `file` of the 100-byte dataset as `n` equal
+    /// segments.
+    fn segments_of(file: u32, n: u64) -> Vec<BatchItem> {
+        let len = 100 / n;
+        (0..n)
+            .map(|i| BatchItem {
+                path: sample(file).to_str().unwrap().into(),
+                offset: i * len,
+                len,
+            })
+            .collect()
+    }
+
+    /// Send `items` as one batch and check the reply is byte-exact against
+    /// `pfs`.
+    fn batch_is_exact(server: &HvacServer, pfs: &MemStore, items: Vec<BatchItem>) {
+        let expected: Vec<Bytes> = items
+            .iter()
+            .map(|it| {
+                pfs.read_at(Path::new(&it.path), it.offset, it.len as usize)
+                    .unwrap()
+            })
+            .collect();
+        let (resp, bulk) = server.handle_request(Request::Batch { items });
+        let lens: Vec<u32> = expected.iter().map(|b| b.len() as u32).collect();
+        assert_eq!(resp, Response::Batch { lens });
+        assert_eq!(bulk.unwrap().parts(), expected);
     }
 
     #[test]
@@ -944,14 +1092,8 @@ mod tests {
     #[test]
     fn concurrent_first_reads_copy_once() {
         let pfs = dataset();
-        let (open_gate, gate) = bounded(1);
-        let server = server_over(
-            Arc::new(GatedStore {
-                inner: pfs.clone(),
-                gate,
-            }),
-            100_000,
-        );
+        let (open_gate, gated) = GatedStore::over(pfs.clone());
+        let server = server_over(gated, 100_000);
         let p = sample(5);
         let mut joins = Vec::new();
         for _ in 0..16 {
@@ -970,11 +1112,7 @@ mod tests {
         // The first racer's copy is parked in the gated PFS read. Open the
         // gate only once the other 15 have all parked on that copy in the
         // in-flight table, so the dedup path runs on every schedule.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while server.metrics().dedup_waits.load(Ordering::Relaxed) < 15 && Instant::now() < deadline
-        {
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        wait_until(|| server.metrics().dedup_waits.load(Ordering::Relaxed) >= 15);
         open_gate.send(()).unwrap();
         for j in joins {
             assert_eq!(j.join().unwrap(), 100);
@@ -1117,14 +1255,8 @@ mod tests {
     #[test]
     fn drain_waits_for_a_parked_copy_and_returns_once_it_lands() {
         let pfs = dataset();
-        let (open_gate, gate) = bounded(1);
-        let server = server_over(
-            Arc::new(GatedStore {
-                inner: pfs.clone(),
-                gate,
-            }),
-            100_000,
-        );
+        let (open_gate, gated) = GatedStore::over(pfs);
+        let server = server_over(gated, 100_000);
         // The prefetch registers the copy in flight before it replies; the
         // copy then parks in the gated PFS read.
         let (resp, _) = server.handle_request(Request::Prefetch {
@@ -1219,7 +1351,6 @@ mod tests {
 
     #[test]
     fn batch_reads_concatenate_in_item_order() {
-        use hvac_net::plan::BatchItem;
         let (pfs, server) = setup(100_000);
         let items = vec![
             BatchItem {
@@ -1266,7 +1397,6 @@ mod tests {
 
     #[test]
     fn batch_with_missing_item_fails_whole_batch() {
-        use hvac_net::plan::BatchItem;
         let (_pfs, server) = setup(100_000);
         let items = vec![
             BatchItem {
@@ -1286,6 +1416,149 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         assert!(bulk.is_none(), "all-or-nothing: no partial bulk");
+    }
+
+    #[test]
+    fn a_batch_starts_every_copy_before_it_waits_on_any() {
+        let pfs = dataset();
+        let (open_gate, gated) = GatedStore::over(pfs.clone());
+        let server = server_over(gated.clone(), 100_000);
+        let batch = {
+            let (server, pfs) = (server.clone(), pfs.clone());
+            std::thread::spawn(move || batch_is_exact(&server, &pfs, segments_of(0, 4)))
+        };
+        // Each copy parks in its PFS read until the gate opens, so the
+        // batch's four misses are in flight together or not at all.
+        wait_until(|| gated.parked() == 4);
+        assert_eq!(gated.parked(), 4, "all four PFS reads in flight at once");
+        drop(open_gate);
+        batch.join().unwrap();
+        let snap = server.metrics().snapshot();
+        assert_eq!((snap.reads, snap.cache_misses, snap.pfs_copies), (4, 4, 4));
+    }
+
+    #[test]
+    fn batches_take_one_admission_each_under_a_one_slot_qos_plan() {
+        let pfs = dataset();
+        let options = HvacServerOptions {
+            job_weights: JobWeights::parse("0=1").unwrap(),
+            qos: QosOptions {
+                max_inflight: 1,
+                ..QosOptions::default()
+            },
+            ..HvacServerOptions::default()
+        };
+        let server = server_with(pfs.clone(), 100_000, options);
+        let t0 = Instant::now();
+        // Four concurrent 8-item batches of uncached segments: a grant per
+        // item held while the next item is admitted would wait out the
+        // grant timeout.
+        let batches: Vec<_> = (0..4u32)
+            .map(|t| {
+                let (server, pfs) = (server.clone(), pfs.clone());
+                std::thread::spawn(move || {
+                    let items = (0..4).flat_map(|f| segments_of(4 * t + f, 2)).collect();
+                    batch_is_exact(&server, &pfs, items);
+                })
+            })
+            .collect();
+        for b in batches {
+            b.join().unwrap();
+        }
+        assert!(
+            t0.elapsed() < crate::qos::GRANT_TIMEOUT / 3,
+            "batches waited {:?}",
+            t0.elapsed()
+        );
+        assert_eq!(server.sched.inflight(), 0, "every grant was released");
+        let snap = server.metrics().snapshot();
+        assert_eq!((snap.reads, snap.cache_misses), (32, 32));
+    }
+
+    #[test]
+    fn a_crash_fails_a_parked_batch_whole_and_a_reread_is_exact() {
+        let pfs = dataset();
+        let (open_gate, gated) = GatedStore::over(pfs.clone());
+        let server = server_over(gated.clone(), 100_000);
+        let (done_tx, done_rx) = bounded(1);
+        let batch = {
+            let server = server.clone();
+            std::thread::spawn(move || {
+                let reply = server.handle_request(Request::Batch {
+                    items: segments_of(2, 4),
+                });
+                done_tx.send(reply).unwrap();
+            })
+        };
+        wait_until(|| gated.parked() == 4);
+        server.crash();
+        let (resp, bulk) = done_rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the crash answers the batch");
+        assert_eq!(gated.parked(), 4, "answered while its copies stay parked");
+        let down = HvacError::ServerDown(String::new()).errno();
+        assert!(
+            matches!(resp, Response::Err { code, .. } if code == down),
+            "{resp:?}"
+        );
+        assert!(bulk.is_none(), "all-or-nothing: no partial bulk");
+        batch.join().unwrap();
+        drop(open_gate);
+        wait_until(|| gated.parked() == 0);
+        batch_is_exact(&server, &pfs, segments_of(2, 4));
+    }
+
+    #[test]
+    fn a_copy_in_flight_at_a_crash_does_not_resurrect_its_entry() {
+        let pfs = dataset();
+        let (open_gate, gated) = GatedStore::over(pfs.clone());
+        let options = HvacServerOptions {
+            movers: 1,
+            ..HvacServerOptions::default()
+        };
+        let server = server_with(gated.clone(), 100_000, options);
+        let read = |i: u32| {
+            let server = server.clone();
+            std::thread::spawn(move || {
+                server
+                    .handle_request(Request::Read {
+                        path: sample(i),
+                        offset: 0,
+                        len: 100,
+                    })
+                    .0
+            })
+        };
+        let (k, k2) = (sample(0), sample(1));
+        let stale = read(0);
+        wait_until(|| gated.parked() == 1);
+        server.crash();
+        assert!(matches!(stale.join().unwrap(), Response::Err { .. }));
+        // The one mover finishes K's stale copy before it takes K2's job.
+        let fresh = read(1);
+        drop(open_gate);
+        assert!(matches!(
+            fresh.join().unwrap(),
+            Response::Data {
+                cache_hit: false,
+                ..
+            }
+        ));
+        assert!(server.cache().contains(&k2));
+        assert!(!server.cache().contains(&k), "the stale copy inserted K");
+        let (resp, bulk) = server.handle_request(Request::Read {
+            path: k.clone(),
+            offset: 0,
+            len: 100,
+        });
+        assert!(matches!(
+            resp,
+            Response::Data {
+                cache_hit: false,
+                ..
+            }
+        ));
+        assert_eq!(bulk.unwrap().to_vec(), pfs.read_all(&k).unwrap());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! | `--listen URI`     | `HVAC_LISTEN`      | `tcp:127.0.0.1:0` (ephemeral) |
 //! | `--root DIR`       | `HVAC_PFS_ROOT`    | *(required)*   |
 //! | `--capacity-mib N` | `HVAC_CACHE_MIB`   | `1024`         |
-//! | `--movers N`       | `HVAC_MOVERS`      | `1`            |
+//! | `--movers N`       | `HVAC_MOVERS`      | `4` (`DEFAULT_MOVERS`) |
 //! | `--job-weights S`  | `HVAC_JOB_WEIGHTS` | *(empty: QoS off)* |
 //!
 //! `--job-weights` takes a per-tenant fair-share plan in the
@@ -31,6 +31,7 @@
 //! Each client connection is served on a thread of its own, so there is no
 //! RPC worker count to set.
 
+use hvac_core::server::DEFAULT_MOVERS;
 use hvac_core::{make_policy, CacheManager, HvacServer, HvacServerOptions};
 use hvac_net::socket::{EndpointUri, SocketConfig, SocketFamily};
 use hvac_net::Fabric;
@@ -122,9 +123,9 @@ fn parse_config(argv: &[String]) -> Result<ServerConfig> {
         Some(raw) => parse_num("--capacity-mib", raw)?,
         None => 1024,
     };
-    let movers = match setting(&args, "--movers", "HVAC_MOVERS", Some("1"))? {
+    let movers = match setting(&args, "--movers", "HVAC_MOVERS", None)? {
         Some(raw) => parse_num("--movers", raw)? as usize,
-        None => 1,
+        None => DEFAULT_MOVERS,
     };
     // Reject malformed plans (zero/negative weights, quotas outside (0, 1],
     // duplicate jobs) here so they exit 2 like every other config error.
@@ -242,7 +243,7 @@ mod tests {
         assert_eq!(c.name, "node0/srv0");
         assert_eq!(c.listen, "tcp:127.0.0.1:0");
         assert_eq!(c.root, "/tmp/pfs");
-        assert_eq!((c.capacity_mib, c.movers), (1024, 1));
+        assert_eq!((c.capacity_mib, c.movers), (1024, DEFAULT_MOVERS));
     }
 
     #[test]

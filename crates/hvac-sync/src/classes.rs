@@ -9,7 +9,8 @@
 //! A thread may acquire classes left-to-right along this chain (skipping
 //! levels is fine) but never right-to-left. Leaf classes — `CLIENT_FDS`,
 //! `CLIENT_HEALTH`, `FABRIC_THREADS`, `SERVER_THREADS`,
-//! `CACHE_SIZE_MEMO`, `HASH_RINGS`, `NET_SOCKET_POOL`, `NET_SOCKET_CONN` —
+//! `CACHE_SIZE_MEMO`, `HASH_RINGS`, `NET_SOCKET_POOL`, `NET_SOCKET_CONN`,
+//! `PFS_THROTTLE_SLOTS` —
 //! are never held while acquiring any other class. The
 //! debug-build order checker in this crate turns any violation into an
 //! immediate panic naming the pair, and the static verifier in
@@ -93,6 +94,11 @@ pub const STORE_DEVICE_QUEUE: &str = "storage.localstore.device_queue";
 /// Simulated PFS file map (`hvac-pfs::memstore`); treated like a store.
 pub const PFS_FILES: &str = "pfs.memstore.files";
 
+/// Busy operation slots of a capped throttled PFS (`hvac-pfs::throttle`).
+/// Leaf: an operation takes its slot token back in one expression, after
+/// the inner store has returned.
+pub const PFS_THROTTLE_SLOTS: &str = "pfs.throttle.slots";
+
 /// Client fd table (`hvac-core::client`). Leaf: the guard is always
 /// dropped before any RPC is issued.
 pub const CLIENT_FDS: &str = "core.client.fds";
@@ -158,6 +164,7 @@ pub const LEAVES: &[&str] = &[
     HASH_RINGS,
     NET_SOCKET_POOL,
     NET_SOCKET_CONN,
+    PFS_THROTTLE_SLOTS,
 ];
 
 /// Every canonical class label, in declaration order: the leveled chain
@@ -213,6 +220,7 @@ mod tests {
         STORE_SHARD,
         STORE_DEVICE_QUEUE,
         PFS_FILES,
+        PFS_THROTTLE_SLOTS,
         CLIENT_FDS,
         HASH_RINGS,
         NET_SOCKET_POOL,

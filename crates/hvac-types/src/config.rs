@@ -102,7 +102,9 @@ pub enum EvictionPolicyKind {
 pub struct HvacConfig {
     /// Server instances per compute node; the "i" of HVAC (i×1).
     pub instances_per_node: u32,
-    /// Data-mover threads per server instance (paper: one dedicated thread).
+    /// Data-mover threads per server instance (paper: one dedicated thread,
+    /// kept here so the simulated figures model the paper's HVAC; the
+    /// functional server runs four by default, DESIGN §3).
     pub movers_per_instance: u32,
     /// Placement algorithm.
     pub placement: PlacementKind,
