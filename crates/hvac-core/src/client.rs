@@ -6,6 +6,14 @@
 //! `Stat`) and `read` as RPCs; `close` is local bookkeeping. The per-sample
 //! [`HvacClient::read_file`] fuses the whole transaction into one `Read`.
 //!
+//! One dispatcher: every RPC the client sends is an entry of a plan, and
+//! every plan goes plan → submit. The `Stat` of an open and a read of at
+//! most one chunk are one-entry plans; a longer read plans one `Read` per
+//! chunk, a segmented read one `Batch` per replica list, and a prefetch one
+//! `Prefetch` per replica list. Each entry is its own job on the client's
+//! [`SqPool`] (the first runs inline) and walks the whole replica ladder
+//! itself, so a plan's failed entries fail over together.
+//!
 //! Failure semantics (§III-H, extended here): every RPC carries a per-call
 //! deadline from the client's [`RetryPolicy`]; transient failures (typed
 //! timeouts from hung servers, `ServerDown`, transport errors) are retried
@@ -23,14 +31,16 @@ use crate::view::ViewHandle;
 use bytes::Bytes;
 use hvac_hash::pathhash::{hash_job_path, mix64};
 use hvac_hash::placement::{make_placement, Placement};
-use hvac_net::bulk::{chunk_ranges, reassemble_bulk_pooled, Bulk};
+use hvac_net::bulk::{chunk_ranges, reassemble_bulk_pooled};
 use hvac_net::fabric::{Fabric, Reply};
-use hvac_net::plan::{coalesce_plan, BatchItem, PlanEntry};
+use hvac_net::plan::{coalesce_plan, BatchItem};
 use hvac_net::pool::BufferPool;
 use hvac_net::sq::SqPool;
 use hvac_pfs::FileStore;
 use hvac_sync::{classes, OrderedMutex};
-use hvac_types::{ClusterView, HvacError, JobId, PlacementKind, Result, RetryPolicy, ServerId};
+use hvac_types::{
+    ClusterView, FileId, HvacError, JobId, PlacementKind, Result, RetryPolicy, ServerId,
+};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,8 +67,8 @@ pub struct HvacClientOptions {
     /// bytes (Mercury's RDMA-sized bulk pieces), tiled from the read's
     /// offset.
     pub bulk_chunk: usize,
-    /// Adjacent same-home segments are merged into one read range of at most
-    /// this many bytes (0 disables coalescing).
+    /// Adjacent segments with the same replicas are merged into one read
+    /// range of at most this many bytes (0 disables coalescing).
     pub coalesce_max: u64,
     /// At most this many coalesced ranges ride in one batch RPC.
     pub batch_max: usize,
@@ -124,25 +134,26 @@ struct ReplicaHealth {
     tripped_at: Option<Instant>,
 }
 
-/// How many stale-view redirects one logical RPC will chase before giving
-/// up. Each hop installs a strictly newer epoch, so more hops than this
-/// means the membership is churning faster than the client can follow.
+/// How many rounds of stale-view redirects one plan will chase before
+/// degrading what still bounces. Each hop installs a strictly newer epoch,
+/// so more hops than this means the membership is churning faster than the
+/// client can follow.
 const MAX_VIEW_HOPS: u32 = 4;
 
-/// A per-process HVAC client.
-pub struct HvacClient {
+/// The replica ladder, with everything a plan entry's job needs to walk it
+/// on a pool worker. The client and the jobs it dispatches share it through
+/// one `Arc`; a job drops its clone before it answers.
+struct Ladder {
     fabric: Arc<Fabric>,
     placement: Box<dyn Placement>,
     /// The membership view ownership is resolved through. Starts as the
     /// dense epoch-0 launch layout; advanced by [`Response::StaleView`]
-    /// redirects or an explicit [`Self::install_view`].
+    /// redirects or an explicit [`HvacClient::install_view`].
     view: Arc<ViewHandle>,
-    matcher: DatasetMatcher,
-    options: HvacClientOptions,
-    fds: OrderedMutex<HashMap<u64, OpenFile>>,
-    next_fd: AtomicU64,
     metrics: ClientMetrics,
     health: OrderedMutex<HashMap<String, ReplicaHealth>>,
+    /// Deadline/retry/backoff/breaker/hedge budget of every call.
+    policy: RetryPolicy,
     /// splitmix64 state for backoff jitter — seeded from the policy so two
     /// runs with the same seed sleep the same schedule.
     jitter_state: AtomicU64,
@@ -150,12 +161,45 @@ pub struct HvacClient {
     /// every replica is exhausted. `None` = error out instead (the pre-§III-H
     /// behaviour, and the only option for pure-RPC embeddings).
     pfs_fallback: Option<Arc<dyn FileStore>>,
-    /// Slab pool for reassembly: chunked and batched reads recycle slabs
-    /// instead of allocating per read.
+    job_id: JobId,
+    replication: usize,
+}
+
+/// One RPC of a plan: its request, and the replicas that may answer it in
+/// the plan's view, home first.
+struct Entry {
+    addrs: Vec<String>,
+    req: Request,
+}
+
+/// What a plan entry's job hands back.
+enum Answer {
+    /// The request bounced off a newer view, now installed: plan it again.
+    Stale(Request),
+    /// A `Stat`'s file size.
+    Size(u64),
+    /// Bytes read, each piece keyed by the file offset of the request or
+    /// batch item that read it, and the file's size when a server answered
+    /// a `Read`.
+    Read(Vec<(u64, Bytes)>, Option<u64>),
+    /// A `Prefetch` was accepted.
+    Staged,
+}
+
+/// A per-process HVAC client.
+pub struct HvacClient {
+    /// The replica ladder every plan entry walks, shared with the jobs that
+    /// run them.
+    ladder: Arc<Ladder>,
+    matcher: DatasetMatcher,
+    options: HvacClientOptions,
+    fds: OrderedMutex<HashMap<u64, OpenFile>>,
+    next_fd: AtomicU64,
+    /// Slab pool for reassembly: multi-piece reads recycle slabs instead of
+    /// allocating per read.
     pool: BufferPool,
-    /// Persistent dispatch workers for every multi-RPC read (chunked
-    /// whole-file reads and batched segmented reads), so the hot path never
-    /// pays a per-read thread spawn.
+    /// Persistent dispatch workers for every plan's entries past the first,
+    /// so the hot path never pays a per-read thread spawn.
     sq: SqPool,
 }
 
@@ -169,95 +213,77 @@ pub fn server_addr(global_index: usize, instances_per_node: u32) -> String {
     ServerId::from_global_index(global_index, instances_per_node).to_string()
 }
 
-impl HvacClient {
-    /// Build a client over a fabric.
-    pub fn new(fabric: Arc<Fabric>, options: HvacClientOptions) -> Result<Self> {
-        if options.n_servers == 0 {
-            return Err(HvacError::InvalidConfig("n_servers must be >= 1".into()));
+/// Group `(replicas, item)` pairs into runs of at most `max` items that
+/// share their whole replica list, in first-appearance order, so that each
+/// run fails over as a unit.
+fn group<T>(
+    pairs: impl IntoIterator<Item = (Vec<String>, T)>,
+    max: usize,
+) -> Vec<(Vec<String>, Vec<T>)> {
+    let mut groups: Vec<(Vec<String>, Vec<T>)> = Vec::new();
+    let mut open: HashMap<Vec<String>, usize> = HashMap::new();
+    for (addrs, item) in pairs {
+        match open.get(&addrs) {
+            Some(&g) if groups[g].1.len() < max => groups[g].1.push(item),
+            _ => {
+                open.insert(addrs.clone(), groups.len());
+                groups.push((addrs, vec![item]));
+            }
         }
-        if options.replication == 0 {
-            return Err(HvacError::InvalidConfig("replication must be >= 1".into()));
+    }
+    groups
+}
+
+/// The pieces of a read's answers in file order, and the file size a
+/// server reported with them.
+fn pieces(answers: Vec<Answer>) -> (Vec<Bytes>, Option<u64>) {
+    let mut pieces = Vec::new();
+    let mut size = None;
+    for answer in answers {
+        if let Answer::Read(read, reported) = answer {
+            pieces.extend(read);
+            size = size.or(reported);
         }
-        if options.bulk_chunk == 0 {
-            return Err(HvacError::InvalidConfig("bulk_chunk must be >= 1".into()));
-        }
-        if options.batch_max == 0 {
-            return Err(HvacError::InvalidConfig("batch_max must be >= 1".into()));
-        }
-        let jitter_seed = options.retry.jitter_seed;
-        let view = ViewHandle::new(ClusterView::initial(
-            options.n_servers,
-            options.instances_per_node,
-        )?);
-        Ok(Self {
-            placement: make_placement(options.placement),
-            matcher: DatasetMatcher::new(&options.dataset_dir),
-            sq: SqPool::new(fabric.clone(), hvac_net::DEFAULT_SQ_DEPTH)?,
-            fabric,
-            options,
-            view,
-            fds: OrderedMutex::new(classes::CLIENT_FDS, HashMap::new()),
-            next_fd: AtomicU64::new(FD_BASE),
-            metrics: ClientMetrics::default(),
-            health: OrderedMutex::new(classes::CLIENT_HEALTH, HashMap::new()),
-            jitter_state: AtomicU64::new(jitter_seed),
-            pfs_fallback: None,
-            pool: BufferPool::new(),
-        })
     }
+    // Stable, so the parts of one reply keep their order.
+    pieces.sort_by_key(|&(at, _)| at);
+    (pieces.into_iter().map(|(_, piece)| piece).collect(), size)
+}
 
-    /// Install a (strictly newer) membership view, as a cluster harness
-    /// does on `add_node`/`remove_node`. Clients also learn views
-    /// organically from [`Response::StaleView`] redirects; either path is
-    /// monotonic, so the two never fight.
-    pub fn install_view(&self, view: Arc<ClusterView>) -> bool {
-        self.view.install(view)
-    }
-
-    /// Snapshot of the membership view this client resolves homes through.
-    pub fn view(&self) -> Arc<ClusterView> {
-        self.view.snapshot()
-    }
-
-    /// Arm client-side PFS degradation: when every replica of a read is
-    /// exhausted (hung, down, or erroring at the transport level), serve the
-    /// read directly from `pfs` instead of failing the application.
-    pub fn set_pfs_fallback(&mut self, pfs: Arc<dyn FileStore>) {
-        self.pfs_fallback = Some(pfs);
-    }
-
-    /// Whether HVAC should intercept this path (the shim falls back to the
-    /// real libc call otherwise).
-    pub fn intercepts<P: AsRef<Path>>(&self, path: P) -> bool {
-        self.matcher.matches(path)
-    }
-
-    /// Client metrics.
-    pub fn metrics(&self) -> &ClientMetrics {
-        &self.metrics
-    }
-
-    /// Replica addresses of a path, home first, per the current view.
-    pub fn replica_addrs(&self, path: &Path) -> Vec<String> {
-        self.replica_addrs_in(&self.view.snapshot(), path)
-    }
-
-    /// Replica addresses of a path in an explicit view, home first.
-    /// Placement hashes `(job, path)`, so two tenants reading the same
-    /// dataset spread their (separately-cached) copies independently.
-    fn replica_addrs_in(&self, view: &ClusterView, path: &Path) -> Vec<String> {
-        let fid = hash_job_path(self.options.job_id, path);
+impl Ladder {
+    /// Replica addresses of placement key `fid` in `view`, home first.
+    fn replicas(&self, view: &ClusterView, fid: FileId) -> Vec<String> {
         self.placement
-            .replicas_in_view(fid, view, self.options.replication as usize)
+            .replicas_in_view(fid, view, self.replication)
             .into_iter()
             .map(|sid| view.addr(sid))
             .collect()
     }
 
+    /// Replica addresses of a path in `view`, home first. Placement hashes
+    /// `(job, path)`, so two tenants reading the same dataset spread their
+    /// (separately-cached) copies independently.
+    fn replica_addrs_in(&self, view: &ClusterView, path: &Path) -> Vec<String> {
+        self.replicas(view, hash_job_path(self.job_id, path))
+    }
+
+    /// Replica addresses of one segment of a path in `view`. Each segment
+    /// hashes independently, so segments of one file spread across servers.
+    fn segment_replica_addrs_in(
+        &self,
+        view: &ClusterView,
+        path: &Path,
+        seg_index: u64,
+    ) -> Vec<String> {
+        let fid = hash_job_path(self.job_id, path);
+        let seg_fid = FileId(mix64(fid.0 ^ seg_index.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
+        self.replicas(view, seg_fid)
+    }
+
     /// Next jitter draw in `[0, backoff_base)` (splitmix64; relaxed CAS-free
     /// update is fine — determinism only matters for single-threaded tests).
     fn jitter(&self) -> Duration {
-        let base = self.options.retry.backoff_base;
+        let base = self.policy.backoff_base;
         let mut x = self
             .jitter_state
             .fetch_add(0x9e37_79b9_7f4a_7c15, Ordering::Relaxed)
@@ -296,7 +322,7 @@ impl HvacClient {
     }
 
     fn record_failure(&self, addr: &str) {
-        let policy = &self.options.retry;
+        let policy = &self.policy;
         let mut health = self.health.lock();
         let h = health.entry(addr.to_string()).or_default();
         h.consecutive_failures += 1;
@@ -312,9 +338,10 @@ impl HvacClient {
     /// timeouts and transport errors are retried up to `max_attempts` with
     /// exponential backoff + jitter; `ServerDown` returns immediately
     /// (retrying a dead endpoint is pointless); fatal errors (an answered
-    /// RPC error) close the breaker and return at once.
-    fn call_one_replica(&self, addr: &str, encoded: &Bytes) -> Result<Reply> {
-        let policy = &self.options.retry;
+    /// RPC error) close the breaker and return at once. A reply comes with
+    /// whether the first attempt got it.
+    fn call_one_replica(&self, addr: &str, encoded: &Bytes) -> Result<(Reply, bool)> {
+        let policy = &self.policy;
         let mut attempt = 0u32;
         loop {
             match self
@@ -323,7 +350,7 @@ impl HvacClient {
             {
                 Ok(reply) => {
                     self.record_success(addr);
-                    return Ok(reply);
+                    return Ok((reply, attempt == 0));
                 }
                 Err(e) => {
                     if matches!(e, HvacError::RpcTimeout { .. }) {
@@ -356,14 +383,20 @@ impl HvacClient {
     /// calls (no same-replica retries — the sequential ladder owns those);
     /// health is recorded as each leg's outcome arrives, so a slow leg
     /// still feeds the breaker. Returns `Some(Ok)` on the first success,
-    /// `Some(Err)` on an answered (fatal) error — the file's real status,
-    /// which hedging must not mask — and `None` when every fired leg
-    /// failed transiently (or the primary leg could not be spawned),
-    /// telling the caller to walk the ordinary ladder. Legs run on
-    /// `hvac-hedge-*` threads: a loopback leg runs server code, which the
-    /// preload shim must recognise as its own.
-    fn call_hedged(&self, primary: &str, backup: &str, encoded: &Bytes) -> Option<Result<Reply>> {
-        let policy = &self.options.retry;
+    /// with whether the primary leg won; `Some(Err)` on an answered (fatal)
+    /// error — the file's real status, which hedging must not mask — and
+    /// `None` when every fired leg failed transiently (or the primary leg
+    /// could not be spawned), telling the caller to walk the ordinary
+    /// ladder. Legs run on `hvac-hedge-*` threads, not on the pool, whose
+    /// worker is already running this entry: a loopback leg runs server
+    /// code, which the preload shim must recognise as its own.
+    fn call_hedged(
+        &self,
+        primary: &str,
+        backup: &str,
+        encoded: &Bytes,
+    ) -> Option<Result<(Reply, bool)>> {
+        let policy = &self.policy;
         let delay = policy.hedge_delay()?;
         let timeout = policy.rpc_timeout;
         let (tx, rx) = std::sync::mpsc::channel();
@@ -411,7 +444,7 @@ impl HvacClient {
                     if is_backup {
                         self.metrics.hedge_wins.fetch_add(1, Ordering::Relaxed);
                     }
-                    return Some(Ok(reply));
+                    return Some(Ok((reply, !is_backup)));
                 }
                 Err(e) if e.is_retriable() => {
                     if matches!(e, HvacError::RpcTimeout { .. }) {
@@ -454,11 +487,15 @@ impl HvacClient {
     ///    which is just as correct and far cheaper than waiting out a
     ///    wedged server's deadline; without a fallback, probe them all,
     /// 4. success on any replica other than the home counts as a failover.
-    fn call_replicas(&self, addrs: &[String], encoded: &Bytes) -> Result<Reply> {
+    ///
+    /// A reply comes with whether the first call to the home answered it.
+    fn call_replicas(&self, addrs: &[String], encoded: &Bytes) -> Result<(Reply, bool)> {
         if addrs.is_empty() {
             return Err(HvacError::InvalidConfig("empty replica set".into()));
         }
-        if self.options.retry.hedge_delay().is_some() && addrs.len() >= 2 {
+        // Whether every step so far was the home's first call.
+        let mut first_call = true;
+        if self.policy.hedge_delay().is_some() && addrs.len() >= 2 {
             let live: Vec<&String> = addrs
                 .iter()
                 .filter(|a| !self.breaker_open(a))
@@ -466,8 +503,10 @@ impl HvacClient {
                 .collect();
             if live.len() == 2 {
                 if let Some(outcome) = self.call_hedged(live[0], live[1], encoded) {
-                    return outcome;
+                    return outcome
+                        .map(|(reply, primary)| (reply, primary && *live[0] == addrs[0]));
                 }
+                first_call = false;
             }
         }
         let mut skipped = Vec::new();
@@ -477,17 +516,21 @@ impl HvacClient {
             if self.breaker_open(addr) {
                 self.metrics.breaker_skips.fetch_add(1, Ordering::Relaxed);
                 skipped.push(addr);
+                first_call = false;
                 continue;
             }
             attempted = true;
             match self.call_one_replica(addr, encoded) {
-                Ok(reply) => {
+                Ok((reply, first_try)) => {
                     if *addr != addrs[0] {
                         self.metrics.failovers.fetch_add(1, Ordering::Relaxed);
                     }
-                    return Ok(reply);
+                    return Ok((reply, first_call && first_try));
                 }
-                Err(e) if e.is_retriable() => last_err = Some(e),
+                Err(e) if e.is_retriable() => {
+                    last_err = Some(e);
+                    first_call = false;
+                }
                 Err(fatal) => return Err(fatal),
             }
         }
@@ -504,11 +547,11 @@ impl HvacClient {
         }
         for addr in skipped {
             match self.call_one_replica(addr, encoded) {
-                Ok(reply) => {
+                Ok((reply, _)) => {
                     if *addr != addrs[0] {
                         self.metrics.failovers.fetch_add(1, Ordering::Relaxed);
                     }
-                    return Ok(reply);
+                    return Ok((reply, false));
                 }
                 Err(e) if e.is_retriable() => last_err = Some(e),
                 Err(fatal) => return Err(fatal),
@@ -518,44 +561,243 @@ impl HvacClient {
         Err(last_err.unwrap_or_else(|| HvacError::ServerDown("no replica answered".into())))
     }
 
-    /// Issue one logical RPC through the membership view: snapshot the
-    /// view, resolve replica addresses *in that view*, stamp the request
-    /// with the view's epoch, and send it down the replica ladder. A
-    /// [`Response::StaleView`] redirect installs the piggybacked (strictly
-    /// newer) view and re-resolves — bounded by [`MAX_VIEW_HOPS`] so a
-    /// churn storm degrades into an error instead of a livelock. The
-    /// interception happens *here*, before [`Response::into_result`],
-    /// because that is the only place the piggybacked view is still
-    /// attached to the error.
-    fn call_with_view<F>(&self, req: &Request, addrs_of: F) -> Result<Reply>
-    where
-        F: Fn(&ClusterView) -> Vec<String>,
-    {
-        let mut hops = 0u32;
-        loop {
-            let view = self.view.snapshot();
-            let encoded = req.encode_ctx(view.epoch(), self.options.job_id)?;
-            let addrs = addrs_of(&view);
-            let reply = self.call_replicas(&addrs, &encoded)?;
-            match Response::decode(reply.header.clone())? {
-                Response::StaleView { view: next } => {
+    /// One plan entry's job: send `entry`'s request, stamped with view
+    /// `epoch`, down the replica ladder and read the answer; degrade the
+    /// request when every replica failed. A [`Response::StaleView`] installs
+    /// the newer view and hands the request back for planning under it.
+    /// The entry counts one `batch_fallbacks` when the first call to its
+    /// home did not answer it.
+    fn run(&self, epoch: u64, Entry { addrs, req }: Entry) -> Result<Answer> {
+        let encoded = req.encode_ctx(epoch, self.job_id)?;
+        let (reply, first_call) = match self.call_replicas(&addrs, &encoded) {
+            Ok(answered) => answered,
+            Err(e) => {
+                self.metrics.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
+                return self.degrade(req, e);
+            }
+        };
+        let resp = Response::decode(reply.header)?;
+        if !first_call || matches!(resp, Response::StaleView { .. }) {
+            self.metrics.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
+        }
+        let bulk = reply.bulk.unwrap_or_default();
+        match (req, resp) {
+            (req, Response::StaleView { view }) => {
+                // Entries of one plan bounce together; count the one swap.
+                if self.view.install(Arc::new(view)) {
                     self.metrics.view_refreshes.fetch_add(1, Ordering::Relaxed);
-                    self.view.install(Arc::new(next));
-                    hops += 1;
-                    if hops >= MAX_VIEW_HOPS {
-                        return Err(HvacError::StaleView {
-                            current_epoch: self.view.epoch(),
-                        });
-                    }
                 }
-                _ => return Ok(reply),
+                Ok(Answer::Stale(req))
+            }
+            (Request::Stat { .. }, Response::Stat { size }) => Ok(Answer::Size(size)),
+            (Request::Read { offset, .. }, Response::Data { total_size, .. }) => {
+                let read = bulk.parts().iter().map(|part| (offset, part.clone()));
+                Ok(Answer::Read(read.collect(), Some(total_size)))
+            }
+            (Request::Batch { items }, Response::Batch { lens }) => {
+                // Batches are all-or-nothing on the server: a full answer
+                // has one payload of each item's length.
+                let parts = (items.iter().map(|item| item.len))
+                    .eq(lens.iter().map(|&l| u64::from(l)))
+                    .then(|| bulk.split(lens.iter().map(|&l| l as usize)))
+                    .flatten()
+                    .ok_or_else(|| {
+                        HvacError::Protocol(format!(
+                            "a batch of {} items came back as {lens:?}",
+                            items.len()
+                        ))
+                    })?;
+                let read = items.iter().map(|item| item.offset).zip(parts);
+                Ok(Answer::Read(read.collect(), None))
+            }
+            (Request::Prefetch { .. }, Response::Ok) => Ok(Answer::Staged),
+            (_, resp) => {
+                let other = resp.into_result()?;
+                Err(HvacError::Protocol(format!("unexpected reply: {other:?}")))
             }
         }
     }
 
-    /// Issue an RPC to the first healthy replica of `path`.
-    fn call(&self, path: &Path, req: &Request) -> Result<Reply> {
-        self.call_with_view(req, |view| self.replica_addrs_in(view, path))
+    /// The ladder's last rung, for a request whose replicas all failed
+    /// with `err`: when `err` is transient and a PFS fallback is armed, a
+    /// `Read` or each item of a `Batch` is read from the PFS, byte-identical
+    /// to what a server-side miss would return, and a `Stat` asks the PFS
+    /// for the size. Otherwise, and always for a `Prefetch`, the request
+    /// fails with `err`. Fatal errors (an answered `ENOENT`, protocol
+    /// garbage) never degrade — the PFS would only repeat them.
+    fn degrade(&self, req: Request, err: HvacError) -> Result<Answer> {
+        let Some(pfs) = self.pfs_fallback.as_ref().filter(|_| err.is_retriable()) else {
+            return Err(err);
+        };
+        // A batch item lies inside the size a `Stat` reported, so, unlike a
+        // `Read` at EOF, it is never short: a short one means the file
+        // changed under the read.
+        let read_at = |path: &Path, offset: u64, len: u64, exact: bool| {
+            let data = pfs.read_at(path, offset, len as usize)?;
+            if exact && data.len() as u64 != len {
+                return Err(HvacError::Protocol(format!(
+                    "the PFS returned {} bytes of {} at {offset}, expected {len}",
+                    data.len(),
+                    path.display()
+                )));
+            }
+            self.metrics.degraded_reads.fetch_add(1, Ordering::Relaxed);
+            Ok((offset, data))
+        };
+        let read = match req {
+            Request::Stat { path } => return Ok(Answer::Size(pfs.open_meta(&path)?.size)),
+            Request::Read { path, offset, len } => vec![read_at(&path, offset, len, false)?],
+            Request::Batch { items } => items
+                .iter()
+                .map(|item| read_at(Path::new(&item.path), item.offset, item.len, true))
+                .collect::<Result<_>>()?,
+            _ => return Err(err),
+        };
+        Ok(Answer::Read(read, None))
+    }
+}
+
+impl HvacClient {
+    /// Build a client over a fabric.
+    pub fn new(fabric: Arc<Fabric>, options: HvacClientOptions) -> Result<Self> {
+        if options.n_servers == 0 {
+            return Err(HvacError::InvalidConfig("n_servers must be >= 1".into()));
+        }
+        if options.replication == 0 {
+            return Err(HvacError::InvalidConfig("replication must be >= 1".into()));
+        }
+        if options.bulk_chunk == 0 {
+            return Err(HvacError::InvalidConfig("bulk_chunk must be >= 1".into()));
+        }
+        if options.batch_max == 0 {
+            return Err(HvacError::InvalidConfig("batch_max must be >= 1".into()));
+        }
+        let view = ViewHandle::new(ClusterView::initial(
+            options.n_servers,
+            options.instances_per_node,
+        )?);
+        Ok(Self {
+            ladder: Arc::new(Ladder {
+                fabric,
+                placement: make_placement(options.placement),
+                view,
+                metrics: ClientMetrics::default(),
+                health: OrderedMutex::new(classes::CLIENT_HEALTH, HashMap::new()),
+                policy: options.retry.clone(),
+                jitter_state: AtomicU64::new(options.retry.jitter_seed),
+                pfs_fallback: None,
+                job_id: options.job_id,
+                replication: options.replication as usize,
+            }),
+            matcher: DatasetMatcher::new(&options.dataset_dir),
+            sq: SqPool::new(hvac_net::DEFAULT_SQ_DEPTH)?,
+            options,
+            fds: OrderedMutex::new(classes::CLIENT_FDS, HashMap::new()),
+            next_fd: AtomicU64::new(FD_BASE),
+            pool: BufferPool::new(),
+        })
+    }
+
+    /// Install a (strictly newer) membership view, as a cluster harness
+    /// does on `add_node`/`remove_node`. Clients also learn views
+    /// organically from [`Response::StaleView`] redirects; either path is
+    /// monotonic, so the two never fight.
+    pub fn install_view(&self, view: Arc<ClusterView>) -> bool {
+        self.ladder.view.install(view)
+    }
+
+    /// Snapshot of the membership view this client resolves homes through.
+    pub fn view(&self) -> Arc<ClusterView> {
+        self.ladder.view.snapshot()
+    }
+
+    /// Arm client-side PFS degradation: when every replica of a read is
+    /// exhausted (hung, down, or erroring at the transport level), serve the
+    /// read directly from `pfs` instead of failing the application.
+    pub fn set_pfs_fallback(&mut self, pfs: Arc<dyn FileStore>) {
+        // Jobs share the ladder only while their plan runs, and a plan runs
+        // under `&self`, so `&mut self` sees the only handle.
+        match Arc::get_mut(&mut self.ladder) {
+            Some(ladder) => ladder.pfs_fallback = Some(pfs),
+            None => unreachable!("a plan job outlived its plan"),
+        }
+    }
+
+    /// Whether HVAC should intercept this path (the shim falls back to the
+    /// real libc call otherwise).
+    pub fn intercepts<P: AsRef<Path>>(&self, path: P) -> bool {
+        self.matcher.matches(path)
+    }
+
+    /// Client metrics.
+    pub fn metrics(&self) -> &ClientMetrics {
+        &self.ladder.metrics
+    }
+
+    /// Replica addresses of a path, home first, per the current view.
+    pub fn replica_addrs(&self, path: &Path) -> Vec<String> {
+        self.ladder.replica_addrs_in(&self.view(), path)
+    }
+
+    /// Replica addresses of one segment of a path, home first, per the
+    /// current view.
+    pub fn segment_replica_addrs(&self, path: &Path, seg_index: u64) -> Vec<String> {
+        self.ladder
+            .segment_replica_addrs_in(&self.view(), path, seg_index)
+    }
+
+    /// Plan → submit. `plan` turns requests into entries under a view
+    /// snapshot, and each entry runs as its own job on the pool (the first
+    /// inline), walking the whole ladder. Requests that bounce off a newer
+    /// view go back to `plan` under it, for at most [`MAX_VIEW_HOPS`]
+    /// rounds; what still bounces then degrades like a request whose
+    /// replicas all failed. Returns every answer, or the error of the first
+    /// failed entry in plan order.
+    fn submit(
+        &self,
+        mut reqs: Vec<Request>,
+        plan: impl Fn(&ClusterView, Vec<Request>) -> Vec<Entry>,
+    ) -> Result<Vec<Answer>> {
+        let mut answers = Vec::new();
+        for _ in 0..MAX_VIEW_HOPS {
+            let view = self.view();
+            let epoch = view.epoch();
+            let jobs = plan(&view, reqs).into_iter().map(|entry| {
+                let ladder = Arc::clone(&self.ladder);
+                move || ladder.run(epoch, entry)
+            });
+            reqs = Vec::new();
+            for answer in self.sq.run_all(jobs) {
+                match answer.and_then(|answer| answer)? {
+                    Answer::Stale(req) => reqs.push(req),
+                    answer => answers.push(answer),
+                }
+            }
+            if reqs.is_empty() {
+                return Ok(answers);
+            }
+        }
+        let current_epoch = self.ladder.view.epoch();
+        for req in reqs {
+            answers.push(
+                self.ladder
+                    .degrade(req, HvacError::StaleView { current_epoch })?,
+            );
+        }
+        Ok(answers)
+    }
+
+    /// Plan → submit requests about one file: each is its own entry,
+    /// addressed to the file's replicas in the plan's view.
+    fn submit_to_file(&self, path: &Path, reqs: Vec<Request>) -> Result<Vec<Answer>> {
+        self.submit(reqs, |view, reqs| {
+            reqs.into_iter()
+                .map(|req| Entry {
+                    addrs: self.ladder.replica_addrs_in(view, path),
+                    req,
+                })
+                .collect()
+        })
     }
 
     /// Refuse a path outside the dataset directory (the shim falls back to
@@ -564,7 +806,7 @@ impl HvacClient {
         if self.intercepts(path) {
             return Ok(());
         }
-        self.metrics
+        self.metrics()
             .passthrough_opens
             .fetch_add(1, Ordering::Relaxed);
         Err(HvacError::Protocol(format!(
@@ -588,7 +830,7 @@ impl HvacClient {
                 pos: 0,
             },
         );
-        self.metrics.opens.fetch_add(1, Ordering::Relaxed);
+        self.metrics().opens.fetch_add(1, Ordering::Relaxed);
         Ok(fd)
     }
 
@@ -650,7 +892,7 @@ impl HvacClient {
             .lock()
             .remove(&fd)
             .ok_or(HvacError::BadFd(fd as i32))?;
-        self.metrics.closes.fetch_add(1, Ordering::Relaxed);
+        self.metrics().closes.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
 
@@ -675,531 +917,206 @@ impl HvacClient {
         n
     }
 
-    /// Whether `err` should fall through to direct PFS access: every replica
-    /// failed transiently (hung/down/transport) *and* a fallback store is
-    /// armed. Fatal errors (an answered `ENOENT`, protocol garbage) never
-    /// degrade — the PFS would only repeat them.
-    fn should_degrade(&self, err: &HvacError) -> bool {
-        self.pfs_fallback.is_some() && err.is_retriable()
-    }
-
-    /// Stat without opening.
+    /// Stat without opening: a one-entry plan, degrading to the PFS's
+    /// `open_meta` when every replica is exhausted.
     pub fn stat(&self, path: &Path) -> Result<u64> {
-        let reply = match self.call(
-            path,
-            &Request::Stat {
-                path: path.to_path_buf(),
-            },
-        ) {
-            Ok(reply) => reply,
-            Err(e) if self.should_degrade(&e) => {
-                // Unwrap is fine: should_degrade checked is_some.
-                let pfs = self.pfs_fallback.as_ref().ok_or(e)?;
-                return Ok(pfs.open_meta(path)?.size);
-            }
-            Err(e) => return Err(e),
-        };
-        match Response::decode(reply.header)?.into_result()? {
-            Response::Stat { size } => Ok(size),
-            other => Err(HvacError::Protocol(format!(
-                "unexpected stat reply: {other:?}"
-            ))),
-        }
-    }
-
-    /// The armed PFS fallback store.
-    fn fallback_store(&self) -> Result<&Arc<dyn FileStore>> {
-        self.pfs_fallback
-            .as_ref()
-            .ok_or_else(|| HvacError::InvalidConfig("no PFS fallback armed".into()))
-    }
-
-    /// Serve one read directly from the PFS (the degradation ladder's last
-    /// rung). Byte-identical to what a server-side miss would return.
-    fn degraded_read(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
-        let data = self.fallback_store()?.read_at(path, offset, len)?;
-        self.metrics.degraded_reads.fetch_add(1, Ordering::Relaxed);
-        self.metrics.reads.fetch_add(1, Ordering::Relaxed);
-        self.metrics
-            .bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
-        Ok(data)
-    }
-
-    /// Fetch one chunk of a read: a `Read` RPC over the replica ladder (the
-    /// full hedge/deadline/retry/failover/breaker treatment), degrading to
-    /// direct PFS access for just this chunk when every replica is
-    /// exhausted. It serves a read that fits one chunk, and re-reads a chunk
-    /// of a larger read whose planned RPC failed; each call re-resolves the
-    /// home through the current view, so a membership change redirects only
-    /// the chunks that actually hit a stale home. Returns the bytes and,
-    /// when a server answered, the file's size from the reply (`None` for a
-    /// chunk served from the PFS). Counts only `degraded_reads`; the logical
-    /// read's `reads`/`bytes` are accounted once by its caller.
-    fn fetch_chunk(&self, path: &Path, offset: u64, len: usize) -> Result<(Bytes, Option<u64>)> {
-        let req = Request::Read {
+        let stat = Request::Stat {
             path: path.to_path_buf(),
-            offset,
-            len: len as u64,
         };
-        let reply = match self.call_with_view(&req, |view| self.replica_addrs_in(view, path)) {
-            Ok(reply) => reply,
-            Err(e) if self.should_degrade(&e) => {
-                let pfs = self.pfs_fallback.as_ref().ok_or(e)?;
-                let data = pfs.read_at(path, offset, len)?;
-                self.metrics.degraded_reads.fetch_add(1, Ordering::Relaxed);
-                return Ok((data, None));
-            }
-            Err(e) => return Err(e),
-        };
-        match Response::decode(reply.header)?.into_result()? {
-            Response::Data { total_size, .. } => Ok((
-                self.contiguous(reply.bulk.unwrap_or_default()),
-                Some(total_size),
+        match self.submit_to_file(path, vec![stat])?.as_slice() {
+            [Answer::Size(size)] => Ok(*size),
+            _ => Err(HvacError::Protocol(
+                "a stat came back without a size".into(),
             )),
-            other => Err(HvacError::Protocol(format!(
-                "unexpected read reply: {other:?}"
-            ))),
         }
     }
 
-    /// A read reply's bulk as one `Bytes`. A read reply has one part on
-    /// either transport, so this is zero-copy; a multi-part bulk is joined
-    /// in a pooled slab.
-    fn contiguous(&self, bulk: Bulk) -> Bytes {
+    /// Join a read's pieces into one `Bytes` — zero-copy for one piece, one
+    /// copy into a pooled slab for more — and account one logical read.
+    fn deliver(&self, pieces: &[Bytes]) -> Bytes {
         // lockgraph: acquires NET_POOL
-        reassemble_bulk_pooled(bulk.parts(), &self.pool)
-    }
-
-    /// Account one logical read of `data` and hand it back.
-    fn count_read(&self, data: Bytes) -> Bytes {
-        self.metrics.reads.fetch_add(1, Ordering::Relaxed);
-        self.metrics
+        let data = reassemble_bulk_pooled(pieces, &self.pool);
+        self.metrics().reads.fetch_add(1, Ordering::Relaxed);
+        self.metrics()
             .bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         data
     }
 
-    /// One logical read. A read that fits in `bulk_chunk` (a 0-byte read at
-    /// EOF included) is a single inline [`Self::fetch_chunk`] call at any
-    /// offset, so it keeps the whole ladder, hedging included; a larger one
-    /// goes through [`Self::read_chunked`].
-    fn read_path_at(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
-        let data = if len <= self.options.bulk_chunk {
-            self.fetch_chunk(path, offset, len)?.0
-        } else {
-            // lockgraph: acquires NET_POOL
-            reassemble_bulk_pooled(&self.read_chunked(path, offset, len)?, &self.pool)
-        };
-        Ok(self.count_read(data))
-    }
-
-    /// A read longer than one chunk: plan → submit → collect. The read
-    /// becomes a one-file plan of `Read` chunks of at most `bulk_chunk`
-    /// bytes, tiled from its own offset and addressed to the file's home in
-    /// the current view, submitted through [`Self::submit_and_collect`];
-    /// a failed, lost, stale-view or short chunk is re-read through
-    /// [`Self::fetch_chunk`]. Like batches, chunk RPCs skip hedging and
-    /// breaker bookkeeping until they fall back to the ladder. Returns the
-    /// chunks in offset order.
-    fn read_chunked(&self, path: &Path, offset: u64, len: usize) -> Result<Vec<Bytes>> {
+    /// `len` bytes of `path` at `offset`: a plan of `Read` chunks of at most
+    /// `bulk_chunk` bytes, tiled from the read's own offset and each its own
+    /// entry. A read of at most one chunk is one entry at any offset, a
+    /// 0-byte read at EOF included, so it runs inline. Returns the pieces in
+    /// offset order, and the file's size when a server answered. A failing
+    /// read returns the error of its lowest-offset failed chunk.
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<(Vec<Bytes>, Option<u64>)> {
         if offset.checked_add(len as u64).is_none() {
             return Err(HvacError::InvalidConfig(format!(
                 "read of {len} bytes at offset {offset} overflows u64"
             )));
         }
-        let view = self.view.snapshot();
-        let home = self
-            .replica_addrs_in(&view, path)
-            .into_iter()
-            .next()
-            .unwrap_or_default();
-        let plan: Vec<(u64, usize)> = chunk_ranges(len, self.options.bulk_chunk)
-            .map(|r| (offset + r.start as u64, r.len()))
+        let read = |at: u64, len: usize| Request::Read {
+            path: path.to_path_buf(),
+            offset: at,
+            len: len as u64,
+        };
+        let mut chunks: Vec<Request> = chunk_ranges(len, self.options.bulk_chunk)
+            .map(|r| read(offset + r.start as u64, r.len()))
             .collect();
-        let entries = plan
-            .iter()
-            .map(|&(at, n)| {
-                let req = Request::Read {
-                    path: path.to_path_buf(),
-                    offset: at,
-                    len: n as u64,
-                };
-                (home.clone(), req)
-            })
-            .collect();
-        self.submit_and_collect(
-            view.epoch(),
-            entries,
-            |slot, resp, bulk| {
-                (matches!(resp, Response::Data { .. }) && bulk.len() == plan[slot].1)
-                    .then(|| self.contiguous(bulk))
-            },
-            |slot| Ok(self.fetch_chunk(path, plan[slot].0, plan[slot].1)?.0),
-        )
-    }
-
-    /// Issue one plan's RPCs — a `(destination, request)` per entry,
-    /// stamped with view `epoch` — through [`SqPool::call_all`] and collect
-    /// one value per entry, in entry order. A stale-view reply installs the
-    /// newer view; `accept` validates every other reply for its slot. A
-    /// failed, lost, stale or rejected entry counts one `batch_fallbacks`
-    /// and is re-read through `fallback`, the full per-RPC ladder, in entry
-    /// order — so the error returned is that of the first entry whose ladder
-    /// fails, and later entries are not retried.
-    fn submit_and_collect<T>(
-        &self,
-        epoch: u64,
-        entries: Vec<(String, Request)>,
-        accept: impl Fn(usize, Response, Bulk) -> Option<T>,
-        fallback: impl Fn(usize) -> Result<T>,
-    ) -> Result<Vec<T>> {
-        let calls = entries
-            .into_iter()
-            .map(|(dest, req)| Ok((dest, req.encode_ctx(epoch, self.options.job_id)?)))
-            .collect::<Result<Vec<_>>>()?;
-        self.sq
-            .call_all(calls, self.options.retry.rpc_timeout)
-            .into_iter()
-            .enumerate()
-            .map(|(slot, result)| {
-                let accepted = result
-                    .ok()
-                    .and_then(|reply| self.decode_plan_reply(reply))
-                    .and_then(|(resp, bulk)| accept(slot, resp, bulk));
-                match accepted {
-                    Some(value) => Ok(value),
-                    None => {
-                        self.metrics.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
-                        fallback(slot)
-                    }
-                }
-            })
-            .collect()
-    }
-
-    /// Decode one plan reply into its response and bulk. `None` for an
-    /// undecodable header, or for a stale-view redirect — whose newer view
-    /// is installed here, so the fallback re-resolves under it.
-    fn decode_plan_reply(&self, reply: Reply) -> Option<(Response, Bulk)> {
-        match Response::decode(reply.header).ok()? {
-            Response::StaleView { view } => {
-                self.metrics.view_refreshes.fetch_add(1, Ordering::Relaxed);
-                self.view.install(Arc::new(view));
-                None
-            }
-            resp => Some((resp, reply.bulk.unwrap_or_default())),
+        if chunks.is_empty() {
+            chunks.push(read(offset, 0));
         }
+        Ok(pieces(self.submit_to_file(path, chunks)?))
+    }
+
+    /// One logical read at `offset`.
+    fn read_path_at(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
+        let (read, _) = self.read_at(path, offset, len)?;
+        Ok(self.deliver(&read))
     }
 
     /// Read a whole file at **segment granularity** (the §III-E alternative
     /// to file-granular caching): the file is cut into `segment_size` byte
     /// segments, each homed on its *own* server (`hash(path, segment)`), so
     /// a multi-gigabyte file spreads over the allocation instead of landing
-    /// on one NVMe. Returns the reassembled contents.
+    /// on one NVMe. After the `Stat`, the read is one plan of batches, one
+    /// per replica list. Returns the reassembled contents.
     pub fn read_file_segmented(&self, path: &Path, segment_size: u64) -> Result<Bytes> {
         if segment_size == 0 {
             return Err(HvacError::InvalidConfig("segment_size must be > 0".into()));
         }
-        let size = self.stat(path)?;
-        self.metrics.opens.fetch_add(1, Ordering::Relaxed);
-        let data = self.read_segmented_batched(path, size, segment_size)?;
-        self.metrics.closes.fetch_add(1, Ordering::Relaxed);
-        Ok(data)
-    }
-
-    /// One segment through the per-segment ladder — the fallback of a failed
-    /// batch: a one-item [`Request::Batch`] through `call_with_view` with the
-    /// segment's own placement (each segment re-resolves its home, so a
-    /// mid-file membership change redirects only later segments), degrading
-    /// to direct PFS access for just this segment when every replica is
-    /// exhausted. Strict on length: a short segment is a protocol error.
-    fn read_one_segment(&self, path: &str, seg_index: u64, offset: u64, len: u64) -> Result<Bytes> {
-        let req = Request::Batch {
-            items: vec![BatchItem {
-                path: path.to_string(),
-                offset,
-                len,
-            }],
-        };
-        let path = Path::new(path);
-        let short = |got: usize, from: &str| {
-            HvacError::Protocol(format!(
-                "segment {seg_index} of {} returned {got} bytes{from}, expected {len}",
-                path.display()
-            ))
-        };
-        let reply = match self.call_with_view(&req, |view| {
-            self.segment_replica_addrs_in(view, path, seg_index)
-        }) {
-            Ok(r) => r,
-            Err(e) if self.should_degrade(&e) => {
-                // Serve just this segment from the PFS; later segments
-                // still try their own (distinct) home servers.
-                let data = self.degraded_read(path, offset, len as usize)?;
-                if data.len() as u64 != len {
-                    return Err(short(data.len(), " from the PFS"));
-                }
-                return Ok(data);
-            }
-            Err(e) => return Err(e),
-        };
-        match Response::decode(reply.header)?.into_result()? {
-            Response::Batch { lens } => {
-                let data = self.contiguous(reply.bulk.unwrap_or_default());
-                if lens.iter().map(|&l| u64::from(l)).ne([len]) || data.len() as u64 != len {
-                    return Err(short(data.len(), ""));
-                }
-                Ok(self.count_read(data))
-            }
-            other => Err(HvacError::Protocol(format!(
-                "unexpected segment reply: {other:?}"
-            ))),
-        }
-    }
-
-    /// The segmented read: plan → batch → submit.
-    ///
-    /// [`coalesce_plan`] merges adjacent same-home segments into contiguous
-    /// ranges (≤ `coalesce_max`), ranges are grouped per destination into
-    /// batches of ≤ `batch_max`, and every batch ships as **one**
-    /// [`Request::Batch`] RPC through [`Self::submit_and_collect`] (up to
-    /// [`hvac_net::DEFAULT_SQ_DEPTH`] in flight). Batches are all-or-nothing
-    /// on the server; any failed, stale, or malformed batch reply is re-read
-    /// segment by segment through [`Self::read_one_segment`] — the full
-    /// ladder — so the fast path never weakens fault tolerance.
-    fn read_segmented_batched(&self, path: &Path, size: u64, segment_size: u64) -> Result<Bytes> {
         let path_str = path.to_str().ok_or_else(|| {
             HvacError::Protocol(format!("non-UTF-8 path not supported: {}", path.display()))
         })?;
-        let view = self.view.snapshot();
-        let plan: Vec<PlanEntry<String>> =
-            coalesce_plan(0, size, segment_size, self.options.coalesce_max, |seg| {
-                self.segment_replica_addrs_in(&view, path, seg)
-                    .into_iter()
-                    .next()
-                    .unwrap_or_default()
-            });
-        // Group plan entries by destination (order preserved) into batches
-        // of at most `batch_max` ranges each.
-        let mut batches: Vec<(String, Vec<usize>)> = Vec::new();
-        let mut open: HashMap<String, usize> = HashMap::new();
-        for (i, entry) in plan.iter().enumerate() {
-            match open.get(&entry.dest) {
-                Some(&b) if batches[b].1.len() < self.options.batch_max => batches[b].1.push(i),
-                _ => {
-                    batches.push((entry.dest.clone(), vec![i]));
-                    open.insert(entry.dest.clone(), batches.len() - 1);
-                }
-            }
-        }
-        let entries = batches
-            .iter()
-            .map(|(dest, idxs)| {
-                let items = idxs
-                    .iter()
-                    .map(|&i| BatchItem {
-                        path: path_str.to_string(),
-                        offset: plan[i].offset,
-                        len: plan[i].len,
-                    })
-                    .collect();
-                self.metrics.batch_rpcs.fetch_add(1, Ordering::Relaxed);
-                (dest.clone(), Request::Batch { items })
-            })
-            .collect();
-        let answers = self.submit_and_collect(
-            view.epoch(),
-            entries,
-            |b, resp, bulk| {
-                let parts = Self::split_batch_reply(resp, bulk, &batches[b].1, &plan)?;
-                for part in &parts {
-                    self.metrics.reads.fetch_add(1, Ordering::Relaxed);
-                    self.metrics
-                        .bytes
-                        .fetch_add(part.len() as u64, Ordering::Relaxed);
-                }
-                Some(parts)
-            },
-            |b| {
-                batches[b]
-                    .1
-                    .iter()
-                    .map(|&i| self.read_entry_by_segments(path_str, &plan[i], segment_size))
-                    .collect()
-            },
-        )?;
-        let mut chunks = vec![Bytes::new(); plan.len()];
-        for ((_, idxs), parts) in batches.iter().zip(answers) {
-            for (&i, part) in idxs.iter().zip(parts) {
-                chunks[i] = part;
-            }
-        }
-        // lockgraph: acquires NET_POOL
-        Ok(reassemble_bulk_pooled(&chunks, &self.pool))
-    }
-
-    /// Split one batch reply into the payloads of plan entries `idxs`, by
-    /// its `lens`, as slices of the bulk's parts — no copy on either
-    /// transport. Returns `None` on anything other than a well-formed full
-    /// answer — an error reply or any length mismatch — and the caller
-    /// falls back.
-    fn split_batch_reply(
-        resp: Response,
-        bulk: Bulk,
-        idxs: &[usize],
-        plan: &[PlanEntry<String>],
-    ) -> Option<Vec<Bytes>> {
-        let Response::Batch { lens } = resp else {
-            return None;
+        let size = self.stat(path)?;
+        self.metrics().opens.fetch_add(1, Ordering::Relaxed);
+        let whole = BatchItem {
+            path: path_str.to_string(),
+            offset: 0,
+            len: size,
         };
-        if !lens
-            .iter()
-            .map(|&l| u64::from(l))
-            .eq(idxs.iter().map(|&i| plan[i].len))
-        {
-            return None;
-        }
-        bulk.split(lens.iter().map(|&l| l as usize))
+        let answers = self.submit(vec![Request::Batch { items: vec![whole] }], |view, reqs| {
+            self.plan_batches(view, path, segment_size, reqs)
+        })?;
+        self.metrics().closes.fetch_add(1, Ordering::Relaxed);
+        Ok(self.deliver(&pieces(answers).0))
     }
 
-    /// Fallback for one coalesced range: read its segments individually
-    /// through [`Self::read_one_segment`] (retry, failover, hedging, PFS
-    /// degrade — the whole ladder) and reassemble from the slab pool.
-    /// Ranges planned from offset 0 start on segment boundaries, so each
-    /// piece is exactly the segment a batch item would have cached.
-    fn read_entry_by_segments(
-        &self,
-        path: &str,
-        entry: &PlanEntry<String>,
-        segment_size: u64,
-    ) -> Result<Bytes> {
-        let mut chunks = Vec::new();
-        let mut at = entry.offset;
-        let end = entry.offset + entry.len;
-        while at < end {
-            let seg = at / segment_size;
-            let seg_end = (seg + 1).saturating_mul(segment_size).min(end);
-            chunks.push(self.read_one_segment(path, seg, at, seg_end - at)?);
-            at = seg_end;
-        }
-        // lockgraph: acquires NET_POOL
-        Ok(reassemble_bulk_pooled(&chunks, &self.pool))
-    }
-
-    /// Replica addresses of one segment of a path, home first, per the
-    /// current view. Each segment hashes independently, so segments of one
-    /// file spread across servers.
-    pub fn segment_replica_addrs(&self, path: &Path, seg_index: u64) -> Vec<String> {
-        self.segment_replica_addrs_in(&self.view.snapshot(), path, seg_index)
-    }
-
-    /// Replica addresses of one segment in an explicit view.
-    fn segment_replica_addrs_in(
+    /// Plan the ranges of `reqs` — `Batch`es of `path` — under `view`.
+    /// [`coalesce_plan`] cuts each range into runs of adjacent segments
+    /// that share their whole replica list (at most `coalesce_max` bytes
+    /// each), and runs with the same replica list ride together in batches
+    /// of at most `batch_max`, each one [`Request::Batch`] entry. A batch
+    /// therefore fails over as a unit, and a range bounced off a newer view
+    /// is cut again by its segments' homes in that view.
+    fn plan_batches(
         &self,
         view: &ClusterView,
         path: &Path,
-        seg_index: u64,
-    ) -> Vec<String> {
-        let fid = hash_job_path(self.options.job_id, path);
-        let seg_fid =
-            hvac_types::FileId(mix64(fid.0 ^ seg_index.wrapping_mul(0x9e37_79b9_7f4a_7c15)));
-        self.placement
-            .replicas_in_view(seg_fid, view, self.options.replication as usize)
+        segment_size: u64,
+        reqs: Vec<Request>,
+    ) -> Vec<Entry> {
+        let mut runs = Vec::new();
+        for req in reqs {
+            let Request::Batch { items } = req else {
+                continue;
+            };
+            for item in items {
+                let plan = coalesce_plan(
+                    item.offset,
+                    item.len,
+                    segment_size,
+                    self.options.coalesce_max,
+                    |seg| self.ladder.segment_replica_addrs_in(view, path, seg),
+                );
+                runs.extend(plan.into_iter().map(|run| {
+                    let item = BatchItem {
+                        path: item.path.clone(),
+                        offset: run.offset,
+                        len: run.len,
+                    };
+                    (run.dest, item)
+                }));
+            }
+        }
+        group(runs, self.options.batch_max)
             .into_iter()
-            .map(|sid| view.addr(sid))
+            .map(|(addrs, items)| {
+                self.metrics().batch_rpcs.fetch_add(1, Ordering::Relaxed);
+                Entry {
+                    addrs,
+                    req: Request::Batch { items },
+                }
+            })
             .collect()
     }
 
-    /// Ask the home server of every path to stage it in the background
-    /// (the paper's §IV-C prefetching future work). Paths are grouped by
-    /// home server and sent as one RPC per server; returns the number of
-    /// paths submitted. Staging is asynchronous — subsequent reads of a
-    /// still-copying file simply piggyback on the in-flight copy.
+    /// Ask the replicas of every path to stage it in the background (the
+    /// paper's §IV-C prefetching future work): paths with the same replica
+    /// list go as one `Prefetch` entry, which fails over like any other.
+    /// Returns the number of paths submitted. Staging is asynchronous —
+    /// subsequent reads of a still-copying file simply piggyback on the
+    /// in-flight copy.
     pub fn prefetch<'a, I>(&self, paths: I) -> Result<usize>
     where
         I: IntoIterator<Item = &'a Path>,
     {
-        let mut pending: Vec<PathBuf> = paths
+        let paths: Vec<PathBuf> = paths
             .into_iter()
             .filter(|p| self.intercepts(p))
             .map(Path::to_path_buf)
             .collect();
-        let submitted = pending.len();
-        let mut hops = 0u32;
-        while !pending.is_empty() {
-            // Group by home server *in the current view*; a StaleView bounce
-            // re-groups just the bounced batch under the newer view.
-            let view = self.view.snapshot();
-            let mut by_server: HashMap<String, Vec<PathBuf>> = HashMap::new();
-            for path in pending.drain(..) {
-                let addr = self
-                    .replica_addrs_in(&view, &path)
-                    .into_iter()
-                    .next()
-                    .ok_or_else(|| HvacError::InvalidConfig("replication must be >= 1".into()))?;
-                by_server.entry(addr).or_default().push(path);
-            }
-            for (addr, batch) in by_server {
-                let req = Request::Prefetch {
-                    paths: batch.clone(),
+        let submitted = paths.len();
+        self.submit(vec![Request::Prefetch { paths }], |view, reqs| {
+            let mut pairs = Vec::new();
+            for req in reqs {
+                let Request::Prefetch { paths } = req else {
+                    continue;
                 };
-                let reply = self
-                    .fabric
-                    .call(&addr, req.encode_ctx(view.epoch(), self.options.job_id)?)?;
-                match Response::decode(reply.header)? {
-                    Response::StaleView { view: next } => {
-                        self.metrics.view_refreshes.fetch_add(1, Ordering::Relaxed);
-                        self.view.install(Arc::new(next));
-                        pending.extend(batch);
-                    }
-                    resp => {
-                        resp.into_result()?;
-                    }
-                }
+                pairs.extend(
+                    paths
+                        .into_iter()
+                        .map(|path| (self.ladder.replica_addrs_in(view, &path), path)),
+                );
             }
-            if !pending.is_empty() {
-                hops += 1;
-                if hops >= MAX_VIEW_HOPS {
-                    return Err(HvacError::StaleView {
-                        current_epoch: self.view.epoch(),
-                    });
-                }
-            }
-        }
+            group(pairs, usize::MAX)
+                .into_iter()
+                .map(|(addrs, paths)| Entry {
+                    addrs,
+                    req: Request::Prefetch { paths },
+                })
+                .collect()
+        })?;
         Ok(submitted)
     }
 
     /// `<open, read-entire-file, close>` — the exact transaction the
     /// paper's DL profile shows per training sample (§III-F) — as one
-    /// `Read` of the first `bulk_chunk` bytes through the full
-    /// [`Self::fetch_chunk`] ladder. The reply's `total_size` stands in for
-    /// the open-time `Stat`, `close` sends nothing, and only a file longer
-    /// than one chunk fetches the rest, through [`Self::read_chunked`]. A
-    /// head served from the PFS takes the size from a short head, or else
+    /// `Read` of the first `bulk_chunk` bytes, a one-entry plan. The
+    /// reply's `total_size` stands in for the open-time `Stat`, `close`
+    /// sends nothing, and only a file longer than one chunk plans the rest.
+    /// A head served from the PFS takes the size from a short head, or else
     /// from one `open_meta`; the rest then degrades chunk by chunk.
     pub fn read_file(&self, path: &Path) -> Result<Bytes> {
         self.check_intercepted(path)?;
         let chunk = self.options.bulk_chunk;
-        let (head, total_size) = self.fetch_chunk(path, 0, chunk)?;
-        let size = match total_size {
-            Some(size) => size,
-            None if head.len() < chunk => head.len() as u64,
-            None => self.fallback_store()?.open_meta(path)?.size,
+        let (mut read, total_size) = self.read_at(path, 0, chunk)?;
+        let done: u64 = read.iter().map(|piece| piece.len() as u64).sum();
+        let size = match (total_size, &self.ladder.pfs_fallback) {
+            (Some(size), _) => size,
+            (None, _) if done < chunk as u64 => done,
+            (None, Some(pfs)) => pfs.open_meta(path)?.size,
+            (None, None) => {
+                return Err(HvacError::InvalidConfig("no PFS fallback armed".into()));
+            }
         };
-        self.metrics.opens.fetch_add(1, Ordering::Relaxed);
-        let done = head.len() as u64;
-        let data = if size > done {
+        self.metrics().opens.fetch_add(1, Ordering::Relaxed);
+        if size > done {
             let rest = usize::try_from(size - done).unwrap_or(usize::MAX);
-            let mut chunks = vec![head];
-            chunks.extend(self.read_chunked(path, done, rest)?);
-            // lockgraph: acquires NET_POOL
-            reassemble_bulk_pooled(&chunks, &self.pool)
-        } else {
-            head
-        };
-        self.metrics.closes.fetch_add(1, Ordering::Relaxed);
-        Ok(self.count_read(data))
+            read.extend(self.read_at(path, done, rest)?.0);
+        }
+        self.metrics().closes.fetch_add(1, Ordering::Relaxed);
+        Ok(self.deliver(&read))
     }
 }
 
@@ -1386,7 +1303,7 @@ mod tests {
         // A table locked at fork time is not copied.
         let held = parent.fds.lock();
         let orphan = HvacClient::new(
-            child.fabric.clone(),
+            child.ladder.fabric.clone(),
             HvacClientOptions::new("/gpfs/set", 3, 1),
         )
         .unwrap();
@@ -1780,12 +1697,78 @@ mod tests {
         let p = sample(3);
         let expected = pfs.read_all(&p).unwrap();
         // Down one server: any batch homed there fails as a unit, and its
-        // ranges are re-read segment by segment (degrading to the PFS for
-        // segments whose only replica is the dead server).
+        // own ladder degrades its items to the PFS, since the dead server
+        // is their only replica.
         fabric.set_down(&server_addr(0, 1), true);
         assert_eq!(client.read_file_segmented(&p, 16).unwrap(), expected);
         let s = client.metrics().full_snapshot();
         assert!(s.batch_fallbacks >= 1, "fallback counted: {s:?}");
+    }
+
+    #[test]
+    fn stale_batches_are_replanned_under_the_newer_view() {
+        let (pfs, _fabric, servers, client) = setup2(1);
+        let p = sample(4);
+        let expected = pfs.read_all(&p).unwrap();
+        let seg_len = |s: u64| (expected.len() as u64 - s * 16).min(16);
+        let segs = (expected.len() as u64).div_ceil(16);
+        let homes = |client: &HvacClient| -> Vec<String> {
+            (0..segs)
+                .map(|s| client.segment_replica_addrs(&p, s)[0].clone())
+                .collect()
+        };
+        let home = client.replica_addrs(&p)[0].clone();
+        let old_homes = homes(&client);
+        assert!(
+            old_homes.iter().any(|h| *h != home),
+            "some segment must live off the file's home"
+        );
+        // A newer view without the file's home reaches every server but the
+        // home. The home still serves epoch 0, so the Stat and the home's
+        // own batch go through; the other batches bounce and are planned
+        // again under the newer view.
+        let home_node = servers
+            .iter()
+            .position(|(_, ep)| ep.addr() == home)
+            .unwrap();
+        let newer = Arc::new(
+            client
+                .view()
+                .with_node_removed(hvac_types::NodeId(home_node as u32))
+                .unwrap(),
+        );
+        for (server, ep) in &servers {
+            if ep.addr() != home {
+                server.install_view(newer.clone());
+            }
+        }
+        assert_eq!(client.read_file_segmented(&p, 16).unwrap(), expected);
+        assert_eq!(client.view().epoch(), newer.epoch());
+        let new_homes = homes(&client);
+        // Every segment was served once, by its home in the view its last
+        // batch was planned under.
+        for (server, ep) in &servers {
+            let served: u64 = (0..segs)
+                .filter(|&s| {
+                    let s = s as usize;
+                    if old_homes[s] == home {
+                        ep.addr() == home
+                    } else {
+                        new_homes[s] == ep.addr()
+                    }
+                })
+                .map(seg_len)
+                .sum();
+            assert_eq!(
+                server.metrics().snapshot().served_bytes,
+                served,
+                "{}",
+                ep.addr()
+            );
+        }
+        let s = client.metrics().full_snapshot();
+        assert_eq!(s.view_refreshes, 1, "one view swapped in: {s:?}");
+        assert_eq!(s.degraded_reads, 0, "{s:?}");
     }
 
     #[test]
@@ -1912,23 +1895,25 @@ mod tests {
             fabric.set_down(&addr, true);
         }
         let failed_before = fabric.stats().failed_calls.load(Ordering::Relaxed);
-        // No PFS fallback: every chunk RPC fails, and the fallback ladder
-        // runs in offset order, so the read returns the error of the chunk
-        // at offset 0 and never walks the ladder for a later chunk.
+        // No PFS fallback: every chunk walks its own ladder and fails, and
+        // the read returns the error of the chunk at offset 0.
         let err = client.pread(fd, 0, size as usize).unwrap_err();
         assert!(matches!(err, HvacError::ServerDown(_)), "{err:?}");
-        assert_eq!(client.metrics().full_snapshot().batch_fallbacks, 1);
+        assert_eq!(client.metrics().full_snapshot().batch_fallbacks, chunks);
         assert_eq!(
             fabric.stats().failed_calls.load(Ordering::Relaxed) - failed_before,
-            chunks + 1,
-            "one RPC per chunk, then one ladder attempt for the first chunk"
+            chunks,
+            "one call per chunk: a down replica is not retried, and an open \
+             breaker is force-probed once"
         );
     }
 
-    /// A PFS whose `read_at` fails at every offset from `fail_from` on.
+    /// A PFS whose `read_at` fails at every offset from `fail_from` on, or
+    /// with `short` comes back one byte short there.
     struct FailingTail {
         inner: Arc<MemStore>,
         fail_from: u64,
+        short: bool,
     }
 
     impl FileStore for FailingTail {
@@ -1941,10 +1926,13 @@ mod tests {
         }
 
         fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
-            if offset >= self.fail_from {
-                return Err(HvacError::Rpc(format!("read at {offset} failed")));
+            if offset < self.fail_from {
+                return self.inner.read_at(path, offset, len);
             }
-            self.inner.read_at(path, offset, len)
+            if self.short {
+                return self.inner.read_at(path, offset, len.saturating_sub(1));
+            }
+            Err(HvacError::Rpc(format!("read at {offset} failed")))
         }
 
         fn exists(&self, path: &Path) -> bool {
@@ -1967,6 +1955,7 @@ mod tests {
         client.set_pfs_fallback(Arc::new(FailingTail {
             inner: pfs,
             fail_from: 32,
+            short: false,
         }));
         let p = sample(2);
         let fd = client.open(&p).unwrap();
@@ -1983,8 +1972,26 @@ mod tests {
             other => panic!("unexpected {other:?}"),
         }
         let s = client.metrics().full_snapshot();
-        assert_eq!(s.batch_fallbacks, 3, "{s:?}");
+        assert_eq!(s.batch_fallbacks, size.div_ceil(16), "{s:?}");
         assert_eq!(s.degraded_reads, 2, "{s:?}");
+    }
+
+    #[test]
+    fn a_short_degraded_segment_is_a_protocol_error() {
+        let (pfs, fabric, _servers, mut client) = setup2(1);
+        client.set_pfs_fallback(Arc::new(FailingTail {
+            inner: pfs,
+            fail_from: 32,
+            short: true,
+        }));
+        for addr in fabric.endpoint_names() {
+            fabric.set_down(&addr, true);
+        }
+        // Every batch degrades to the PFS, which comes back a byte short
+        // from offset 32: inside the size the Stat reported, so the file
+        // changed under the read.
+        let err = client.read_file_segmented(&sample(2), 16).unwrap_err();
+        assert!(matches!(err, HvacError::Protocol(_)), "{err:?}");
     }
 
     #[test]
@@ -2021,7 +2028,11 @@ mod tests {
         let (pfs, fabric, _s, client) = setup2(1);
         let addrs = client.replica_addrs(&sample(0));
         let rpcs_before = fabric.stats().rpcs.load(Ordering::Relaxed);
-        let reply = client.call_replicas(&addrs, &stat_request(0)).unwrap();
+        let reply = client
+            .ladder
+            .call_replicas(&addrs, &stat_request(0))
+            .unwrap()
+            .0;
         assert_eq!(
             stat_size(reply),
             pfs.read_all(&sample(0)).unwrap().len() as u64
@@ -2036,7 +2047,10 @@ mod tests {
         let (_pfs, fabric, _s, client) = setup2(2);
         let addrs = client.replica_addrs(&sample(3));
         fabric.set_down(&addrs[0], true);
-        client.call_replicas(&addrs, &stat_request(3)).unwrap();
+        client
+            .ladder
+            .call_replicas(&addrs, &stat_request(3))
+            .unwrap();
         assert_eq!(client.metrics().full_snapshot().failovers, 1);
     }
 
@@ -2044,6 +2058,7 @@ mod tests {
     fn failover_exhausted_returns_server_down() {
         let (_pfs, _f, _s, client) = setup2(1);
         let err = client
+            .ladder
             .call_replicas(&["x".into(), "y".into()], &stat_request(0))
             .unwrap_err();
         assert!(matches!(err, HvacError::ServerDown(_)), "{err:?}");
@@ -2060,7 +2075,10 @@ mod tests {
             .fault_injector()
             .set(&addrs[0], hvac_net::FaultSpec::always_hang(11));
         let start = Instant::now();
-        client.call_replicas(&addrs, &stat_request(3)).unwrap();
+        client
+            .ladder
+            .call_replicas(&addrs, &stat_request(3))
+            .unwrap();
         let s = client.metrics().full_snapshot();
         assert_eq!(s.failovers, 1, "failover counted: {s:?}");
         assert!(s.timeouts >= 1, "{s:?}");
@@ -2074,7 +2092,7 @@ mod tests {
     fn empty_replica_set_is_config_error() {
         let (_pfs, _f, _s, client) = setup2(1);
         assert!(matches!(
-            client.call_replicas(&[], &stat_request(0)),
+            client.ladder.call_replicas(&[], &stat_request(0)),
             Err(HvacError::InvalidConfig(_))
         ));
     }
@@ -2084,7 +2102,10 @@ mod tests {
         let (_pfs, _f, servers, client) = setup2(2);
         let addrs = client.replica_addrs(&sample(3));
         for _ in 0..5 {
-            client.call_replicas(&addrs, &stat_request(3)).unwrap();
+            client
+                .ladder
+                .call_replicas(&addrs, &stat_request(3))
+                .unwrap();
         }
         assert_eq!(client.metrics().full_snapshot().failovers, 0);
         let home = servers
@@ -2101,7 +2122,7 @@ mod tests {
             let mut opts = HvacClientOptions::new("/d", 1, 1);
             opts.retry.jitter_seed = seed;
             let client = HvacClient::new(fabric, opts).unwrap();
-            (0..8).map(|_| client.jitter()).collect::<Vec<_>>()
+            (0..8).map(|_| client.ladder.jitter()).collect::<Vec<_>>()
         };
         assert_eq!(draws(7), draws(7), "same seed, same backoff schedule");
         assert_ne!(draws(7), draws(8), "different seed, different schedule");

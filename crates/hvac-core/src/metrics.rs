@@ -430,9 +430,10 @@ pub struct ClientMetrics {
     /// Batch RPCs issued by segmented reads (each bundling several
     /// coalesced segment ranges for one destination).
     pub batch_rpcs: AtomicU64,
-    /// Planned RPCs — batches of a segmented read, chunks of a multi-chunk
-    /// read — that failed, were lost, bounced with a stale view or came
-    /// back malformed, and were re-read through the retry/failover ladder.
+    /// Plan entries — every client RPC is one — that the first call to
+    /// their planned home did not answer: the home was skipped on an open
+    /// breaker, failed, needed a retry or bounced with a stale view, and
+    /// the entry walked on down its ladder. A healthy run counts 0.
     pub batch_fallbacks: AtomicU64,
 }
 
@@ -469,7 +470,7 @@ pub struct ClientMetricsSnapshot {
     pub hedge_wins: u64,
     /// Batch RPCs issued by segmented reads.
     pub batch_rpcs: u64,
-    /// Planned batches or chunks re-read through the ladder after a failure.
+    /// Plan entries the first call to their planned home did not answer.
     pub batch_fallbacks: u64,
 }
 

@@ -29,8 +29,9 @@
 //! * [`plan`] — the adjacent-segment coalescer and per-destination batch
 //!   planner plus the batch payload codec,
 //! * [`sq`] — the client's persistent [`SqPool`](sq::SqPool) of dispatch
-//!   workers: every multi-RPC read (bulk chunks, per-destination batches)
-//!   issues its calls through one [`SqPool::call_all`](sq::SqPool::call_all).
+//!   workers: every client RPC is an entry of a plan, and
+//!   [`SqPool::run_all`](sq::SqPool::run_all) runs a plan's entries as
+//!   jobs, each walking the client's replica ladder, the first inline.
 //!
 //! The loopback fabric hands real bytes to the handler on the calling
 //! thread; latency and bandwidth of the modeled interconnect are accounted

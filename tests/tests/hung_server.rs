@@ -180,3 +180,144 @@ fn dropped_requests_fail_over_like_hangs() {
     assert!(s.timeouts > 0, "drops surface as deadline misses: {s:?}");
     assert_eq!(s.degraded_reads, 0, "the healthy replica carries the load");
 }
+
+/// Files of the plan tests: long enough that a read is a plan of 8 chunks
+/// or 8 segments.
+const PLAN_FILES: u64 = 12;
+const PLAN_FILE_SIZE: usize = 64 * 1024;
+const PIECE: usize = 8 * 1024;
+
+/// A 100 ms deadline, `attempts` per replica, and a breaker that trips
+/// after 2 failures and stays open for a minute, so no half-open probe
+/// reaches the hung server while a test runs.
+fn plan_retry(attempts: u32) -> RetryPolicy {
+    RetryPolicy {
+        rpc_timeout: Duration::from_millis(100),
+        max_attempts: attempts,
+        backoff_base: Duration::from_millis(1),
+        breaker_threshold: 2,
+        breaker_cooldown: Duration::from_secs(60),
+        jitter_seed: 0xB0A7,
+        ..RetryPolicy::default()
+    }
+}
+
+/// Three nodes with server 0 hung for good; reads are plans of 8-KiB
+/// chunks, or of batches of 8-KiB segments.
+fn hung_plan_cluster(replication: u32, attempts: u32) -> (Cluster, String) {
+    let pfs = Arc::new(MemStore::new());
+    pfs.synthesize_dataset(Path::new("/gpfs/train"), PLAN_FILES, |_| PLAN_FILE_SIZE);
+    let cluster = Cluster::new(
+        pfs,
+        ClusterOptions::new(3, 1)
+            .dataset_dir("/gpfs/train")
+            .replication(replication)
+            .retry_policy(plan_retry(attempts))
+            .bulk_chunk(PIECE),
+    )
+    .unwrap();
+    let hung = server_addr(0, 1);
+    cluster
+        .fabric()
+        .fault_injector()
+        .set(&hung, FaultSpec::always_hang(21));
+    (cluster, hung)
+}
+
+fn plan_content(i: u64) -> bytes::Bytes {
+    MemStore::sample_content(i, PLAN_FILE_SIZE)
+}
+
+/// k=2: once the hung home's breaker has tripped, no plan — segmented or
+/// chunked — sends it another call; every entry goes straight to the live
+/// replica. Every hang fired is counted as a client timeout.
+#[test]
+fn plans_skip_a_tripped_home_and_count_every_hang() {
+    let (cluster, hung) = hung_plan_cluster(2, 1);
+    let injector = cluster.fabric().fault_injector();
+    let client = cluster.client(1);
+    let mut i = 0;
+    while client.metrics().full_snapshot().breaker_trips == 0 {
+        assert!(i < PLAN_FILES, "the hung home's breaker never tripped");
+        let data = client.read_file_segmented(&sample(i), PIECE as u64);
+        assert_eq!(data.unwrap(), plan_content(i), "file {i}");
+        i += 1;
+    }
+    let fired = injector.injected_for(&hung);
+    assert!(fired >= 2, "the breaker tripped on hangs: {fired}");
+    for i in 0..PLAN_FILES {
+        let segmented = client.read_file_segmented(&sample(i), PIECE as u64);
+        assert_eq!(segmented.unwrap(), plan_content(i), "segmented file {i}");
+        assert_eq!(
+            client.read_file(&sample(i)).unwrap(),
+            plan_content(i),
+            "chunked file {i}"
+        );
+    }
+    assert_eq!(
+        injector.injected_for(&hung),
+        fired,
+        "a plan sent calls to a home whose breaker was open"
+    );
+    let s = client.metrics().full_snapshot();
+    assert_eq!(s.hedges, 0);
+    assert_eq!(
+        s.timeouts, fired,
+        "every hang fired is one client timeout: {s:?}"
+    );
+    assert_eq!(s.degraded_reads, 0, "the live replica served it all: {s:?}");
+}
+
+/// k=1 with the PFS fallback armed: the hung server is every entry's only
+/// replica, so the force-probe rule sends it one call per entry planned to
+/// it (times `max_attempts`), before and after its breaker trips. A
+/// segmented read plans one `Stat` to the file's home, then one batch per
+/// home (8 segments never fill a batch).
+#[test]
+fn a_hung_sole_home_gets_one_probe_per_planned_batch() {
+    const ATTEMPTS: u64 = 2;
+    let (cluster, hung) = hung_plan_cluster(1, ATTEMPTS as u32);
+    let injector = cluster.fabric().fault_injector();
+    let client = cluster.client(1);
+    let segments = (PLAN_FILE_SIZE / PIECE) as u64;
+    let mut probed = 0;
+    for i in 0..PLAN_FILES / 2 {
+        let p = sample(i);
+        let stat = u64::from(client.replica_addrs(&p)[0] == hung);
+        let batch =
+            u64::from((0..segments).any(|s| client.segment_replica_addrs(&p, s)[0] == hung));
+        let before = injector.injected_for(&hung);
+        assert_eq!(
+            client.read_file_segmented(&p, PIECE as u64).unwrap(),
+            plan_content(i),
+            "file {i}"
+        );
+        assert_eq!(
+            injector.injected_for(&hung) - before,
+            (stat + batch) * ATTEMPTS,
+            "file {i}: calls to the hung home"
+        );
+        probed += stat + batch;
+    }
+    assert!(probed > 0, "no read planned an entry to the hung home");
+    let s = client.metrics().full_snapshot();
+    assert!(s.breaker_trips >= 1, "{s:?}");
+    assert!(s.degraded_reads > 0, "{s:?}");
+}
+
+/// k=2: a prefetch whose paths include some homed on a hung server fails
+/// those over to the live replica within one deadline, and counts the hang.
+#[test]
+fn prefetch_fails_over_from_a_hung_home() {
+    let (cluster, hung) = hung_plan_cluster(2, 1);
+    let injector = cluster.fabric().fault_injector();
+    let client = cluster.client(0);
+    let paths: Vec<PathBuf> = (0..PLAN_FILES).map(sample).collect();
+    let staged = client.prefetch(paths.iter().map(PathBuf::as_path));
+    assert_eq!(staged.unwrap(), paths.len());
+    let fired = injector.injected_for(&hung);
+    assert!(fired >= 1, "no path was homed on the hung server");
+    let s = client.metrics().full_snapshot();
+    assert_eq!(s.timeouts, fired, "the hang is counted: {s:?}");
+    assert!(s.failovers >= 1, "{s:?}");
+}

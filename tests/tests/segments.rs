@@ -4,7 +4,7 @@
 
 use hvac_core::cluster::{Cluster, ClusterOptions};
 use hvac_pfs::{FileStore, MemStore};
-use hvac_types::ByteSize;
+use hvac_types::{ByteSize, NodeId};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -138,4 +138,54 @@ fn segment_size_larger_than_file_degenerates_to_one_segment() {
     let data = cluster.client(0).read_file_segmented(p, 100 << 20).unwrap();
     assert_eq!(data.len(), BIG);
     assert_eq!(pfs.stats().snapshot().1, 1, "a single ranged read");
+}
+
+/// A node leaves between two segmented reads. The client reading next has
+/// never heard of the change (cluster clients learn views only from
+/// `StaleView` redirects): its plan bounces, is planned again under the
+/// newer view, and every segment is served by its home in that view, never
+/// by the retired node.
+#[test]
+fn segmented_read_follows_a_membership_change() {
+    let (_pfs, mut cluster) = setup(4, ByteSize::mib(16));
+    let p = Path::new("/gpfs/train/huge.h5");
+    let expected = MemStore::sample_content(7, BIG);
+    assert_eq!(
+        cluster.client(0).read_file_segmented(p, SEG).unwrap(),
+        expected
+    );
+    let retired = cluster.server(1).clone();
+    cluster.remove_node(NodeId(1)).unwrap();
+    cluster.wait_rebalance();
+    let view = cluster.view();
+    let served = |cluster: &Cluster| -> Vec<u64> {
+        (0..view.n_servers())
+            .map(|i| cluster.server(i).metrics().snapshot().served_bytes)
+            .collect()
+    };
+    let before = served(&cluster);
+    let retired_before = retired.metrics().snapshot().served_bytes;
+
+    let client = cluster.client(2);
+    assert!(client.view().epoch() < view.epoch(), "the client is stale");
+    assert_eq!(client.read_file_segmented(p, SEG).unwrap(), expected);
+    assert_eq!(client.view().epoch(), view.epoch());
+    let s = client.metrics().full_snapshot();
+    assert!(s.view_refreshes >= 1, "{s:?}");
+    assert_eq!(s.degraded_reads, 0, "{s:?}");
+
+    let after = served(&cluster);
+    for (i, sid) in view.servers().iter().enumerate() {
+        let addr = view.addr(*sid);
+        let homed: u64 = (0..BIG as u64 / SEG)
+            .filter(|&seg| client.segment_replica_addrs(p, seg)[0] == addr)
+            .map(|_| SEG)
+            .sum();
+        assert_eq!(after[i] - before[i], homed, "bytes served by {addr}");
+    }
+    assert_eq!(
+        retired.metrics().snapshot().served_bytes,
+        retired_before,
+        "the retired node served nothing"
+    );
 }
