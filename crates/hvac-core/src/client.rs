@@ -31,7 +31,7 @@ use crate::view::ViewHandle;
 use bytes::Bytes;
 use hvac_hash::pathhash::{hash_job_path, mix64};
 use hvac_hash::placement::{make_placement, Placement};
-use hvac_net::bulk::{chunk_ranges, reassemble_bulk_pooled};
+use hvac_net::bulk::{chunk_ranges, reassemble_bulk_pooled, Bulk};
 use hvac_net::fabric::{Fabric, Reply};
 use hvac_net::plan::{coalesce_plan, BatchItem};
 use hvac_net::pool::BufferPool;
@@ -250,6 +250,20 @@ fn pieces(answers: Vec<Answer>) -> (Vec<Bytes>, Option<u64>) {
     (pieces.into_iter().map(|(_, piece)| piece).collect(), size)
 }
 
+/// Decode `addr`'s reply. An answered `EIO` is the server failing, not the
+/// file's status: a crash-stop answers every request it had parked with
+/// `ServerDown`, whose errno is `EIO`. So it comes back as
+/// [`HvacError::ServerDown`], and the ladder fails over or degrades as for
+/// a dead endpoint. Any other answered error stays the file's status.
+fn decode_reply(addr: &str, reply: Reply) -> Result<(Response, Bulk)> {
+    match Response::decode(reply.header)? {
+        Response::Err { code, message } if code == HvacError::ServerDown(String::new()).errno() => {
+            Err(HvacError::ServerDown(format!("{addr} answered: {message}")))
+        }
+        resp => Ok((resp, reply.bulk.unwrap_or_default())),
+    }
+}
+
 impl Ladder {
     /// Replica addresses of placement key `fid` in `view`, home first.
     fn replicas(&self, view: &ClusterView, fid: FileId) -> Vec<String> {
@@ -336,17 +350,18 @@ impl Ladder {
 
     /// One replica, with the per-call deadline and same-replica retries:
     /// timeouts and transport errors are retried up to `max_attempts` with
-    /// exponential backoff + jitter; `ServerDown` returns immediately
-    /// (retrying a dead endpoint is pointless); fatal errors (an answered
-    /// RPC error) close the breaker and return at once. A reply comes with
-    /// whether the first attempt got it.
-    fn call_one_replica(&self, addr: &str, encoded: &Bytes) -> Result<(Reply, bool)> {
+    /// exponential backoff + jitter; `ServerDown`, from the endpoint or
+    /// answered ([`decode_reply`]), returns immediately (retrying a dead
+    /// server is pointless); fatal errors close the breaker and return at
+    /// once. A decoded reply comes with whether the first attempt got it.
+    fn call_one_replica(&self, addr: &str, encoded: &Bytes) -> Result<((Response, Bulk), bool)> {
         let policy = &self.policy;
         let mut attempt = 0u32;
         loop {
             match self
                 .fabric
                 .call_with_deadline(addr, encoded.clone(), policy.rpc_timeout)
+                .and_then(|reply| decode_reply(addr, reply))
             {
                 Ok(reply) => {
                     self.record_success(addr);
@@ -395,7 +410,7 @@ impl Ladder {
         primary: &str,
         backup: &str,
         encoded: &Bytes,
-    ) -> Option<Result<(Reply, bool)>> {
+    ) -> Option<Result<((Response, Bulk), bool)>> {
         let policy = &self.policy;
         let delay = policy.hedge_delay()?;
         let timeout = policy.rpc_timeout;
@@ -408,7 +423,9 @@ impl Ladder {
             std::thread::Builder::new()
                 .name(format!("hvac-hedge-{addr}"))
                 .spawn(move || {
-                    let result = fabric.call_with_deadline(&addr, encoded, timeout);
+                    let result = fabric
+                        .call_with_deadline(&addr, encoded, timeout)
+                        .and_then(|reply| decode_reply(&addr, reply));
                     // A closed channel just means the other leg already won.
                     let _ = tx.send((is_backup, addr, result));
                 })
@@ -488,8 +505,9 @@ impl Ladder {
     ///    wedged server's deadline; without a fallback, probe them all,
     /// 4. success on any replica other than the home counts as a failover.
     ///
-    /// A reply comes with whether the first call to the home answered it.
-    fn call_replicas(&self, addrs: &[String], encoded: &Bytes) -> Result<(Reply, bool)> {
+    /// A decoded reply comes with whether the first call to the home
+    /// answered it.
+    fn call_replicas(&self, addrs: &[String], encoded: &Bytes) -> Result<((Response, Bulk), bool)> {
         if addrs.is_empty() {
             return Err(HvacError::InvalidConfig("empty replica set".into()));
         }
@@ -569,18 +587,16 @@ impl Ladder {
     /// home did not answer it.
     fn run(&self, epoch: u64, Entry { addrs, req }: Entry) -> Result<Answer> {
         let encoded = req.encode_ctx(epoch, self.job_id)?;
-        let (reply, first_call) = match self.call_replicas(&addrs, &encoded) {
+        let ((resp, bulk), first_call) = match self.call_replicas(&addrs, &encoded) {
             Ok(answered) => answered,
             Err(e) => {
                 self.metrics.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
                 return self.degrade(req, e);
             }
         };
-        let resp = Response::decode(reply.header)?;
         if !first_call || matches!(resp, Response::StaleView { .. }) {
             self.metrics.batch_fallbacks.fetch_add(1, Ordering::Relaxed);
         }
-        let bulk = reply.bulk.unwrap_or_default();
         match (req, resp) {
             (req, Response::StaleView { view }) => {
                 // Entries of one plan bounce together; count the one swap.
@@ -2015,8 +2031,8 @@ mod tests {
             .unwrap()
     }
 
-    fn stat_size(reply: Reply) -> u64 {
-        match Response::decode(reply.header).unwrap() {
+    fn stat_size((resp, _): (Response, Bulk)) -> u64 {
+        match resp {
             Response::Stat { size } => size,
             other => panic!("unexpected {other:?}"),
         }

@@ -91,9 +91,8 @@ pub enum Request {
     /// whole file, so huge files spread across many servers. The reply
     /// concatenates the per-item payloads into one bulk buffer, delimited by
     /// [`Response::Batch`] lengths. All-or-nothing: any item failing turns
-    /// the whole reply into [`Response::Err`], and the client falls back to
-    /// one-item batches per segment (which keep the full retry/failover
-    /// ladder).
+    /// the whole reply into [`Response::Err`], which the client's replica
+    /// ladder handles for the batch as a unit.
     Batch {
         /// The batched reads, in reply order.
         items: Vec<BatchItem>,

@@ -601,9 +601,8 @@ impl HvacServer {
                         }
                     })
                     .collect();
-                // All-or-nothing: one failed item fails the batch; the
-                // client re-reads every item through the per-segment
-                // retry/failover ladder.
+                // All-or-nothing: one failed item fails the batch, and the
+                // client's replica ladder handles the batch as a unit.
                 let served = match self.read(job, &reads) {
                     Ok(served) => served,
                     Err(e) => return (Response::from_error(&e), None),

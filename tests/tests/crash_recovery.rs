@@ -13,15 +13,19 @@
 //! (delay-faulted) primary is raced by a backup request to the next
 //! replica, and the backup wins without doubling load on tripped replicas.
 
+use bytes::Bytes;
+use hvac_core::client::server_addr;
 use hvac_core::cluster::{Cluster, ClusterOptions};
-use hvac_pfs::MemStore;
-use hvac_types::{PlacementKind, RetryPolicy};
+use hvac_pfs::{FileMeta, FileStore, MemStore, StoreStats};
+use hvac_types::{PlacementKind, Result, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const NODES: u32 = 4;
 const CLIENTS_PER_NODE: u32 = 4;
@@ -247,4 +251,142 @@ fn hedged_reads_win_against_a_delay_faulted_primary() {
         cluster.fabric().fault_injector().injected_for(&addrs[0]) > 0,
         "the delay plan really fired"
     );
+}
+
+/// Poll `done` every millisecond for up to 30 s; a test whose condition
+/// never holds fails its assertions instead of hanging.
+fn wait_until(done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !done() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A PFS whose reads wait while the gate is shut, counting the reads
+/// parked on it, so a server's copies stay in flight until the test has
+/// crashed it.
+struct GatedStore {
+    inner: Arc<MemStore>,
+    open: AtomicBool,
+    parked: AtomicUsize,
+}
+
+impl GatedStore {
+    fn pass(&self) {
+        self.parked.fetch_add(1, Ordering::SeqCst);
+        wait_until(|| self.open.load(Ordering::Acquire));
+        self.parked.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+impl FileStore for GatedStore {
+    fn open_meta(&self, path: &Path) -> Result<FileMeta> {
+        self.inner.open_meta(path)
+    }
+
+    fn read_all(&self, path: &Path) -> Result<Bytes> {
+        self.pass();
+        self.inner.read_all(path)
+    }
+
+    fn read_at(&self, path: &Path, offset: u64, len: usize) -> Result<Bytes> {
+        self.pass();
+        self.inner.read_at(path, offset, len)
+    }
+
+    fn exists(&self, path: &Path) -> bool {
+        self.inner.exists(path)
+    }
+
+    fn list(&self, prefix: &Path) -> Result<Vec<PathBuf>> {
+        self.inner.list(prefix)
+    }
+
+    fn stats(&self) -> &StoreStats {
+        self.inner.stats()
+    }
+}
+
+/// k=2: a crash-stop answers every read its server had parked on a PFS
+/// copy with `ServerDown`. That answer is the replica failing, not the
+/// file's status, so each plan entry parked on the crashed home fails over
+/// to its live replica once: a segmented read and a one-entry `read_file`
+/// both complete byte-exact, and nothing degrades to the PFS.
+#[test]
+fn reads_parked_on_a_crashing_home_fail_over_byte_exact() {
+    const NODES: u32 = 3;
+    const SIZE: usize = 32 * 1024;
+    const SEGMENT: u64 = 8 * 1024;
+    let pfs = Arc::new(MemStore::new());
+    pfs.synthesize_dataset(Path::new("/gpfs/train"), N_FILES, |_| SIZE);
+    let gated = Arc::new(GatedStore {
+        inner: pfs,
+        open: AtomicBool::new(false),
+        parked: AtomicUsize::new(0),
+    });
+    // A deadline far past the test's length, so a parked call ends only by
+    // the crash's answer; and movers enough that every copy parks.
+    let cluster = Cluster::new(
+        gated.clone(),
+        ClusterOptions::new(NODES, 1)
+            .dataset_dir("/gpfs/train")
+            .replication(2)
+            .movers_per_instance(8)
+            .retry_policy(RetryPolicy {
+                rpc_timeout: Duration::from_secs(60),
+                ..crash_retry()
+            }),
+    )
+    .unwrap();
+    let client = cluster.client(0).clone();
+    let segmented = sample(0);
+    let replicas: Vec<Vec<String>> = (0..SIZE as u64 / SEGMENT)
+        .map(|s| client.segment_replica_addrs(&segmented, s))
+        .collect();
+    let home = replicas[0][0].clone();
+    let node = (0..NODES)
+        .find(|&n| server_addr(n as usize, 1) == home)
+        .expect("the home is a server of the allocation");
+    let whole = (1..N_FILES)
+        .find(|&i| client.replica_addrs(&sample(i))[0] == home)
+        .expect("a file homed on the same server");
+    // Adjacent segments with one replica list coalesce into one copy; the
+    // batches planned to the crashing home are its distinct replica lists.
+    let copies = 1 + replicas.windows(2).filter(|w| w[0] != w[1]).count();
+    let home_batches = replicas
+        .iter()
+        .filter(|r| r[0] == home)
+        .collect::<HashSet<_>>()
+        .len();
+
+    let readers = [(0, Some(SEGMENT)), (whole, None)].map(|(i, segment)| {
+        let client = client.clone();
+        std::thread::spawn(move || {
+            let data = match segment {
+                Some(segment) => client.read_file_segmented(&sample(i), segment),
+                None => client.read_file(&sample(i)),
+            };
+            (i, data)
+        })
+    });
+    wait_until(|| gated.parked.load(Ordering::SeqCst) == copies + 1);
+    assert_eq!(gated.parked.load(Ordering::SeqCst), copies + 1);
+    cluster.crash_node(node).unwrap();
+    gated.open.store(true, Ordering::Release);
+    for reader in readers {
+        let (i, data) = reader.join().unwrap();
+        let data = data.unwrap_or_else(|e| panic!("file {i}: {e}"));
+        assert_eq!(data, MemStore::sample_content(i, SIZE), "file {i}");
+    }
+    let s = client.metrics().full_snapshot();
+    assert_eq!(
+        s.failovers,
+        home_batches as u64 + 1,
+        "each entry parked on the crashed home failed over once: {s:?}"
+    );
+    assert_eq!(
+        s.degraded_reads, 0,
+        "the live replicas served it all: {s:?}"
+    );
+    assert_eq!(s.timeouts, 0, "the crash answered every parked call: {s:?}");
 }
