@@ -17,10 +17,9 @@
 //! (one batch per destination), with zero batch fallbacks and zero
 //! degraded reads — so every measured read took the batched path.
 
-use hvac_bench::hist::{LatencyHist, Percentiles};
 use hvac_core::{Cluster, ClusterOptions};
 use hvac_pfs::MemStore;
-use hvac_types::TransportKind;
+use hvac_types::{Histogram, TransportKind};
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -78,16 +77,15 @@ fn file_of(t: usize, r: usize) -> u64 {
 }
 
 /// One timed rep: `readers` threads, each on its own client rank, issue
-/// `READS_PER_THREAD` segmented reads. Returns the merged latency
-/// histogram.
-fn run_once(cluster: &Cluster, readers: usize) -> LatencyHist {
-    let mut merged = LatencyHist::new();
+/// `READS_PER_THREAD` segmented reads and record each read's latency into
+/// one shared histogram, after the read's timed interval ends.
+fn run_once(cluster: &Cluster, readers: usize) -> Histogram {
+    let hist = Histogram::new();
     std::thread::scope(|scope| {
-        let mut joins = Vec::with_capacity(readers);
         for t in 0..readers {
             let client = cluster.client(t).clone();
-            joins.push(scope.spawn(move || {
-                let mut hist = LatencyHist::new();
+            let hist = &hist;
+            scope.spawn(move || {
                 let mut bytes = 0usize;
                 for r in 0..READS_PER_THREAD {
                     let i = file_of(t, r);
@@ -95,32 +93,37 @@ fn run_once(cluster: &Cluster, readers: usize) -> LatencyHist {
                     let data = client
                         .read_file_segmented(&sample(i), SEGMENT_SIZE)
                         .expect("measured read");
-                    hist.record(start.elapsed());
+                    let elapsed = start.elapsed();
+                    hist.record(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
                     bytes += data.len();
                 }
                 assert_eq!(bytes, READS_PER_THREAD * FILE_SIZE);
-                hist
-            }));
-        }
-        for j in joins {
-            merged.merge(&j.join().expect("reader thread panicked"));
+            });
         }
     });
-    merged
+    hist
 }
+
+/// p50, p99 and p999 in nanoseconds, each within 1/16 above the exact
+/// nearest-rank value.
+type Percentiles = (u64, u64, u64);
 
 /// Best-of-N percentiles (minimum p99 across reps) for one configuration —
 /// the rep least disturbed by scheduler noise is the honest shape.
-fn measure(cluster: &Cluster, readers: usize) -> (Percentiles, usize) {
+fn measure(cluster: &Cluster, readers: usize) -> (Percentiles, u64) {
     // Warm-up rep: thread-spawn paths, lazily dialed sockets.
     run_once(cluster, readers);
     let mut best: Option<Percentiles> = None;
-    let mut samples = 0usize;
+    let mut samples = 0;
     for _ in 0..REPS {
         let hist = run_once(cluster, readers);
-        samples = hist.len();
-        let p = hist.percentiles().expect("non-empty rep");
-        if best.is_none_or(|b| p.p99 < b.p99) {
+        samples = hist.count();
+        let p = (
+            hist.quantile(0.5),
+            hist.quantile(0.99),
+            hist.quantile(0.999),
+        );
+        if best.is_none_or(|b| p.1 < b.1) {
             best = Some(p);
         }
     }
@@ -165,18 +168,17 @@ fn main() {
         // warm-up rep plus REPS timed reps of the same read schedule.
         let mut expected: u64 = batches.iter().sum();
         for &readers in &READER_COUNTS {
-            let (p, samples) = measure(&cluster, readers);
+            let ((p50, p99, p999), samples) = measure(&cluster, readers);
             println!(
                 "  {tname:<8} readers={readers:>2}  \
                  p50 {:>9.1} us  p99 {:>9.1} us  p999 {:>9.1} us",
-                p.p50 as f64 / 1e3,
-                p.p99 as f64 / 1e3,
-                p.p999 as f64 / 1e3,
+                p50 as f64 / 1e3,
+                p99 as f64 / 1e3,
+                p999 as f64 / 1e3,
             );
             rows.push(format!(
                 "    {{\"transport\": \"{tname}\", \"readers\": {readers}, \
-                 \"samples\": {samples}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}}}",
-                p.p50, p.p99, p.p999
+                 \"samples\": {samples}, \"p50_ns\": {p50}, \"p99_ns\": {p99}, \"p999_ns\": {p999}}}"
             ));
             let per_rep: u64 = (0..readers)
                 .flat_map(|t| (0..READS_PER_THREAD).map(move |r| file_of(t, r)))

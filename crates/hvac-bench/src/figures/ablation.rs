@@ -28,7 +28,7 @@ use hvac_hash::placement::{
 };
 use hvac_hash::stats::{DistributionStats, LoadCdf};
 use hvac_pfs::{FileMeta, FileStore, MemStore, StoreStats, ThrottledStore};
-use hvac_types::{Bandwidth, ByteSize, EvictionPolicyKind, FileId, Result};
+use hvac_types::{Bandwidth, ByteSize, EvictionPolicyKind, FileId, Result, SimTime};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -390,10 +390,10 @@ pub fn latency_table(quick: bool) -> Table {
             .unwrap_or_else(|| panic!("sim backend {} records no latencies", system.label()));
         t.push_row(vec![
             system.label(),
-            h.quantile(0.5).to_string(),
-            h.quantile(0.99).to_string(),
-            h.max().to_string(),
-            h.mean().to_string(),
+            SimTime(h.quantile(0.5)).to_string(),
+            SimTime(h.quantile(0.99)).to_string(),
+            SimTime(h.max()).to_string(),
+            SimTime(h.mean()).to_string(),
         ]);
     }
     t
@@ -612,13 +612,35 @@ mod tests {
         assert!(failovers(3) > 0, "k=2 + failure must fail over");
     }
 
+    /// Nanoseconds of a duration as the tables print a `SimTime`
+    /// ("65.535 us").
+    fn nanos(cell: &str) -> f64 {
+        let (value, unit) = cell.split_once(' ').expect("value and unit");
+        let scale = match unit {
+            "ns" => 1.0,
+            "us" => 1e3,
+            "ms" => 1e6,
+            "s" => 1e9,
+            "min" => 60e9,
+            other => panic!("unit {other} in {cell}"),
+        };
+        value.parse::<f64>().expect("a number") * scale
+    }
+
     #[test]
     fn latency_table_tails_ordered() {
         let t = super::latency_table(true);
         assert_eq!(t.rows.len(), 5);
-        // Every row parses and p99 >= p50 is guaranteed by the histogram;
-        // check XFS p50 is the lowest of the three systems.
+        for row in &t.rows {
+            let (p50, p99, max) = (nanos(&row[1]), nanos(&row[2]), nanos(&row[3]));
+            assert!(p50 <= p99 && p99 <= max, "tails out of order: {row:?}");
+        }
+        // Staged node-local data is the fastest system at the median.
         assert_eq!(t.rows[4][0], "XFS-on-NVMe");
+        let xfs_p50 = nanos(&t.rows[4][1]);
+        for row in &t.rows[..4] {
+            assert!(xfs_p50 < nanos(&row[1]), "XFS p50 not the lowest: {row:?}");
+        }
     }
 
     #[test]

@@ -24,7 +24,6 @@
 //! | [`figures::ablation`] | extra: placement & eviction ablations |
 
 pub mod figures;
-pub mod hist;
 pub mod report;
 pub mod systems;
 

@@ -1206,11 +1206,11 @@ mod tests {
         client.close(fd).unwrap();
         assert!(matches!(client.read(fd, 1), Err(HvacError::BadFd(_))));
 
-        let (opens, reads, bytes, closes, _, _) = client.metrics().snapshot();
-        assert_eq!(opens, 1);
-        assert_eq!(reads, 2);
-        assert_eq!(bytes, expected.len() as u64);
-        assert_eq!(closes, 1);
+        let m = client.metrics().full_snapshot();
+        assert_eq!(m.opens, 1);
+        assert_eq!(m.reads, 2);
+        assert_eq!(m.bytes, expected.len() as u64);
+        assert_eq!(m.closes, 1);
     }
 
     #[test]
@@ -1243,7 +1243,7 @@ mod tests {
         let (_pfs, _f, _s, client) = setup2(1);
         assert!(!client.intercepts("/etc/passwd"));
         assert!(client.open(Path::new("/etc/passwd")).is_err());
-        assert_eq!(client.metrics().snapshot().5, 1);
+        assert_eq!(client.metrics().full_snapshot().passthrough_opens, 1);
     }
 
     #[test]
@@ -1277,8 +1277,12 @@ mod tests {
         assert!(matches!(err, HvacError::Remote { code: 2, .. }), "{err:?}");
         assert_eq!(rpcs() - before, 1);
         assert_eq!(stats_ops(), 1);
-        let (opens, reads, _, closes, _, _) = client.metrics().snapshot();
-        assert_eq!((opens, reads, closes), (0, 0, 0), "nothing was opened");
+        let m = client.metrics().full_snapshot();
+        assert_eq!(
+            (m.opens, m.reads, m.closes),
+            (0, 0, 0),
+            "nothing was opened"
+        );
     }
 
     #[test]
@@ -1289,7 +1293,11 @@ mod tests {
         client.close(fd).unwrap();
         assert_eq!(fabric.stats().rpcs.load(Ordering::Relaxed), before);
         assert!(matches!(client.close(fd), Err(HvacError::BadFd(_))));
-        assert_eq!(client.metrics().snapshot().3, 1, "the close is counted");
+        assert_eq!(
+            client.metrics().full_snapshot().closes,
+            1,
+            "the close is counted"
+        );
     }
 
     #[test]
@@ -1380,7 +1388,10 @@ mod tests {
 
         let data = client.read_file(&p).unwrap();
         assert!(!data.is_empty());
-        assert!(client.metrics().snapshot().4 >= 1, "failover counted");
+        assert!(
+            client.metrics().full_snapshot().failovers >= 1,
+            "failover counted"
+        );
         // The replica (second address) served it.
         let served: u64 = servers
             .iter()
@@ -1480,7 +1491,7 @@ mod tests {
             .map(|(s, _)| s.metrics().snapshot().reads)
             .sum();
         assert!(server_reads >= 8 * 4, "chunk RPCs issued: {server_reads}");
-        assert_eq!(client.metrics().snapshot().1, 8);
+        assert_eq!(client.metrics().full_snapshot().reads, 8);
         assert_eq!(client.metrics().full_snapshot().batch_fallbacks, 0);
     }
 

@@ -705,7 +705,7 @@ impl Cluster {
         let mut by_job: HashMap<u64, TenantServerSnapshot> = HashMap::new();
         for slot in self.nodes.iter().chain(self.retired.iter()) {
             for s in &slot.servers {
-                for row in s.metrics().tenants.snapshot() {
+                for row in s.tenant_metrics() {
                     by_job
                         .entry(row.job)
                         .or_insert(TenantServerSnapshot {

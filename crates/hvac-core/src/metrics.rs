@@ -2,22 +2,92 @@
 //!
 //! The whole value proposition of HVAC is *where reads are served from*, so
 //! both sides count it. All counters are relaxed atomics — they are
-//! statistics, not synchronization.
+//! statistics, not synchronization. The server's and the client's groups
+//! are each declared once through [`hvac_types::counters!`], which names
+//! every counter `server.*` or `client.*`; the server's per-tenant split is
+//! a separate [`TenantTable`] beside them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-stripe counters of the server's striped read hot path (the inflight
-/// dedup table). One entry per stripe; indexed by the stripe a cache key
-/// hashes to.
-#[derive(Debug, Default)]
-pub struct StripeCounters {
-    /// Read lookups that found the key already resident.
-    pub hits: AtomicU64,
-    /// Read lookups that had to wait for (or start) a PFS copy.
-    pub misses: AtomicU64,
-    /// Stripe-lock acquisitions that found the stripe held (`try_lock`
-    /// failed and the caller fell back to a blocking lock).
-    pub contention: AtomicU64,
+hvac_types::counters! {
+    /// Counters kept by one HVAC server instance.
+    pub struct ServerMetrics => ServerMetricsSnapshot, "server" {
+        /// Items read: one per `Read` RPC and one per item of a `Batch`.
+        reads,
+        /// Reads served from node-local storage.
+        cache_hits,
+        /// Reads that required fetching from the PFS first.
+        cache_misses,
+        /// Files copied PFS → node-local storage by the data mover.
+        pfs_copies,
+        /// Bytes copied from the PFS.
+        pfs_bytes,
+        /// Bytes served to clients.
+        served_bytes,
+        /// Files evicted to make room.
+        evictions,
+        /// Copy requests that piggybacked on an in-flight copy of the same
+        /// file (the mutex-on-shared-queue dedup of §III-D).
+        dedup_waits,
+        /// Stat RPCs answered.
+        stats_ops,
+        /// Retired, always 0: `close` sends no RPC. Kept so readers of the
+        /// snapshot still build.
+        closes,
+        /// Files accepted for background prefetch.
+        prefetches,
+        /// Reads served without caching: the cache refused the fetched
+        /// bytes (file too large, or a pinned MinIO-style cache is full),
+        /// or QoS shed the read to the PFS.
+        pfs_bypass_reads,
+        /// Retired, always 0: a miss is served from the bytes the data
+        /// mover fetched, so it can no longer lose a race to eviction. Kept
+        /// so readers of the snapshot still build.
+        eviction_races,
+        /// Batch RPCs answered (each bundling several segment reads into
+        /// one frame; the per-item reads are still counted in `reads`).
+        batch_rpcs,
+        /// Requests rejected with `StaleView` because the sender's
+        /// membership epoch was older than this server's (each one
+        /// redirects the client to the current view).
+        stale_view_redirects,
+        /// Files this server migrated to a new home during rebalancing
+        /// (counted on the *source*).
+        migrated_files,
+        /// Bytes this server migrated to new homes during rebalancing.
+        migrated_bytes,
+        /// Files this server re-replicated to an under-replicated peer
+        /// during an anti-entropy repair pass (counted on the *source*
+        /// holder).
+        repaired_files,
+        /// Bytes this server copied to peers during repair passes.
+        repaired_bytes,
+        /// Reads admitted past QoS admission control (counted even when QoS
+        /// is off — then everything is admitted).
+        tenant_admitted,
+        /// Reads shed by admission control and served via the PFS
+        /// degradation path instead of the cache read path.
+        tenant_shed,
+        /// Cache lookups on the read path that found the key resident.
+        stripe_hits,
+        /// Cache lookups on the read path that had to wait for (or start) a
+        /// PFS copy. With `stripe_hits`, one per item read.
+        stripe_misses,
+        /// In-flight-table stripe lock acquisitions that found the stripe
+        /// held (`try_lock` failed and the caller blocked).
+        stripe_contention,
+    }
+}
+
+impl ServerMetricsSnapshot {
+    /// Fraction of reads served from cache, in `[0, 1]`.
+    pub fn hit_rate(&self) -> f64 {
+        if self.reads == 0 {
+            0.0
+        } else {
+            self.cache_hits as f64 / self.reads as f64
+        }
+    }
 }
 
 /// Slots in a [`TenantTable`]. Plenty for any realistic number of
@@ -66,6 +136,31 @@ impl Default for TenantTable {
 }
 
 impl TenantTable {
+    /// Count one admitted read for `job`: the server's scalar total in
+    /// `totals` and the job's row.
+    pub fn admit(&self, totals: &ServerMetrics, job: u64) {
+        totals.tenant_admitted.fetch_add(1, Ordering::Relaxed);
+        if let Some(t) = self.slot(job) {
+            t.admitted.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Count one shed read for `job`, in `totals` and the job's row.
+    pub fn shed(&self, totals: &ServerMetrics, job: u64) {
+        totals.tenant_shed.fetch_add(1, Ordering::Relaxed);
+        if let Some(t) = self.slot(job) {
+            t.shed.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Count one answered read of `bytes` bytes in `job`'s row.
+    pub fn read(&self, job: u64, bytes: u64) {
+        if let Some(t) = self.slot(job) {
+            t.reads.fetch_add(1, Ordering::Relaxed);
+            t.served_bytes.fetch_add(bytes, Ordering::Relaxed);
+        }
+    }
+
     /// Find (or claim) the slot for `job`. `None` when the table is full —
     /// the caller just drops the per-tenant split for that job.
     pub fn slot(&self, job: u64) -> Option<&TenantCounters> {
@@ -138,378 +233,59 @@ impl TenantServerSnapshot {
     }
 }
 
-/// Counters kept by one HVAC server instance.
-#[derive(Debug, Default)]
-pub struct ServerMetrics {
-    /// Read RPCs answered.
-    pub reads: AtomicU64,
-    /// Reads served from node-local storage.
-    pub cache_hits: AtomicU64,
-    /// Reads that required fetching from the PFS first.
-    pub cache_misses: AtomicU64,
-    /// Files copied PFS → node-local storage by the data mover.
-    pub pfs_copies: AtomicU64,
-    /// Bytes copied from the PFS.
-    pub pfs_bytes: AtomicU64,
-    /// Bytes served to clients.
-    pub served_bytes: AtomicU64,
-    /// Files evicted to make room.
-    pub evictions: AtomicU64,
-    /// Copy requests that piggybacked on an in-flight copy of the same file
-    /// (the mutex-on-shared-queue dedup of §III-D).
-    pub dedup_waits: AtomicU64,
-    /// Stat RPCs answered.
-    pub stats_ops: AtomicU64,
-    /// Files accepted for background prefetch.
-    pub prefetches: AtomicU64,
-    /// Reads served without caching: the cache refused the fetched bytes
-    /// (file too large, or a pinned MinIO-style cache is full), or QoS shed
-    /// the read to the PFS.
-    pub pfs_bypass_reads: AtomicU64,
-    /// Batch RPCs answered (each bundling several segment reads into one
-    /// frame; the per-item reads are still counted in `reads`).
-    pub batch_rpcs: AtomicU64,
-    /// Requests rejected with `StaleView` because the sender's membership
-    /// epoch was older than this server's (each one redirects the client to
-    /// the current view).
-    pub stale_view_redirects: AtomicU64,
-    /// Files this server migrated to a new home during rebalancing (counted
-    /// on the *source*).
-    pub migrated_files: AtomicU64,
-    /// Bytes this server migrated to new homes during rebalancing.
-    pub migrated_bytes: AtomicU64,
-    /// Files this server re-replicated to an under-replicated peer during
-    /// an anti-entropy repair pass (counted on the *source* holder).
-    pub repaired_files: AtomicU64,
-    /// Bytes this server copied to peers during repair passes.
-    pub repaired_bytes: AtomicU64,
-    /// Reads admitted past QoS admission control (counted even when QoS is
-    /// off — then everything is admitted).
-    pub tenant_admitted: AtomicU64,
-    /// Reads shed by admission control and served via the PFS degradation
-    /// path instead of the cache read path.
-    pub tenant_shed: AtomicU64,
-    /// Per-stripe hit/miss/contention counters of the inflight table.
-    /// Empty by default (`ServerMetrics::default()`); sized by
-    /// [`ServerMetrics::with_stripes`] when the server spawns.
-    pub stripes: Vec<StripeCounters>,
-    /// Per-tenant counter split (lock-free fixed slot table).
-    pub tenants: TenantTable,
-}
-
-impl ServerMetrics {
-    /// Metrics with `n` per-stripe counter slots.
-    pub fn with_stripes(n: usize) -> Self {
-        Self {
-            stripes: (0..n).map(|_| StripeCounters::default()).collect(),
-            ..Self::default()
-        }
+hvac_types::counters! {
+    /// Counters kept by one HVAC client.
+    pub struct ClientMetrics => ClientMetricsSnapshot, "client" {
+        /// `open` calls intercepted for the dataset directory.
+        opens,
+        /// `read`/`pread` calls forwarded to HVAC servers.
+        reads,
+        /// Bytes delivered to the application.
+        bytes,
+        /// `close` calls.
+        closes,
+        /// Reads answered by a non-primary replica.
+        failovers,
+        /// Opens that bypassed HVAC (outside the dataset directory).
+        passthrough_opens,
+        /// RPC attempts that missed their per-call deadline.
+        timeouts,
+        /// Same-replica retry attempts after a transient failure.
+        retries,
+        /// Circuit-breaker trips (a replica crossed the consecutive-failure
+        /// threshold and is now skipped proactively).
+        breaker_trips,
+        /// Calls that skipped a replica because its breaker was open.
+        breaker_skips,
+        /// Reads served by the client directly from the PFS after every
+        /// replica was exhausted (last rung of the degradation ladder).
+        degraded_reads,
+        /// Times this client swapped in a newer
+        /// [`ClusterView`](hvac_types::ClusterView) after a `StaleView`
+        /// redirect.
+        view_refreshes,
+        /// Hedged backup requests issued after the hedge delay expired with
+        /// the primary replica still silent.
+        hedges,
+        /// Hedged calls where the backup replica answered first.
+        hedge_wins,
+        /// Batch RPCs issued by segmented reads (each bundling several
+        /// coalesced segment ranges for one destination).
+        batch_rpcs,
+        /// Plan entries — every client RPC is one — that the first call to
+        /// their planned home did not answer: the home was skipped on an
+        /// open breaker, failed, needed a retry or bounced with a stale
+        /// view, and the entry walked on down its ladder. A healthy run
+        /// counts 0.
+        batch_fallbacks,
     }
-
-    /// Count a stripe-level hit (no-op when stripe counters are not armed).
-    pub fn stripe_hit(&self, stripe: usize) {
-        if let Some(s) = self.stripes.get(stripe) {
-            s.hits.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Count a stripe-level miss.
-    pub fn stripe_miss(&self, stripe: usize) {
-        if let Some(s) = self.stripes.get(stripe) {
-            s.misses.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Count a contended stripe-lock acquisition.
-    pub fn stripe_contended(&self, stripe: usize) {
-        if let Some(s) = self.stripes.get(stripe) {
-            s.contention.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Count one admitted read for `job` (scalar total + per-tenant row).
-    pub fn tenant_admit(&self, job: u64) {
-        self.tenant_admitted.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.tenants.slot(job) {
-            t.admitted.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Count one shed read for `job`.
-    pub fn tenant_shed(&self, job: u64) {
-        self.tenant_shed.fetch_add(1, Ordering::Relaxed);
-        if let Some(t) = self.tenants.slot(job) {
-            t.shed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Count one answered read of `bytes` bytes for `job`.
-    pub fn tenant_read(&self, job: u64, bytes: u64) {
-        if let Some(t) = self.tenants.slot(job) {
-            t.reads.fetch_add(1, Ordering::Relaxed);
-            t.served_bytes.fetch_add(bytes, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A plain-old-data snapshot of [`ServerMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerMetricsSnapshot {
-    /// Read RPCs answered.
-    pub reads: u64,
-    /// Reads served from node-local storage.
-    pub cache_hits: u64,
-    /// Reads that required a PFS fetch.
-    pub cache_misses: u64,
-    /// Files copied from the PFS.
-    pub pfs_copies: u64,
-    /// Bytes copied from the PFS.
-    pub pfs_bytes: u64,
-    /// Bytes served to clients.
-    pub served_bytes: u64,
-    /// Evictions performed.
-    pub evictions: u64,
-    /// Deduplicated concurrent copy requests.
-    pub dedup_waits: u64,
-    /// Stat RPCs answered.
-    pub stats_ops: u64,
-    /// Retired, always 0: `close` sends no RPC. Kept so readers of the
-    /// snapshot still build.
-    pub closes: u64,
-    /// Files accepted for background prefetch.
-    pub prefetches: u64,
-    /// Reads served without caching (refused insert or QoS shed).
-    pub pfs_bypass_reads: u64,
-    /// Retired, always 0: a miss is served from the bytes the data mover
-    /// fetched, so it can no longer lose a race to eviction. Kept so
-    /// readers of the snapshot still build.
-    pub eviction_races: u64,
-    /// Batch RPCs answered (per-item reads are still counted in `reads`).
-    pub batch_rpcs: u64,
-    /// Requests rejected (and redirected) for carrying a stale view epoch.
-    pub stale_view_redirects: u64,
-    /// Files migrated away during rebalancing (source-side count).
-    pub migrated_files: u64,
-    /// Bytes migrated away during rebalancing.
-    pub migrated_bytes: u64,
-    /// Files re-replicated to peers during repair passes (source-side).
-    pub repaired_files: u64,
-    /// Bytes copied to peers during repair passes.
-    pub repaired_bytes: u64,
-    /// Reads admitted past QoS admission control.
-    pub tenant_admitted: u64,
-    /// Reads shed by admission control to the PFS degradation path.
-    pub tenant_shed: u64,
-    /// Stripe-level hits summed over every stripe (the per-stripe vectors
-    /// stay on [`ServerMetrics`]; the snapshot carries scalars so it stays
-    /// `Copy` and merges cheaply).
-    pub stripe_hits: u64,
-    /// Stripe-level misses summed over every stripe.
-    pub stripe_misses: u64,
-    /// Contended stripe-lock acquisitions summed over every stripe.
-    pub stripe_contention: u64,
-}
-
-impl ServerMetrics {
-    /// Atomic snapshot (per-counter; not globally consistent, which is fine
-    /// for reporting).
-    pub fn snapshot(&self) -> ServerMetricsSnapshot {
-        ServerMetricsSnapshot {
-            reads: self.reads.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_misses: self.cache_misses.load(Ordering::Relaxed),
-            pfs_copies: self.pfs_copies.load(Ordering::Relaxed),
-            pfs_bytes: self.pfs_bytes.load(Ordering::Relaxed),
-            served_bytes: self.served_bytes.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            dedup_waits: self.dedup_waits.load(Ordering::Relaxed),
-            stats_ops: self.stats_ops.load(Ordering::Relaxed),
-            closes: 0,
-            prefetches: self.prefetches.load(Ordering::Relaxed),
-            pfs_bypass_reads: self.pfs_bypass_reads.load(Ordering::Relaxed),
-            eviction_races: 0,
-            batch_rpcs: self.batch_rpcs.load(Ordering::Relaxed),
-            stale_view_redirects: self.stale_view_redirects.load(Ordering::Relaxed),
-            migrated_files: self.migrated_files.load(Ordering::Relaxed),
-            migrated_bytes: self.migrated_bytes.load(Ordering::Relaxed),
-            repaired_files: self.repaired_files.load(Ordering::Relaxed),
-            repaired_bytes: self.repaired_bytes.load(Ordering::Relaxed),
-            tenant_admitted: self.tenant_admitted.load(Ordering::Relaxed),
-            tenant_shed: self.tenant_shed.load(Ordering::Relaxed),
-            stripe_hits: self
-                .stripes
-                .iter()
-                .map(|s| s.hits.load(Ordering::Relaxed))
-                .sum(),
-            stripe_misses: self
-                .stripes
-                .iter()
-                .map(|s| s.misses.load(Ordering::Relaxed))
-                .sum(),
-            stripe_contention: self
-                .stripes
-                .iter()
-                .map(|s| s.contention.load(Ordering::Relaxed))
-                .sum(),
-        }
-    }
-}
-
-impl ServerMetricsSnapshot {
-    /// Merge another snapshot into this one (cluster-wide aggregation).
-    pub fn merge(&mut self, other: &ServerMetricsSnapshot) {
-        self.reads += other.reads;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.pfs_copies += other.pfs_copies;
-        self.pfs_bytes += other.pfs_bytes;
-        self.served_bytes += other.served_bytes;
-        self.evictions += other.evictions;
-        self.dedup_waits += other.dedup_waits;
-        self.stats_ops += other.stats_ops;
-        self.prefetches += other.prefetches;
-        self.pfs_bypass_reads += other.pfs_bypass_reads;
-        self.batch_rpcs += other.batch_rpcs;
-        self.stale_view_redirects += other.stale_view_redirects;
-        self.migrated_files += other.migrated_files;
-        self.migrated_bytes += other.migrated_bytes;
-        self.repaired_files += other.repaired_files;
-        self.repaired_bytes += other.repaired_bytes;
-        self.tenant_admitted += other.tenant_admitted;
-        self.tenant_shed += other.tenant_shed;
-        self.stripe_hits += other.stripe_hits;
-        self.stripe_misses += other.stripe_misses;
-        self.stripe_contention += other.stripe_contention;
-    }
-
-    /// Fraction of reads served from cache, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.reads as f64
-        }
-    }
-}
-
-/// Counters kept by one HVAC client.
-#[derive(Debug, Default)]
-pub struct ClientMetrics {
-    /// `open` calls intercepted for the dataset directory.
-    pub opens: AtomicU64,
-    /// `read`/`pread` calls forwarded to HVAC servers.
-    pub reads: AtomicU64,
-    /// Bytes delivered to the application.
-    pub bytes: AtomicU64,
-    /// `close` calls.
-    pub closes: AtomicU64,
-    /// Reads answered by a non-primary replica.
-    pub failovers: AtomicU64,
-    /// Opens that bypassed HVAC (outside the dataset directory).
-    pub passthrough_opens: AtomicU64,
-    /// RPC attempts that missed their per-call deadline.
-    pub timeouts: AtomicU64,
-    /// Same-replica retry attempts after a transient failure.
-    pub retries: AtomicU64,
-    /// Circuit-breaker trips (a replica crossed the consecutive-failure
-    /// threshold and is now skipped proactively).
-    pub breaker_trips: AtomicU64,
-    /// Calls that skipped a replica because its breaker was open.
-    pub breaker_skips: AtomicU64,
-    /// Reads served by the client directly from the PFS after every replica
-    /// was exhausted (last rung of the degradation ladder).
-    pub degraded_reads: AtomicU64,
-    /// Times this client swapped in a newer [`hvac_types::ClusterView`]
-    /// after a `StaleView` redirect.
-    pub view_refreshes: AtomicU64,
-    /// Hedged backup requests issued after the hedge delay expired with the
-    /// primary replica still silent.
-    pub hedges: AtomicU64,
-    /// Hedged calls where the backup replica answered first.
-    pub hedge_wins: AtomicU64,
-    /// Batch RPCs issued by segmented reads (each bundling several
-    /// coalesced segment ranges for one destination).
-    pub batch_rpcs: AtomicU64,
-    /// Plan entries — every client RPC is one — that the first call to
-    /// their planned home did not answer: the home was skipped on an open
-    /// breaker, failed, needed a retry or bounced with a stale view, and
-    /// the entry walked on down its ladder. A healthy run counts 0.
-    pub batch_fallbacks: AtomicU64,
-}
-
-/// A plain-old-data snapshot of [`ClientMetrics`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClientMetricsSnapshot {
-    /// `open` calls intercepted for the dataset directory.
-    pub opens: u64,
-    /// `read`/`pread` calls forwarded to HVAC servers.
-    pub reads: u64,
-    /// Bytes delivered to the application.
-    pub bytes: u64,
-    /// `close` calls.
-    pub closes: u64,
-    /// Reads answered by a non-primary replica.
-    pub failovers: u64,
-    /// Opens that bypassed HVAC.
-    pub passthrough_opens: u64,
-    /// RPC attempts that missed their per-call deadline.
-    pub timeouts: u64,
-    /// Same-replica retry attempts.
-    pub retries: u64,
-    /// Circuit-breaker trips.
-    pub breaker_trips: u64,
-    /// Replica calls skipped on an open breaker.
-    pub breaker_skips: u64,
-    /// Client-side direct-PFS reads.
-    pub degraded_reads: u64,
-    /// View swaps performed after `StaleView` redirects.
-    pub view_refreshes: u64,
-    /// Hedged backup requests issued.
-    pub hedges: u64,
-    /// Hedged calls won by the backup replica.
-    pub hedge_wins: u64,
-    /// Batch RPCs issued by segmented reads.
-    pub batch_rpcs: u64,
-    /// Plan entries the first call to their planned home did not answer.
-    pub batch_fallbacks: u64,
 }
 
 impl ClientMetrics {
-    /// Snapshot `(opens, reads, bytes, closes, failovers, passthrough)` —
-    /// the legacy tuple; resilience counters live in [`Self::full_snapshot`].
-    pub fn snapshot(&self) -> (u64, u64, u64, u64, u64, u64) {
-        let s = self.full_snapshot();
-        (
-            s.opens,
-            s.reads,
-            s.bytes,
-            s.closes,
-            s.failovers,
-            s.passthrough_opens,
-        )
-    }
-
-    /// Atomic snapshot of every counter, including the failure-semantics
-    /// ones (timeouts, retries, breaker trips/skips, degraded reads).
+    /// Every counter; the same as [`Self::snapshot`], under the name
+    /// callers outside this crate use.
     pub fn full_snapshot(&self) -> ClientMetricsSnapshot {
-        ClientMetricsSnapshot {
-            opens: self.opens.load(Ordering::Relaxed),
-            reads: self.reads.load(Ordering::Relaxed),
-            bytes: self.bytes.load(Ordering::Relaxed),
-            closes: self.closes.load(Ordering::Relaxed),
-            failovers: self.failovers.load(Ordering::Relaxed),
-            passthrough_opens: self.passthrough_opens.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            breaker_trips: self.breaker_trips.load(Ordering::Relaxed),
-            breaker_skips: self.breaker_skips.load(Ordering::Relaxed),
-            degraded_reads: self.degraded_reads.load(Ordering::Relaxed),
-            view_refreshes: self.view_refreshes.load(Ordering::Relaxed),
-            hedges: self.hedges.load(Ordering::Relaxed),
-            hedge_wins: self.hedge_wins.load(Ordering::Relaxed),
-            batch_rpcs: self.batch_rpcs.load(Ordering::Relaxed),
-            batch_fallbacks: self.batch_fallbacks.load(Ordering::Relaxed),
-        }
+        self.snapshot()
     }
 }
 
@@ -517,60 +293,185 @@ impl ClientMetrics {
 mod tests {
     use super::*;
 
-    #[test]
-    fn snapshot_and_merge() {
-        let m = ServerMetrics::default();
-        m.reads.fetch_add(10, Ordering::Relaxed);
-        m.cache_hits.fetch_add(7, Ordering::Relaxed);
-        m.cache_misses.fetch_add(3, Ordering::Relaxed);
-        let s1 = m.snapshot();
-        assert_eq!(s1.reads, 10);
-        assert!((s1.hit_rate() - 0.7).abs() < 1e-12);
-
-        let mut agg = ServerMetricsSnapshot::default();
-        agg.merge(&s1);
-        agg.merge(&s1);
-        assert_eq!(agg.reads, 20);
-        assert_eq!(agg.cache_hits, 14);
+    /// Store 1, 2, 3, ... into `counters` in order, then check that the
+    /// snapshot's `entries()` carry each value in declaration order, and
+    /// that merging the snapshot into itself doubles every one.
+    fn check_group<S: Copy>(
+        counters: &[&AtomicU64],
+        snapshot: impl Fn() -> S,
+        entries: impl Fn(&S) -> Vec<(&'static str, u64)>,
+        merge: impl Fn(&mut S, &S),
+    ) {
+        for (i, c) in counters.iter().enumerate() {
+            c.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        let s = snapshot();
+        let got: Vec<u64> = entries(&s).iter().map(|e| e.1).collect();
+        let want: Vec<u64> = (1..=counters.len() as u64).collect();
+        assert_eq!(got, want, "{:?}", entries(&s));
+        let mut agg = s;
+        merge(&mut agg, &s);
+        let got: Vec<u64> = entries(&agg).iter().map(|e| e.1).collect();
+        let want: Vec<u64> = want.iter().map(|v| 2 * v).collect();
+        assert_eq!(got, want, "{:?}", entries(&agg));
     }
 
     #[test]
-    fn stripe_counters_sum_into_snapshot_and_merge() {
-        let m = ServerMetrics::with_stripes(4);
-        m.stripe_hit(0);
-        m.stripe_hit(3);
-        m.stripe_miss(1);
-        m.stripe_contended(2);
-        m.stripe_contended(2);
-        m.stripe_hit(99); // out of range: ignored, not a panic
-        let s = m.snapshot();
-        assert_eq!(
-            (s.stripe_hits, s.stripe_misses, s.stripe_contention),
-            (2, 1, 2)
+    fn snapshot_and_merge() {
+        let m = ServerMetrics::default();
+        check_group(
+            &[
+                &m.reads,
+                &m.cache_hits,
+                &m.cache_misses,
+                &m.pfs_copies,
+                &m.pfs_bytes,
+                &m.served_bytes,
+                &m.evictions,
+                &m.dedup_waits,
+                &m.stats_ops,
+                &m.closes,
+                &m.prefetches,
+                &m.pfs_bypass_reads,
+                &m.eviction_races,
+                &m.batch_rpcs,
+                &m.stale_view_redirects,
+                &m.migrated_files,
+                &m.migrated_bytes,
+                &m.repaired_files,
+                &m.repaired_bytes,
+                &m.tenant_admitted,
+                &m.tenant_shed,
+                &m.stripe_hits,
+                &m.stripe_misses,
+                &m.stripe_contention,
+            ],
+            || m.snapshot(),
+            ServerMetricsSnapshot::entries,
+            ServerMetricsSnapshot::merge,
         );
-        let mut agg = ServerMetricsSnapshot::default();
-        agg.merge(&s);
-        agg.merge(&s);
-        assert_eq!(agg.stripe_hits, 4);
-        assert_eq!(agg.stripe_contention, 4);
-        // Un-armed metrics (no stripe slots): counting is a no-op.
-        let d = ServerMetrics::default();
-        d.stripe_hit(0);
-        assert_eq!(d.snapshot().stripe_hits, 0);
+        let s = m.snapshot();
+        assert_eq!((s.reads, s.stripe_contention), (1, 24));
+        let s = ServerMetricsSnapshot {
+            reads: 10,
+            cache_hits: 7,
+            ..Default::default()
+        };
+        assert!((s.hit_rate() - 0.7).abs() < 1e-12);
+    }
+
+    #[test]
+    fn client_metrics_snapshot() {
+        let c = ClientMetrics::default();
+        check_group(
+            &[
+                &c.opens,
+                &c.reads,
+                &c.bytes,
+                &c.closes,
+                &c.failovers,
+                &c.passthrough_opens,
+                &c.timeouts,
+                &c.retries,
+                &c.breaker_trips,
+                &c.breaker_skips,
+                &c.degraded_reads,
+                &c.view_refreshes,
+                &c.hedges,
+                &c.hedge_wins,
+                &c.batch_rpcs,
+                &c.batch_fallbacks,
+            ],
+            || c.full_snapshot(),
+            ClientMetricsSnapshot::entries,
+            ClientMetricsSnapshot::merge,
+        );
+        let s = c.full_snapshot();
+        assert_eq!((s.opens, s.batch_fallbacks), (1, 16));
+        assert_eq!(s, c.snapshot());
+    }
+
+    #[test]
+    fn counter_names_are_pinned() {
+        let names = |entries: Vec<(&'static str, u64)>| -> Vec<&'static str> {
+            entries.into_iter().map(|e| e.0).collect()
+        };
+        assert_eq!(
+            names(ServerMetricsSnapshot::default().entries()),
+            [
+                "server.reads",
+                "server.cache_hits",
+                "server.cache_misses",
+                "server.pfs_copies",
+                "server.pfs_bytes",
+                "server.served_bytes",
+                "server.evictions",
+                "server.dedup_waits",
+                "server.stats_ops",
+                "server.closes",
+                "server.prefetches",
+                "server.pfs_bypass_reads",
+                "server.eviction_races",
+                "server.batch_rpcs",
+                "server.stale_view_redirects",
+                "server.migrated_files",
+                "server.migrated_bytes",
+                "server.repaired_files",
+                "server.repaired_bytes",
+                "server.tenant_admitted",
+                "server.tenant_shed",
+                "server.stripe_hits",
+                "server.stripe_misses",
+                "server.stripe_contention",
+            ]
+        );
+        assert_eq!(
+            names(ClientMetricsSnapshot::default().entries()),
+            [
+                "client.opens",
+                "client.reads",
+                "client.bytes",
+                "client.closes",
+                "client.failovers",
+                "client.passthrough_opens",
+                "client.timeouts",
+                "client.retries",
+                "client.breaker_trips",
+                "client.breaker_skips",
+                "client.degraded_reads",
+                "client.view_refreshes",
+                "client.hedges",
+                "client.hedge_wins",
+                "client.batch_rpcs",
+                "client.batch_fallbacks",
+            ]
+        );
+        assert_eq!(
+            names(hvac_net::pool::PoolStats::default().entries()),
+            [
+                "pool.acquires",
+                "pool.pool_hits",
+                "pool.fresh_allocs",
+                "pool.returns",
+                "pool.overflow_frees",
+                "pool.oversize",
+            ]
+        );
     }
 
     #[test]
     fn tenant_counters_split_per_job_and_total_in_the_snapshot() {
         let m = ServerMetrics::default();
-        m.tenant_admit(0);
-        m.tenant_admit(7);
-        m.tenant_admit(7);
-        m.tenant_shed(7);
-        m.tenant_read(7, 100);
-        m.tenant_read(0, 40);
+        let t = TenantTable::default();
+        t.admit(&m, 0);
+        t.admit(&m, 7);
+        t.admit(&m, 7);
+        t.shed(&m, 7);
+        t.read(7, 100);
+        t.read(0, 40);
         let s = m.snapshot();
         assert_eq!((s.tenant_admitted, s.tenant_shed), (3, 1));
-        let rows = m.tenants.snapshot();
+        let rows = t.snapshot();
         assert_eq!(rows.len(), 2);
         assert_eq!(
             (
@@ -622,55 +523,5 @@ mod tests {
     #[test]
     fn hit_rate_of_idle_server_is_zero() {
         assert_eq!(ServerMetricsSnapshot::default().hit_rate(), 0.0);
-    }
-
-    #[test]
-    fn client_metrics_snapshot() {
-        let c = ClientMetrics::default();
-        c.opens.fetch_add(2, Ordering::Relaxed);
-        c.bytes.fetch_add(100, Ordering::Relaxed);
-        let (opens, reads, bytes, closes, failovers, passthrough) = c.snapshot();
-        assert_eq!(
-            (opens, reads, bytes, closes, failovers, passthrough),
-            (2, 0, 100, 0, 0, 0)
-        );
-    }
-
-    #[test]
-    fn client_resilience_counters_appear_in_full_snapshot() {
-        let c = ClientMetrics::default();
-        c.timeouts.fetch_add(3, Ordering::Relaxed);
-        c.retries.fetch_add(2, Ordering::Relaxed);
-        c.breaker_trips.fetch_add(1, Ordering::Relaxed);
-        c.breaker_skips.fetch_add(5, Ordering::Relaxed);
-        c.degraded_reads.fetch_add(4, Ordering::Relaxed);
-        let s = c.full_snapshot();
-        assert_eq!(s.timeouts, 3);
-        assert_eq!(s.retries, 2);
-        assert_eq!(s.breaker_trips, 1);
-        assert_eq!(s.breaker_skips, 5);
-        assert_eq!(s.degraded_reads, 4);
-        // The legacy tuple is unchanged by resilience traffic.
-        assert_eq!(c.snapshot(), (0, 0, 0, 0, 0, 0));
-    }
-
-    #[test]
-    fn hedge_and_repair_counters_flow_through_snapshots() {
-        let c = ClientMetrics::default();
-        c.hedges.fetch_add(6, Ordering::Relaxed);
-        c.hedge_wins.fetch_add(2, Ordering::Relaxed);
-        let s = c.full_snapshot();
-        assert_eq!((s.hedges, s.hedge_wins), (6, 2));
-        assert_eq!(c.snapshot(), (0, 0, 0, 0, 0, 0));
-
-        let m = ServerMetrics::default();
-        m.repaired_files.fetch_add(3, Ordering::Relaxed);
-        m.repaired_bytes.fetch_add(768, Ordering::Relaxed);
-        let snap = m.snapshot();
-        assert_eq!((snap.repaired_files, snap.repaired_bytes), (3, 768));
-        let mut agg = ServerMetricsSnapshot::default();
-        agg.merge(&snap);
-        agg.merge(&snap);
-        assert_eq!((agg.repaired_files, agg.repaired_bytes), (6, 1536));
     }
 }

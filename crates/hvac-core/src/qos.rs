@@ -97,13 +97,6 @@ pub enum Admit<'a> {
     Shed,
 }
 
-impl Admit<'_> {
-    /// Whether this decision admitted the read.
-    pub fn is_granted(&self) -> bool {
-        matches!(self, Admit::Granted(_))
-    }
-}
-
 /// An admitted read's slot; freed on drop.
 pub struct AdmitGrant<'a> {
     sched: &'a TenantScheduler,
@@ -297,7 +290,7 @@ mod tests {
         assert!(!s.enabled());
         for job in [0u64, 1, 2] {
             let g = s.admit(JobId(job), 1 << 20);
-            assert!(g.is_granted());
+            assert!(matches!(g, Admit::Granted(_)));
             drop(g);
         }
         assert_eq!(s.inflight(), 0, "pass-through holds no slots");
@@ -323,7 +316,7 @@ mod tests {
         for _ in 0..2 {
             let s2 = s.clone();
             joins.push(std::thread::spawn(move || {
-                assert!(s2.admit(JobId(2), 100).is_granted());
+                assert!(matches!(s2.admit(JobId(2), 100), Admit::Granted(_)));
             }));
         }
         while s.queued(JobId(2)) < 2 {
@@ -332,7 +325,9 @@ mod tests {
         // Tenant 2 is at cap: shed. Tenant 1's queue is empty: admitted.
         assert!(matches!(s.admit(JobId(2), 100), Admit::Shed));
         let s3 = s.clone();
-        let t1 = std::thread::spawn(move || assert!(s3.admit(JobId(1), 100).is_granted()));
+        let t1 = std::thread::spawn(move || {
+            assert!(matches!(s3.admit(JobId(1), 100), Admit::Granted(_)))
+        });
         while s.queued(JobId(1)) < 1 {
             std::thread::yield_now();
         }
@@ -415,7 +410,7 @@ mod tests {
         );
         // Cost ≫ quantum: work conservation must grant it anyway.
         let g = s.admit(JobId(1), 1 << 30);
-        assert!(g.is_granted());
+        assert!(matches!(g, Admit::Granted(_)));
         assert_eq!(s.inflight(), 1);
         drop(g);
         assert_eq!(s.inflight(), 0);

@@ -16,7 +16,7 @@
 //! parallelism the paper varies in Fig. 9(b).
 
 use crate::cache::CacheManager;
-use crate::metrics::ServerMetrics;
+use crate::metrics::{ServerMetrics, TenantServerSnapshot, TenantTable};
 use crate::protocol::{Request, Response};
 use crate::qos::{Admit, QosOptions, TenantScheduler};
 use crate::view::ViewHandle;
@@ -155,7 +155,7 @@ impl InflightTable {
         match self.stripes[idx].try_lock() {
             Some(guard) => guard,
             None => {
-                metrics.stripe_contended(idx);
+                metrics.stripe_contention.fetch_add(1, Ordering::Relaxed);
                 self.stripes[idx].lock()
             }
         }
@@ -355,7 +355,7 @@ impl DataMover {
         let mut recheck = true;
         loop {
             if let Some(entry) = cache.read_all(key) {
-                metrics.stripe_hit(idx);
+                metrics.stripe_hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(Started::Resident(entry));
             }
             let mut inflight = self.inflight.lock(idx, metrics);
@@ -366,7 +366,7 @@ impl DataMover {
             if std::mem::take(&mut recheck) && cache.contains(key) {
                 continue;
             }
-            metrics.stripe_miss(idx);
+            metrics.stripe_misses.fetch_add(1, Ordering::Relaxed);
             let (tx, rx) = bounded::<CopyResult>(1);
             match inflight.get_mut(key) {
                 Some(waiters) => {
@@ -445,6 +445,8 @@ pub struct HvacServer {
     cache: Arc<CacheManager>,
     pfs: Arc<dyn FileStore>,
     metrics: Arc<ServerMetrics>,
+    /// Per-tenant split of the admitted, shed and answered reads.
+    tenants: TenantTable,
     mover: DataMover,
     /// The membership view this instance believes in. Requests carrying an
     /// older epoch are bounced with [`Response::StaleView`] so the sender
@@ -468,7 +470,7 @@ impl HvacServer {
         options: HvacServerOptions,
         name: &str,
     ) -> Result<Arc<Self>> {
-        let metrics = Arc::new(ServerMetrics::with_stripes(default_shard_count()));
+        let metrics = Arc::new(ServerMetrics::default());
         let mover = DataMover::spawn(
             cache.clone(),
             pfs.clone(),
@@ -481,6 +483,7 @@ impl HvacServer {
             cache,
             pfs,
             metrics,
+            tenants: TenantTable::default(),
             mover,
             view: ViewHandle::new(ClusterView::initial(1, 1)?),
             sched,
@@ -490,6 +493,11 @@ impl HvacServer {
     /// This instance's metrics.
     pub fn metrics(&self) -> &Arc<ServerMetrics> {
         &self.metrics
+    }
+
+    /// This instance's per-tenant counter rows, sorted by job id.
+    pub fn tenant_metrics(&self) -> Vec<TenantServerSnapshot> {
+        self.tenants.snapshot()
     }
 
     /// The node cache shared with sibling instances.
@@ -644,11 +652,11 @@ impl HvacServer {
     fn admit(&self, job: JobId, cost: u64) -> Option<crate::qos::AdmitGrant<'_>> {
         match self.sched.admit(job, cost) {
             Admit::Granted(grant) => {
-                self.metrics.tenant_admit(job.0);
+                self.tenants.admit(&self.metrics, job.0);
                 Some(grant)
             }
             Admit::Shed => {
-                self.metrics.tenant_shed(job.0);
+                self.tenants.shed(&self.metrics, job.0);
                 None
             }
         }
@@ -701,7 +709,7 @@ impl HvacServer {
         self.metrics
             .served_bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.metrics.tenant_read(job.0, data.len() as u64);
+        self.tenants.read(job.0, data.len() as u64);
         Ok((total_size, false, data))
     }
 
@@ -766,7 +774,7 @@ impl HvacServer {
         self.metrics
             .served_bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
-        self.metrics.tenant_read(job.0, data.len() as u64);
+        self.tenants.read(job.0, data.len() as u64);
         (entry.len() as u64, found == Found::Resident, data)
     }
 }

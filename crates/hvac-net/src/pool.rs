@@ -33,7 +33,7 @@
 
 use bytes::Bytes;
 use hvac_sync::{classes, OrderedMutex};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// Slab size classes, smallest first: power-of-four steps, 4 KiB → 16 MiB.
@@ -55,38 +55,22 @@ const MAX_FREE_PER_CLASS: usize = 32;
 /// Debug-build poison byte written over a slab when it returns to the pool.
 pub const POISON_BYTE: u8 = 0xDB;
 
-/// Cumulative pool counters (all monotonic; `in_flight` is derived).
-#[derive(Debug, Default)]
-struct PoolCounters {
-    /// Pooled acquires (oversize requests are counted separately).
-    acquires: AtomicU64,
-    /// Acquires served by reusing a free-listed slab.
-    pool_hits: AtomicU64,
-    /// Acquires that had to allocate a fresh slab.
-    fresh_allocs: AtomicU64,
-    /// Slabs returned to a free list on last drop.
-    returns: AtomicU64,
-    /// Slabs dropped on return because their free list was full.
-    overflow_frees: AtomicU64,
-    /// Requests larger than the biggest class, served unpooled.
-    oversize: AtomicU64,
-}
-
-/// A point-in-time snapshot of the pool's ledger.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolStats {
-    /// Pooled acquires.
-    pub acquires: u64,
-    /// Acquires served from a free list.
-    pub pool_hits: u64,
-    /// Acquires that allocated a fresh slab.
-    pub fresh_allocs: u64,
-    /// Slabs returned to a free list.
-    pub returns: u64,
-    /// Returned slabs freed because the list was full.
-    pub overflow_frees: u64,
-    /// Unpooled oversize allocations.
-    pub oversize: u64,
+hvac_types::counters! {
+    /// Cumulative pool counters (all monotonic; `in_flight` is derived).
+    pub struct PoolCounters => PoolStats, "pool" {
+        /// Pooled acquires (oversize requests are counted separately).
+        acquires,
+        /// Acquires served by reusing a free-listed slab.
+        pool_hits,
+        /// Acquires that had to allocate a fresh slab.
+        fresh_allocs,
+        /// Slabs returned to a free list on last drop.
+        returns,
+        /// Slabs dropped on return because their free list was full.
+        overflow_frees,
+        /// Requests larger than the biggest class, served unpooled.
+        oversize,
+    }
 }
 
 impl PoolStats {
@@ -215,15 +199,7 @@ impl BufferPool {
 
     /// Current counter snapshot.
     pub fn stats(&self) -> PoolStats {
-        let c = &self.inner.counters;
-        PoolStats {
-            acquires: c.acquires.load(Ordering::Relaxed),
-            pool_hits: c.pool_hits.load(Ordering::Relaxed),
-            fresh_allocs: c.fresh_allocs.load(Ordering::Relaxed),
-            returns: c.returns.load(Ordering::Relaxed),
-            overflow_frees: c.overflow_frees.load(Ordering::Relaxed),
-            oversize: c.oversize.load(Ordering::Relaxed),
-        }
+        self.inner.counters.snapshot()
     }
 
     /// Slabs currently parked on free lists across all classes.
@@ -408,5 +384,46 @@ mod tests {
         assert_eq!(s.in_flight(), 0, "{s:?}");
         assert_eq!(s.acquires, 16 * 200);
         assert_eq!(s.pool_hits + s.fresh_allocs, s.acquires);
+    }
+
+    #[test]
+    fn stats_snapshot_merge_and_entries_carry_every_counter() {
+        let c = PoolCounters::default();
+        let counters = [
+            &c.acquires,
+            &c.pool_hits,
+            &c.fresh_allocs,
+            &c.returns,
+            &c.overflow_frees,
+            &c.oversize,
+        ];
+        for (i, counter) in counters.iter().enumerate() {
+            counter.store(i as u64 + 1, Ordering::Relaxed);
+        }
+        let s = c.snapshot();
+        assert_eq!(
+            s,
+            PoolStats {
+                acquires: 1,
+                pool_hits: 2,
+                fresh_allocs: 3,
+                returns: 4,
+                overflow_frees: 5,
+                oversize: 6,
+            }
+        );
+        let mut agg = s;
+        agg.merge(&s);
+        assert_eq!(
+            agg.entries(),
+            [
+                ("pool.acquires", 2),
+                ("pool.pool_hits", 4),
+                ("pool.fresh_allocs", 6),
+                ("pool.returns", 8),
+                ("pool.overflow_frees", 10),
+                ("pool.oversize", 12),
+            ]
+        );
     }
 }

@@ -115,11 +115,18 @@ impl LocalAgent {
         &self.client
     }
 
-    /// `(opens, reads, bytes, cache_hits, pfs_copies)` — the stats line.
-    pub fn stats(&self) -> (u64, u64, u64, u64, u64) {
-        let (opens, reads, bytes, ..) = self.client.metrics().snapshot();
-        let server = self.server.metrics().snapshot();
-        (opens, reads, bytes, server.cache_hits, server.pfs_copies)
+    /// The `HVAC_STATS_FILE` report: `hvac_preload` and then every client
+    /// and server counter as `name=value` (`client.opens=1 ...
+    /// server.pfs_copies=1 ...`), ending in a newline.
+    pub fn stats_line(&self) -> String {
+        let client = self.client.metrics().snapshot().entries();
+        let server = self.server.metrics().snapshot().entries();
+        let mut line = String::from("hvac_preload");
+        for (name, value) in client.into_iter().chain(server) {
+            line.push_str(&format!(" {name}={value}"));
+        }
+        line.push('\n');
+        line
     }
 }
 
@@ -201,12 +208,21 @@ mod tests {
             client.read(fd, 64).unwrap();
             client.close(fd).unwrap();
         }
-        let (opens, reads, bytes, hits, copies) = agent.stats();
-        assert_eq!(opens, 3);
-        assert_eq!(reads, 3);
-        assert_eq!(bytes, 3 * 64);
-        assert_eq!(copies, 1, "one PFS copy");
-        assert_eq!(hits, 2, "subsequent reads hit the cache");
+        let c = client.metrics().full_snapshot();
+        assert_eq!((c.opens, c.reads, c.bytes), (3, 3, 3 * 64));
+        let server = agent.server.metrics().snapshot();
+        assert_eq!(server.pfs_copies, 1, "one PFS copy");
+        assert_eq!(server.cache_hits, 2, "subsequent reads hit the cache");
+        let line = agent.stats_line();
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        assert_eq!(fields[0], "hvac_preload");
+        for want in [
+            "client.opens=3",
+            "server.pfs_copies=1",
+            "server.cache_hits=2",
+        ] {
+            assert!(fields.contains(&want), "{want} missing from {line}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

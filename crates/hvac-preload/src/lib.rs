@@ -22,8 +22,11 @@
 //! sockets to remote servers), which keeps the shim testable under plain
 //! `cargo test` (see `tests/preload_smoke.rs`).
 //!
-//! Set `HVAC_STATS_FILE=/path` to have the shim append a one-line report at
-//! process exit — the smoke test uses it to prove interception happened.
+//! Set `HVAC_STATS_FILE=/path` to have the shim write a one-line report at
+//! process exit: `hvac_preload`, then every client and server counter as
+//! `name=value` under its `client.*` or `server.*` name, separated by
+//! spaces (`hvac_preload client.opens=1 ... server.pfs_copies=1 ...`). The
+//! smoke test uses it to prove interception happened.
 
 pub mod agent;
 pub mod shim;

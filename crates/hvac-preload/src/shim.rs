@@ -80,10 +80,7 @@ extern "C" fn dump_stats_at_exit() {
     let mine = load_installed().1.filter(|i| i.pid == pid);
     if let Some(agent) = mine.and_then(|i| i.agent.as_ref()) {
         if let Ok(path) = std::env::var("HVAC_STATS_FILE") {
-            let (opens, reads, bytes, hits, copies) = agent.stats();
-            let line = format!(
-                "hvac_preload opens={opens} reads={reads} bytes={bytes} cache_hits={hits} pfs_copies={copies}\n"
-            );
+            let line = agent.stats_line();
             let _ = with_guard(|| std::fs::write(&path, line));
         }
     }

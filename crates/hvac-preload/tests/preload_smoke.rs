@@ -7,6 +7,11 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
+/// Whether the stats line holds the `name=value` field `field` exactly.
+fn has_field(stats: &str, field: &str) -> bool {
+    stats.split_whitespace().any(|f| f == field)
+}
+
 /// Locate the built cdylib next to our own test binary.
 fn preload_lib() -> Option<PathBuf> {
     // test executable lives in target/<profile>/deps/...
@@ -73,13 +78,13 @@ fn cat_under_preload_is_intercepted_and_correct() {
     assert_eq!(output.stdout, payload, "payload corrupted by interception");
 
     let stats = fs::read_to_string(&stats_file).expect("stats file written at exit");
-    assert!(stats.contains("hvac_preload"), "stats: {stats}");
+    assert!(stats.starts_with("hvac_preload "), "stats: {stats}");
     assert!(
-        stats.contains("opens=1"),
+        has_field(&stats, "client.opens=1"),
         "open was not intercepted: {stats}"
     );
     assert!(
-        stats.contains("pfs_copies=1"),
+        has_field(&stats, "server.pfs_copies=1"),
         "no PFS copy recorded: {stats}"
     );
 
@@ -115,7 +120,7 @@ fn non_dataset_io_passes_through_untouched() {
     assert_eq!(output.stdout, b"outside the dataset\n");
     if let Ok(stats) = fs::read_to_string(&stats_file) {
         assert!(
-            stats.contains("opens=0"),
+            has_field(&stats, "client.opens=0"),
             "unexpected interception: {stats}"
         );
     }

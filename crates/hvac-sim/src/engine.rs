@@ -79,12 +79,6 @@ impl<W> Engine<W> {
         self.executed
     }
 
-    /// Pending events.
-    #[inline]
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
     /// Schedule `f` at absolute time `t`. Scheduling in the past (t < now)
     /// is clamped to `now` — the event runs next.
     pub fn at(&mut self, t: SimTime, f: impl FnOnce(&mut W, &mut Engine<W>) + 'static) {
@@ -204,7 +198,6 @@ mod tests {
         }
         eng.run_until(&mut world, SimTime::from_secs(4));
         assert_eq!(world, 4);
-        assert_eq!(eng.pending(), 6);
         eng.run(&mut world);
         assert_eq!(world, 10);
     }

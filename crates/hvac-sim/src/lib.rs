@@ -26,11 +26,9 @@ pub mod gpfs;
 pub mod iostack;
 pub mod mdtest;
 pub mod resource;
-pub mod stats;
 
 pub use engine::Engine;
 pub use gpfs::GpfsModel;
 pub use iostack::{GpfsBackend, HvacBackend, IoBackend, XfsLocalBackend};
 pub use mdtest::{run_mdtest, MdtestConfig, MdtestResult};
 pub use resource::{FifoPool, FluidPipe, IopsGate};
-pub use stats::LatencyHistogram;

@@ -48,32 +48,10 @@ impl DeviceModel {
         }
     }
 
-    /// A 7200 rpm hard disk (ablation comparisons).
-    pub fn hdd() -> Self {
-        Self {
-            op_latency: SimTime::from_millis(8),
-            read_bandwidth: Bandwidth::mib_per_sec(180.0),
-            write_bandwidth: Bandwidth::mib_per_sec(160.0),
-            max_iops: 120,
-        }
-    }
-
     /// Service time of one read of `size` bytes: latency + transfer, floored
     /// by the IOPS ceiling (`1/max_iops` per op).
     pub fn read_time(&self, size: ByteSize) -> SimTime {
         let transfer = SimTime::from_secs_f64(self.read_bandwidth.transfer_secs(size));
-        let iops_floor = self.iops_floor();
-        let t = self.op_latency.saturating_add(transfer);
-        if t < iops_floor {
-            iops_floor
-        } else {
-            t
-        }
-    }
-
-    /// Service time of one write of `size` bytes.
-    pub fn write_time(&self, size: ByteSize) -> SimTime {
-        let transfer = SimTime::from_secs_f64(self.write_bandwidth.transfer_secs(size));
         let iops_floor = self.iops_floor();
         let t = self.op_latency.saturating_add(transfer);
         if t < iops_floor {
@@ -88,17 +66,6 @@ impl DeviceModel {
         match 1_000_000_000u64.checked_div(self.max_iops) {
             None => SimTime::ZERO,
             Some(ns) => SimTime::from_nanos(ns),
-        }
-    }
-
-    /// Small-file transactions per second this device sustains for
-    /// `<open-read-close>` of `size` bytes (the MDTest metric).
-    pub fn transactions_per_sec(&self, size: ByteSize) -> f64 {
-        let t = self.read_time(size).as_secs_f64();
-        if t <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / t
         }
     }
 }
@@ -148,16 +115,15 @@ mod tests {
         let sz = ByteSize::mib(1);
         let nvme = DeviceModel::summit_nvme().read_time(sz);
         let ssd = DeviceModel::sata_ssd().read_time(sz);
-        let hdd = DeviceModel::hdd().read_time(sz);
+        // A 7200 rpm hard disk.
+        let hdd = DeviceModel {
+            op_latency: SimTime::from_millis(8),
+            read_bandwidth: Bandwidth::mib_per_sec(180.0),
+            write_bandwidth: Bandwidth::mib_per_sec(160.0),
+            max_iops: 120,
+        }
+        .read_time(sz);
         assert!(nvme < ssd);
         assert!(ssd < hdd);
-    }
-
-    #[test]
-    fn transactions_per_sec_inverts_read_time() {
-        let d = DeviceModel::summit_nvme();
-        let sz = ByteSize::kib(32);
-        let tps = d.transactions_per_sec(sz);
-        assert!((tps * d.read_time(sz).as_secs_f64() - 1.0).abs() < 1e-9);
     }
 }

@@ -9,15 +9,11 @@
 //!   on a real directory (the functional examples). Inserting past capacity
 //!   fails with [`hvac_types::HvacError::CapacityExhausted`]; deciding *what*
 //!   to evict is the cache manager's job (`hvac-core`).
-//! * [`CapacityGauge`] — watermark bookkeeping shared by the store and the
-//!   eviction logic.
 //! * [`DeviceModel`] — latency/bandwidth/IOPS envelopes of storage devices,
 //!   consumed by the at-scale simulator.
 
-pub mod capacity;
 pub mod device;
 pub mod localstore;
 
-pub use capacity::CapacityGauge;
 pub use device::DeviceModel;
 pub use localstore::{default_shard_count, Backing, LocalStore, TenantUsage};

@@ -573,15 +573,6 @@ impl LocalStore {
         out
     }
 
-    /// Reads served from a resident entry since it was inserted (zero for
-    /// absent paths).
-    pub fn access_count(&self, path: &Path) -> u64 {
-        self.shards[self.shard_of(path)]
-            .read()
-            .get(path)
-            .map_or(0, |e| e.hits.load(Ordering::Relaxed))
-    }
-
     /// Resident paths with their access counts (unordered); shards are
     /// read strictly one at a time.
     pub fn resident_with_access(&self) -> Vec<(PathBuf, u64)> {
@@ -718,23 +709,28 @@ mod tests {
     fn access_counts_track_reads_and_reset_on_replace() {
         let s = mem(100);
         let p = Path::new("/hot");
-        assert_eq!(s.access_count(p), 0, "absent paths read zero");
+        let counts = |s: &LocalStore| {
+            let mut c = s.resident_with_access();
+            c.sort();
+            c
+        };
+        assert_eq!(counts(&s), vec![], "nothing resident");
         s.insert(p, Bytes::from_static(b"abc")).unwrap();
-        assert_eq!(s.access_count(p), 0);
+        assert_eq!(counts(&s), vec![(PathBuf::from("/hot"), 0)]);
         s.get(p).unwrap();
         s.get(p).unwrap();
-        assert_eq!(s.access_count(p), 2);
         s.insert(Path::new("/cold"), Bytes::from_static(b"z"))
             .unwrap();
-        let mut counts = s.resident_with_access();
-        counts.sort();
         assert_eq!(
-            counts,
+            counts(&s),
             vec![(PathBuf::from("/cold"), 0), (PathBuf::from("/hot"), 2)]
         );
         // Replacement is a new entry: the count restarts.
         s.insert(p, Bytes::from_static(b"abcd")).unwrap();
-        assert_eq!(s.access_count(p), 0);
+        assert_eq!(
+            counts(&s),
+            vec![(PathBuf::from("/cold"), 0), (PathBuf::from("/hot"), 0)]
+        );
     }
 
     #[test]

@@ -481,12 +481,6 @@ impl ClusterConfig {
         self.nodes as usize * self.procs_per_node as usize
     }
 
-    /// Aggregate node-local cache capacity of the allocation.
-    #[inline]
-    pub fn aggregate_cache_capacity(&self) -> ByteSize {
-        ByteSize(self.nvme.capacity.bytes() * self.nodes as u64)
-    }
-
     /// Check internal consistency; experiments call this before running.
     pub fn validate(&self) -> crate::Result<()> {
         use crate::HvacError::InvalidConfig;
@@ -539,10 +533,6 @@ mod tests {
         c.procs_per_node = 2;
         assert_eq!(c.total_servers(), 2048);
         assert_eq!(c.total_ranks(), 1024);
-        assert_eq!(
-            c.aggregate_cache_capacity().bytes(),
-            c.nvme.capacity.bytes() * 512
-        );
     }
 
     #[test]

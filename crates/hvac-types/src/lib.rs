@@ -18,12 +18,15 @@
 //!   devices and HVAC itself,
 //! * [`view`] — the epoch-versioned [`ClusterView`] membership snapshot that
 //!   every ownership decision resolves through,
+//! * [`stats`] — the [`counters!`] declaration every counter group uses and
+//!   the one latency [`Histogram`],
 //! * [`summit`] — the calibration constants of the Summit supercomputer from
 //!   Table I and §IV of the paper.
 
 pub mod config;
 pub mod error;
 pub mod ids;
+pub mod stats;
 pub mod summit;
 pub mod time;
 pub mod units;
@@ -35,6 +38,7 @@ pub use config::{
 };
 pub use error::{HvacError, Result};
 pub use ids::{ClientId, FileId, JobId, NodeId, Rank, ServerId};
+pub use stats::Histogram;
 pub use time::SimTime;
 pub use units::{Bandwidth, ByteSize, GIB, KIB, MIB, TIB};
 pub use view::ClusterView;

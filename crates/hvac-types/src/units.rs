@@ -156,11 +156,6 @@ impl Bandwidth {
     pub fn mib_per_sec(m: f64) -> Self {
         Bandwidth(m * MIB as f64)
     }
-    /// Construct from gibibytes per second.
-    #[inline]
-    pub fn gib_per_sec(g: f64) -> Self {
-        Bandwidth(g * GIB as f64)
-    }
     /// Construct from decimal gigabytes per second (the unit vendors and the
     /// paper use: "2.5 TB/s").
     #[inline]

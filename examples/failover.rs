@@ -73,7 +73,7 @@ fn main() {
     read_all(&robust, n_files);
     robust.set_node_down(2, true);
     let (ok, failed) = read_all(&robust, n_files);
-    let (_, _, _, _, failovers, _) = robust.client(0).metrics().snapshot();
+    let failovers = robust.client(0).metrics().full_snapshot().failovers;
     println!("replication=2, node 2 down: {ok} reads ok, {failed} failed, {failovers} served by fail-over replicas");
     assert_eq!(failed, 0, "replication must mask a single node failure");
 

@@ -213,7 +213,7 @@ fn concurrent_open_read_close_cycles_on_shared_fds() {
     for j in joins {
         j.join().unwrap();
     }
-    let (opens, _, _, closes, _, _) = client.metrics().snapshot();
-    assert_eq!(opens, 8 * 40);
-    assert_eq!(closes, 8 * 40);
+    let m = client.metrics().full_snapshot();
+    assert_eq!(m.opens, 8 * 40);
+    assert_eq!(m.closes, 8 * 40);
 }

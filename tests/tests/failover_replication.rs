@@ -119,7 +119,7 @@ fn failover_metrics_are_recorded() {
     for i in 0..N_FILES {
         cluster.client(2).read_file(&sample(i)).unwrap();
     }
-    let (_, _, _, _, failovers, _) = cluster.client(2).metrics().snapshot();
+    let failovers = cluster.client(2).metrics().full_snapshot().failovers;
     assert!(failovers > 0, "reads homed on node 0 must have failed over");
     assert!(failovers < N_FILES, "only node-0 homes fail over");
 }
