@@ -361,6 +361,42 @@ mod tests {
     }
 
     #[test]
+    fn stripe_counters_sum_into_snapshot_and_merge() {
+        let m = ServerMetrics::default();
+        m.stripe_hits.fetch_add(1, Ordering::Relaxed);
+        m.stripe_hits.fetch_add(1, Ordering::Relaxed);
+        m.stripe_misses.fetch_add(1, Ordering::Relaxed);
+        m.stripe_contention.fetch_add(2, Ordering::Relaxed);
+        let s = m.snapshot();
+        assert_eq!(
+            (s.stripe_hits, s.stripe_misses, s.stripe_contention),
+            (2, 1, 2)
+        );
+        let mut agg = ServerMetricsSnapshot::default();
+        agg.merge(&s);
+        agg.merge(&s);
+        assert_eq!(
+            (agg.stripe_hits, agg.stripe_misses, agg.stripe_contention),
+            (4, 2, 4)
+        );
+        let stripe: Vec<_> = agg
+            .entries()
+            .into_iter()
+            .filter(|e| e.0.starts_with("server.stripe_"))
+            .collect();
+        assert_eq!(
+            stripe,
+            [
+                ("server.stripe_hits", 4),
+                ("server.stripe_misses", 2),
+                ("server.stripe_contention", 4),
+            ]
+        );
+        // Stripe traffic moves no other counter.
+        assert_eq!((agg.reads, agg.cache_hits, agg.cache_misses), (0, 0, 0));
+    }
+
+    #[test]
     fn client_metrics_snapshot() {
         let c = ClientMetrics::default();
         check_group(
@@ -389,6 +425,54 @@ mod tests {
         let s = c.full_snapshot();
         assert_eq!((s.opens, s.batch_fallbacks), (1, 16));
         assert_eq!(s, c.snapshot());
+    }
+
+    #[test]
+    fn client_resilience_counters_appear_in_full_snapshot() {
+        let c = ClientMetrics::default();
+        c.timeouts.fetch_add(3, Ordering::Relaxed);
+        c.retries.fetch_add(2, Ordering::Relaxed);
+        c.breaker_trips.fetch_add(1, Ordering::Relaxed);
+        c.breaker_skips.fetch_add(5, Ordering::Relaxed);
+        c.degraded_reads.fetch_add(4, Ordering::Relaxed);
+        let s = c.full_snapshot();
+        assert_eq!(s.timeouts, 3);
+        assert_eq!(s.retries, 2);
+        assert_eq!(s.breaker_trips, 1);
+        assert_eq!(s.breaker_skips, 5);
+        assert_eq!(s.degraded_reads, 4);
+        // The data-path counters are unchanged by resilience traffic.
+        assert_eq!(
+            (
+                s.opens,
+                s.reads,
+                s.bytes,
+                s.closes,
+                s.failovers,
+                s.passthrough_opens
+            ),
+            (0, 0, 0, 0, 0, 0)
+        );
+    }
+
+    #[test]
+    fn hedge_and_repair_counters_flow_through_snapshots() {
+        let c = ClientMetrics::default();
+        c.hedges.fetch_add(6, Ordering::Relaxed);
+        c.hedge_wins.fetch_add(2, Ordering::Relaxed);
+        let s = c.full_snapshot();
+        assert_eq!((s.hedges, s.hedge_wins), (6, 2));
+        assert_eq!((s.reads, s.failovers), (0, 0));
+
+        let m = ServerMetrics::default();
+        m.repaired_files.fetch_add(3, Ordering::Relaxed);
+        m.repaired_bytes.fetch_add(768, Ordering::Relaxed);
+        let snap = m.snapshot();
+        assert_eq!((snap.repaired_files, snap.repaired_bytes), (3, 768));
+        let mut agg = ServerMetricsSnapshot::default();
+        agg.merge(&snap);
+        agg.merge(&snap);
+        assert_eq!((agg.repaired_files, agg.repaired_bytes), (6, 1536));
     }
 
     #[test]
