@@ -55,7 +55,6 @@ fn device() -> DeviceModel {
     DeviceModel {
         op_latency: SimTime::from_micros(1000),
         read_bandwidth: Bandwidth::mib_per_sec(4096.0),
-        write_bandwidth: Bandwidth::mib_per_sec(4096.0),
         max_iops: 500_000,
     }
 }

@@ -41,7 +41,6 @@ fn bench_device() -> DeviceModel {
     DeviceModel {
         op_latency: SimTime::from_micros(OP_LATENCY_US),
         read_bandwidth: Bandwidth::mib_per_sec(1e9),
-        write_bandwidth: Bandwidth::mib_per_sec(1e9),
         max_iops: u64::MAX,
     }
 }

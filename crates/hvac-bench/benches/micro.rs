@@ -69,7 +69,6 @@ fn bench_codec(c: &mut Criterion) {
     });
     let resp = Response::Data {
         total_size: 163_840,
-        cache_hit: true,
     };
     c.bench_function("protocol/response_round_trip", |b| {
         b.iter(|| Response::decode(black_box(&resp).encode()).unwrap())

@@ -706,7 +706,7 @@ impl HvacClient {
                 replication: options.replication as usize,
             }),
             matcher: DatasetMatcher::new(&options.dataset_dir),
-            sq: SqPool::new(hvac_net::DEFAULT_SQ_DEPTH)?,
+            sq: SqPool::new("sq", hvac_net::DEFAULT_SQ_DEPTH)?,
             options,
             fds: OrderedMutex::new(classes::CLIENT_FDS, HashMap::new()),
             next_fd: AtomicU64::new(FD_BASE),
@@ -1673,7 +1673,7 @@ mod tests {
 
     #[test]
     fn repeat_segmented_reads_stat_from_the_size_memo_until_a_purge() {
-        let (pfs, fabric, servers, client) = setup2(1);
+        let (pfs, _fabric, servers, client) = setup2(1);
         let p = sample(5);
         let expected = pfs.read_all(&p).unwrap();
         let opens = || pfs.stats().snapshot().0;
@@ -1688,11 +1688,8 @@ mod tests {
             .map(|(srv, _)| srv.metrics().snapshot().stats_ops)
             .sum();
         assert_eq!(stats, 2, "each read still sends its Stat");
-        for i in 0..servers.len() {
-            let reply = fabric
-                .call(&server_addr(i, 1), Request::Purge.encode().unwrap())
-                .unwrap();
-            assert_eq!(Response::decode(reply.header).unwrap(), Response::Ok);
+        for (srv, _) in &servers {
+            srv.cache().purge();
         }
         assert_eq!(client.read_file_segmented(&p, 16).unwrap(), expected);
         assert_eq!(opens(), 2, "a purge forgets the size");

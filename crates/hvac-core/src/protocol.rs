@@ -1,7 +1,7 @@
 //! The client↔server wire protocol.
 //!
-//! Five operations cover the paper's intercepted I/O profile
-//! (`<open, read, close>` plus staging and job teardown):
+//! Four operations cover the paper's intercepted I/O profile
+//! (`<open, read, close>` plus staging):
 //!
 //! * [`Request::Stat`] — size lookup at `open` time,
 //! * [`Request::Read`] — ranged read; the reply carries data as a bulk
@@ -10,13 +10,14 @@
 //! * [`Request::Batch`] — several segment reads homed on one server in one
 //!   RPC (the §III-E segment-level caching alternative); a segment read on
 //!   its own is a one-item batch,
-//! * [`Request::Prefetch`] — stage files into the cache without waiting,
-//! * [`Request::Purge`] — job teardown: drop the node's cache contents.
+//! * [`Request::Prefetch`] — stage files into the cache without waiting.
 //!
 //! `close` sends nothing: the server keeps no per-descriptor state, so the
 //! out-of-band teardown RPC of §III-D step ⑧ would only be an accounting
-//! ping. Two wire tags are retired and never reused: 3 (`Close`) and 6
-//! (`ReadSegment`, a single segment read, now a one-item `Batch`).
+//! ping. Job teardown needs no RPC either: the cluster harness and a
+//! crash-stop clear a node's cache directly. Three wire tags are retired
+//! and never reused: 3 (`Close`), 4 (`Purge`) and 6 (`ReadSegment`, a
+//! single segment read, now a one-item `Batch`).
 //!
 //! Messages are encoded with the explicit little-endian codec from
 //! [`hvac_net::wire`]. Structural versioning is unnecessary — client and
@@ -43,19 +44,15 @@ pub const JOB_FLAG: u64 = 1 << 63;
 
 const TAG_STAT: u8 = 1;
 const TAG_READ: u8 = 2;
-// Tag 3 was `Close`; retired, never reuse it.
-const TAG_PURGE: u8 = 4;
+// Tag 3 was `Close` and tag 4 `Purge`; retired, never reuse them.
 const TAG_PREFETCH: u8 = 5;
 // Tag 6 was `ReadSegment`; retired, never reuse it.
 const TAG_BATCH: u8 = 7;
 
 const STATUS_OK: u8 = 0;
 const STATUS_ERR: u8 = 1;
-// Tenant-echoing variants: same layout as OK/ERR with a u64 job id spliced
-// in right after the status byte. Only produced for non-default jobs, so
-// job-0 replies stay byte-identical to the legacy format.
-const STATUS_OK_JOB: u8 = 2;
-const STATUS_ERR_JOB: u8 = 3;
+// Statuses 2 and 3 echoed a non-default request's job id, which no reader
+// checked; retired, never reuse them.
 
 /// A request from an HVAC client to a server instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -75,8 +72,6 @@ pub enum Request {
         /// Maximum bytes to return.
         len: u64,
     },
-    /// Drop all cached data (job teardown).
-    Purge,
     /// Stage these files into the cache without waiting (the paper's §IV-C
     /// prefetching future work). The server copies them in the background;
     /// the reply only acknowledges the request.
@@ -112,11 +107,8 @@ pub enum Response {
     Data {
         /// Full size of the file.
         total_size: u64,
-        /// Whether this read was served from the node-local cache (false =
-        /// the file had to be fetched from the PFS first).
-        cache_hit: bool,
     },
-    /// Generic success (purge/prefetch).
+    /// Generic success (prefetch).
     Ok,
     /// The request's membership epoch was older than the server's: the
     /// request was **not** served. The server's current view rides along so
@@ -188,7 +180,6 @@ impl Request {
                 b.extend_from_slice(&offset.to_le_bytes());
                 b.extend_from_slice(&len.to_le_bytes());
             }
-            Request::Purge => b.extend_from_slice(&[TAG_PURGE]),
             Request::Prefetch { paths } => {
                 b.extend_from_slice(&[TAG_PREFETCH]);
                 b.extend_from_slice(&(paths.len() as u32).to_le_bytes());
@@ -243,7 +234,6 @@ impl Request {
                 let len = wire::get_u64(buf)?;
                 Ok(Request::Read { path, offset, len })
             }
-            TAG_PURGE => Ok(Request::Purge),
             TAG_PREFETCH => {
                 let n = wire::get_u32(buf)? as usize;
                 if n > 1_000_000 {
@@ -304,60 +294,32 @@ fn get_view(buf: &mut Bytes) -> Result<ClusterView> {
 }
 
 impl Response {
-    /// Encode to wire bytes in the legacy (default-namespace) layout.
-    /// Equivalent to `encode_for(JobId::DEFAULT)`.
+    /// Encode to wire bytes.
     pub fn encode(&self) -> Bytes {
-        self.encode_for(JobId::DEFAULT)
-    }
-
-    /// Encode to wire bytes, echoing the request's tenant identity. Job 0
-    /// produces the legacy byte layout; any other job uses the job-carrying
-    /// status bytes so the sender can verify the echo.
-    pub fn encode_for(&self, job: JobId) -> Bytes {
         let mut b = BytesMut::with_capacity(40);
-        let (ok, err) = if job.is_default() {
-            (vec![STATUS_OK], vec![STATUS_ERR])
-        } else {
-            let mut ok = vec![STATUS_OK_JOB];
-            ok.extend_from_slice(&job.0.to_le_bytes());
-            let mut err = vec![STATUS_ERR_JOB];
-            err.extend_from_slice(&job.0.to_le_bytes());
-            (ok, err)
-        };
         match self {
             Response::Stat { size } => {
-                b.extend_from_slice(&ok);
-                b.extend_from_slice(&[RTAG_STAT]);
+                b.extend_from_slice(&[STATUS_OK, RTAG_STAT]);
                 b.extend_from_slice(&size.to_le_bytes());
             }
-            Response::Data {
-                total_size,
-                cache_hit,
-            } => {
-                b.extend_from_slice(&ok);
-                b.extend_from_slice(&[RTAG_DATA]);
+            Response::Data { total_size } => {
+                b.extend_from_slice(&[STATUS_OK, RTAG_DATA]);
                 b.extend_from_slice(&total_size.to_le_bytes());
-                b.extend_from_slice(&[u8::from(*cache_hit)]);
             }
-            Response::Ok => {
-                b.extend_from_slice(&ok);
-                b.extend_from_slice(&[RTAG_OK]);
-            }
+            Response::Ok => b.extend_from_slice(&[STATUS_OK, RTAG_OK]),
             Response::StaleView { view } => {
-                b.extend_from_slice(&ok);
-                b.extend_from_slice(&[RTAG_STALE_VIEW]);
+                b.extend_from_slice(&[STATUS_OK, RTAG_STALE_VIEW]);
                 put_view(&mut b, view);
             }
             Response::Batch { lens } => {
-                b.extend_from_slice(&ok);
-                b.extend_from_slice(&[RTAG_BATCH]);
+                b.extend_from_slice(&[STATUS_OK, RTAG_BATCH]);
                 b.extend_from_slice(&(lens.len() as u32).to_le_bytes());
                 for len in lens {
                     b.extend_from_slice(&len.to_le_bytes());
                 }
             }
             Response::Err { code, message } => {
-                b.extend_from_slice(&err);
+                b.extend_from_slice(&[STATUS_ERR]);
                 b.extend_from_slice(&(*code as i64).to_le_bytes());
                 // An error reply must never itself fail to encode, so clamp
                 // the text (at a char boundary) far below the u32 wire
@@ -376,42 +338,25 @@ impl Response {
         b.freeze()
     }
 
-    /// Decode from wire bytes, discarding any echoed tenant identity.
-    pub fn decode(buf: Bytes) -> Result<Response> {
-        Ok(Self::decode_with_job(buf)?.1)
-    }
-
-    /// Decode from wire bytes, returning the echoed tenant identity
-    /// alongside the response. A legacy reply decodes as job 0.
-    pub fn decode_with_job(mut buf: Bytes) -> Result<(JobId, Response)> {
-        let status = wire::get_u8(&mut buf)?;
-        let job = match status {
-            STATUS_OK_JOB | STATUS_ERR_JOB => JobId(wire::get_u64(&mut buf)?),
-            STATUS_OK | STATUS_ERR => JobId::DEFAULT,
+    /// Decode from wire bytes.
+    pub fn decode(mut buf: Bytes) -> Result<Response> {
+        match wire::get_u8(&mut buf)? {
+            STATUS_OK => {}
+            STATUS_ERR => {
+                let code = wire::get_i64(&mut buf)? as i32;
+                let message = wire::get_str(&mut buf)?;
+                return Ok(Response::Err { code, message });
+            }
             s => return Err(HvacError::Protocol(format!("unknown reply status {s}"))),
-        };
-        Ok((job, Self::decode_tail(status, buf)?))
-    }
-
-    fn decode_tail(status: u8, mut buf: Bytes) -> Result<Response> {
-        if status == STATUS_ERR || status == STATUS_ERR_JOB {
-            let code = wire::get_i64(&mut buf)? as i32;
-            let message = wire::get_str(&mut buf)?;
-            return Ok(Response::Err { code, message });
         }
         let tag = wire::get_u8(&mut buf)?;
         match tag {
             RTAG_STAT => Ok(Response::Stat {
                 size: wire::get_u64(&mut buf)?,
             }),
-            RTAG_DATA => {
-                let total_size = wire::get_u64(&mut buf)?;
-                let cache_hit = wire::get_u8(&mut buf)? != 0;
-                Ok(Response::Data {
-                    total_size,
-                    cache_hit,
-                })
-            }
+            RTAG_DATA => Ok(Response::Data {
+                total_size: wire::get_u64(&mut buf)?,
+            }),
             RTAG_OK => Ok(Response::Ok),
             RTAG_STALE_VIEW => Ok(Response::StaleView {
                 view: get_view(&mut buf)?,
@@ -476,7 +421,6 @@ mod tests {
                 offset: 123,
                 len: 4096,
             },
-            Request::Purge,
             Request::Prefetch { paths: vec![] },
             Request::Prefetch {
                 paths: vec![PathBuf::from("/a"), PathBuf::from("/gpfs/b.bin")],
@@ -509,12 +453,8 @@ mod tests {
             Response::Stat { size: 42 },
             Response::Data {
                 total_size: 1 << 40,
-                cache_hit: true,
             },
-            Response::Data {
-                total_size: 0,
-                cache_hit: false,
-            },
+            Response::Data { total_size: 0 },
             Response::Ok,
             Response::Batch { lens: vec![] },
             Response::Batch {
@@ -543,13 +483,16 @@ mod tests {
 
     #[test]
     fn retired_close_tag_is_rejected() {
-        // Tag 3 was `Close` and tag 6 `ReadSegment`: a frame carrying
-        // either, with the body it used to have, is an unknown request.
-        for (tag, tail) in [(3u8, 0usize), (6, 16)] {
+        // Tag 3 was `Close` (a path), tag 4 `Purge` (no body) and tag 6
+        // `ReadSegment` (a path, offset and length): a frame carrying any of
+        // them, with the body it used to have, is an unknown request.
+        for (tag, path, tail) in [(3u8, true, 0usize), (4, false, 0), (6, true, 16)] {
             let mut b = BytesMut::new();
             b.extend_from_slice(&0u64.to_le_bytes());
             b.extend_from_slice(&[tag]);
-            wire::put_str(&mut b, "/z").unwrap();
+            if path {
+                wire::put_str(&mut b, "/z").unwrap();
+            }
             b.extend_from_slice(&vec![0u8; tail]);
             match Request::decode(b.freeze()) {
                 Err(HvacError::Protocol(msg)) => {
@@ -644,35 +587,28 @@ mod tests {
     }
 
     #[test]
-    fn responses_echo_the_job_and_job0_stays_legacy() {
-        let cases = vec![
-            Response::Stat { size: 42 },
-            Response::Data {
-                total_size: 9,
-                cache_hit: true,
-            },
-            Response::Ok,
-            Response::Batch { lens: vec![1, 2] },
-            Response::Err {
-                code: 2,
-                message: "nope".into(),
-            },
-        ];
-        for resp in cases {
-            // Job 0 = the legacy bytes.
-            assert_eq!(resp.encode_for(JobId::DEFAULT), resp.encode());
-            // Tenant echo round-trips; legacy decode still sees the body.
-            let enc = resp.encode_for(JobId(7));
-            let (job, decoded) = Response::decode_with_job(enc.clone()).unwrap();
-            assert_eq!(job, JobId(7));
-            assert_eq!(decoded, resp);
-            assert_eq!(Response::decode(enc).unwrap(), resp);
-            // A legacy reply decodes as job 0 on a tenant-aware decoder.
-            let (job, decoded) = Response::decode_with_job(resp.encode()).unwrap();
-            assert_eq!(job, JobId::DEFAULT);
-            assert_eq!(decoded, resp);
+    fn retired_reply_statuses_2_and_3_are_rejected() {
+        // Statuses 2 and 3 were an OK and an error reply echoing the
+        // request's job id: a u64 after the status byte, then the body of
+        // statuses 0 and 1. A reply carrying either is an unknown status.
+        let ok = Response::Ok.encode();
+        let err = Response::Err {
+            code: 2,
+            message: "nope".into(),
         }
-        // An unknown status byte is a protocol error.
+        .encode();
+        for (status, legacy) in [(2u8, ok), (3, err)] {
+            let mut b = BytesMut::new();
+            b.extend_from_slice(&[status]);
+            b.extend_from_slice(&7u64.to_le_bytes());
+            b.extend_from_slice(&legacy[1..]);
+            match Response::decode(b.freeze()) {
+                Err(HvacError::Protocol(msg)) => {
+                    assert_eq!(msg, format!("unknown reply status {status}"))
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
         assert!(Response::decode(Bytes::from_static(&[9, 1])).is_err());
     }
 

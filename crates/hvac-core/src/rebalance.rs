@@ -7,10 +7,10 @@
 //! its new home before removing it from the old one — so at every instant
 //! the file is resident somewhere, and a read served mid-migration is
 //! either answered by the old home (pre-handoff) or by the new home
-//! (post-handoff, possibly as a fresh PFS copy). Segment entries
-//! (`path#offset+len` keys) are skipped: they re-home lazily on next
-//! access, and migrating them would race the segment read path for no
-//! warm-cache benefit.
+//! (post-handoff, possibly as a fresh PFS copy). Segment entries (keys
+//! from [`segment_key`](crate::server::segment_key)) are skipped: they
+//! re-home lazily on next access, and migrating them would race the
+//! segment read path for no warm-cache benefit.
 //!
 //! The walk runs on a background thread owned by the cluster harness; the
 //! `REBALANCER` lock class only guards the spawn/join slot, never the walk
@@ -19,6 +19,7 @@
 
 use crate::cache::CacheManager;
 use crate::metrics::ServerMetrics;
+use crate::server::is_segment_key;
 use hvac_hash::pathhash::hash_path;
 use hvac_hash::placement::Placement;
 use hvac_types::{ClusterView, NodeId};
@@ -76,7 +77,7 @@ pub fn rebalance(
     };
     for src in sources {
         for path in src.cache.store().resident_paths() {
-            if path.as_os_str().to_string_lossy().contains('#') {
+            if is_segment_key(&path) {
                 report.skipped_segments += 1;
                 continue;
             }
@@ -117,6 +118,7 @@ pub fn rebalance(
 mod tests {
     use super::*;
     use crate::eviction::make_policy;
+    use crate::server::segment_key;
     use bytes::Bytes;
     use hvac_hash::placement::make_placement;
     use hvac_storage::LocalStore;
@@ -130,14 +132,16 @@ mod tests {
         ))
     }
 
+    /// Insert files `name(0)..name(n_files)` into their homes under `view`.
     fn populate_homes(
         caches: &HashMap<NodeId, Arc<CacheManager>>,
         placement: &dyn Placement,
         view: &ClusterView,
         n_files: u64,
+        name: impl Fn(u64) -> PathBuf,
     ) {
         for i in 0..n_files {
-            let path = PathBuf::from(format!("/gpfs/reb/{i}"));
+            let path = name(i);
             let home = placement.home_in_view(hash_path(&path), view).node;
             caches[&home]
                 .insert(&path, Bytes::from(vec![i as u8; 64]))
@@ -145,14 +149,29 @@ mod tests {
         }
     }
 
+    fn reb_file(i: u64) -> PathBuf {
+        PathBuf::from(format!("/gpfs/reb/{i}"))
+    }
+
     #[test]
     fn leave_drains_the_retired_node_and_ledger_balances() {
+        leave_drains(reb_file);
+    }
+
+    #[test]
+    fn leave_drains_whole_files_whose_names_hold_a_hash() {
+        // A file name spelling a segment range must not make its entry look
+        // like a segment's.
+        leave_drains(|i| PathBuf::from(format!("/gpfs/reb/{i}#0+64")));
+    }
+
+    fn leave_drains(name: impl Fn(u64) -> PathBuf) {
         let placement = make_placement(PlacementKind::Ring);
         let old = ClusterView::initial(4, 1).unwrap();
         let new = old.with_node_removed(NodeId(2)).unwrap();
         let caches: HashMap<NodeId, Arc<CacheManager>> =
             (0..4).map(|n| (NodeId(n), cache(1 << 20))).collect();
-        populate_homes(&caches, placement.as_ref(), &old, 64);
+        populate_homes(&caches, placement.as_ref(), &old, 64, &name);
 
         let sources: Vec<RebalanceSource> = caches
             .iter()
@@ -185,7 +204,7 @@ mod tests {
             .sum();
         assert_eq!(counted, report.migrated_files);
         for i in 0..64u64 {
-            let path = PathBuf::from(format!("/gpfs/reb/{i}"));
+            let path = name(i);
             let home = placement.home_in_view(hash_path(&path), &new).node;
             assert!(caches[&home].contains(&path), "file {i} not at new home");
         }
@@ -198,13 +217,11 @@ mod tests {
         let new = old.with_node_added(NodeId(4)).unwrap();
         let mut caches: HashMap<NodeId, Arc<CacheManager>> =
             (0..4).map(|n| (NodeId(n), cache(1 << 20))).collect();
-        populate_homes(&caches, placement.as_ref(), &old, 80);
+        populate_homes(&caches, placement.as_ref(), &old, 80, reb_file);
         // A segment-granular entry must be left alone.
+        let segment = segment_key(&reb_file(0), 128, 64);
         caches[&NodeId(0)]
-            .insert(
-                &PathBuf::from("/gpfs/reb/0#128+64"),
-                Bytes::from(vec![9; 64]),
-            )
+            .insert(&segment, Bytes::from(vec![9; 64]))
             .unwrap();
         caches.insert(NodeId(4), cache(1 << 20));
 
@@ -220,7 +237,7 @@ mod tests {
         let report = rebalance(&sources, &dests, placement.as_ref(), &old, &new);
 
         assert_eq!(report.skipped_segments, 1);
-        assert!(caches[&NodeId(0)].contains(&PathBuf::from("/gpfs/reb/0#128+64")));
+        assert!(caches[&NodeId(0)].contains(&segment));
         assert!(report.migrated_files > 0);
         assert!(
             (report.migrated_files as f64) < 0.5 * 80.0,

@@ -17,9 +17,10 @@
 //! to be read next regain their fault tolerance (and their warm-read
 //! latency) soonest.
 //!
-//! Segment-granular entries (`path#offset+len` keys) are skipped for the
-//! same reason the rebalancer skips them: they re-home lazily on next
-//! access and repairing them would race the segment read path.
+//! Segment-granular entries (keys from
+//! [`segment_key`](crate::server::segment_key)) are skipped for the same
+//! reason the rebalancer skips them: they re-home lazily on next access
+//! and repairing them would race the segment read path.
 //!
 //! The pass runs on a background thread owned by the cluster harness; the
 //! `REPAIR` lock class guards only that spawn/join slot, never the walk
@@ -28,6 +29,7 @@
 
 use crate::cache::CacheManager;
 use crate::metrics::ServerMetrics;
+use crate::server::is_segment_key;
 use hvac_hash::pathhash::hash_path;
 use hvac_hash::placement::Placement;
 use hvac_types::{ClusterView, NodeId};
@@ -115,7 +117,7 @@ fn resident_union(sources: &[RepairSource]) -> HashMap<PathBuf, u64> {
     let mut seen: HashMap<PathBuf, u64> = HashMap::new();
     for src in sources {
         for (path, hits) in src.cache.store().resident_with_access() {
-            if path.as_os_str().to_string_lossy().contains('#') {
+            if is_segment_key(&path) {
                 continue;
             }
             let slot = seen.entry(path).or_insert(0);
@@ -141,7 +143,7 @@ pub fn repair(
     };
     for src in sources {
         for (path, _) in src.cache.store().resident_with_access() {
-            if path.as_os_str().to_string_lossy().contains('#') {
+            if is_segment_key(&path) {
                 report.skipped_segments += 1;
             }
         }
@@ -197,10 +199,12 @@ pub fn repair(
 mod tests {
     use super::*;
     use crate::eviction::make_policy;
+    use crate::server::segment_key;
     use bytes::Bytes;
     use hvac_hash::placement::make_placement;
     use hvac_storage::LocalStore;
     use hvac_types::{ByteSize, EvictionPolicyKind, PlacementKind};
+    use std::path::Path;
 
     const K: usize = 2;
 
@@ -323,7 +327,7 @@ mod tests {
         srcs[0]
             .cache
             .insert(
-                &PathBuf::from("/gpfs/rep/0#128+64"),
+                &segment_key(Path::new("/gpfs/rep/0"), 128, 64),
                 Bytes::from(vec![9; 64]),
             )
             .unwrap();

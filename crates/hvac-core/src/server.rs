@@ -1,7 +1,8 @@
 //! The HVAC server instance (paper §III-C, §III-D).
 //!
 //! Each instance owns a **shared FIFO queue** drained by dedicated
-//! **data-mover threads** ([`DEFAULT_MOVERS`] of them). RPC handler threads
+//! **data-mover threads** ([`DEFAULT_MOVERS`] of them): its own
+//! [`SqPool`], on which every PFS copy is one job. RPC handler threads
 //! enqueue copy work and wait; a request's misses are all enqueued before it
 //! waits on any, so a batch's PFS copies overlap on the movers. A mover
 //! fetches the file from the PFS exactly once even when many clients race
@@ -21,9 +22,10 @@ use crate::protocol::{Request, Response};
 use crate::qos::{Admit, QosOptions, TenantScheduler};
 use crate::view::ViewHandle;
 use bytes::Bytes;
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender};
 use hvac_hash::pathhash::{hash_path, tenant_key};
 use hvac_net::fabric::{Fabric, Reply, RpcHandler, ServerEndpoint};
+use hvac_net::sq::SqPool;
 use hvac_net::Bulk;
 use hvac_pfs::store::slice_read_at;
 use hvac_pfs::FileStore;
@@ -34,7 +36,6 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Data-mover threads per server instance unless configured otherwise.
 /// The paper dedicates one (§III-D); four let the PFS copies of one
@@ -44,8 +45,8 @@ pub const DEFAULT_MOVERS: usize = 4;
 /// Tuning knobs of one server instance.
 #[derive(Debug, Clone)]
 pub struct HvacServerOptions {
-    /// Data-mover threads draining the FIFO queue ([`DEFAULT_MOVERS`]; the
-    /// paper's HVAC runs 1).
+    /// Data-mover threads draining the FIFO queue, i.e. the workers of the
+    /// instance's copy pool ([`DEFAULT_MOVERS`]; the paper's HVAC runs 1).
     pub movers: usize,
     /// Per-tenant weighted-fair-share plan. Empty (the default) disables
     /// QoS entirely: every read is admitted immediately and nothing is
@@ -108,8 +109,8 @@ impl Started {
 struct CopyJob {
     /// Application-space source path on the PFS.
     path: PathBuf,
-    /// Cache key: equals `path` for whole-file caching; a synthetic
-    /// `path#offset+len` key for segment-level caching (§III-E).
+    /// Cache key: equals `path` for whole-file caching; a
+    /// [`segment_key`] for segment-level caching (§III-E).
     key: PathBuf,
     /// `Some((offset, len))` restricts the copy to that byte range.
     range: Option<(u64, u64)>,
@@ -194,146 +195,125 @@ impl InflightTable {
     }
 }
 
-/// The data-mover machinery: FIFO queue + threads + striped in-flight
-/// dedup table.
-struct DataMover {
-    queue_tx: Sender<CopyJob>,
+/// What one data-mover copy needs. Copy jobs on the pool hold this and
+/// nothing else, so the last reference to the pool or the server never
+/// drops on one of the pool's own workers.
+struct Copier {
+    cache: Arc<CacheManager>,
+    pfs: Arc<dyn FileStore>,
+    metrics: Arc<ServerMetrics>,
     // lockgraph: inflight -> SERVER_INFLIGHT_STRIPE
-    inflight: Arc<InflightTable>,
-    /// Bumped by a crash-stop; movers discard jobs from older generations.
-    generation: Arc<AtomicU64>,
-    threads: OrderedMutex<Vec<JoinHandle<()>>>,
+    inflight: InflightTable,
+    /// Bumped by a crash-stop; copies from older generations are discarded.
+    generation: AtomicU64,
+}
+
+impl Copier {
+    /// Run one copy job: step ⑥ of §III-D, copy PFS -> node-local store,
+    /// then hand the fetched bytes to every waiter. A refused insert still
+    /// serves them: one PFS read per miss, cached or not.
+    fn copy(&self, job: CopyJob) {
+        // A crash-stop wiped this job's waiters; executing it would
+        // resurrect pre-crash state into the freshly-emptied cache, so skip
+        // it entirely (any post-crash request for the same key enqueued its
+        // own job under the new generation).
+        if job.generation != self.generation.load(Ordering::Relaxed) {
+            return;
+        }
+        let fetched = match job.range {
+            None => self.pfs.read_all(&job.path),
+            Some((offset, len)) => self.pfs.read_at(&job.path, offset, len as usize),
+        };
+        let idx = self.inflight.stripe_of(&job.key);
+        let mut stripe = self.inflight.lock(idx, &self.metrics);
+        // A crash-stop during the fetch wiped this copy's waiters and purged
+        // the cache; any waiters on the key now belong to the new generation
+        // and its own copy. So a stale copy neither inserts nor answers
+        // them. A crash wipes this stripe before it purges, so inserting
+        // under the stripe orders the insert before that purge.
+        if job.generation != self.generation.load(Ordering::Relaxed) {
+            return;
+        }
+        let result: CopyResult = fetched.map_err(Arc::new).map(|data| {
+            // lockgraph: acquires CACHE_POLICY
+            let found = match self.cache.insert(&job.key, data.clone()) {
+                Ok(outcome) => {
+                    let n = data.len() as u64;
+                    let evicted = outcome.evicted.len() as u64;
+                    self.metrics.pfs_copies.fetch_add(1, Ordering::Relaxed);
+                    self.metrics.pfs_bytes.fetch_add(n, Ordering::Relaxed);
+                    self.metrics.evictions.fetch_add(evicted, Ordering::Relaxed);
+                    Found::Copied
+                }
+                Err(_) => Found::Refused,
+            };
+            (data, found)
+        });
+        let waiters = stripe.remove(&job.key).unwrap_or_default();
+        drop(stripe);
+        for w in waiters {
+            let _ = w.send(result.clone());
+        }
+    }
+}
+
+/// The data mover: the copy state and the pool of `movers` workers that
+/// runs each copy as one job, in FIFO order.
+struct DataMover {
+    copier: Arc<Copier>,
+    pool: SqPool,
 }
 
 impl DataMover {
-    fn spawn(
-        cache: Arc<CacheManager>,
-        pfs: Arc<dyn FileStore>,
-        metrics: Arc<ServerMetrics>,
-        movers: usize,
-        name: &str,
-    ) -> Result<Self> {
-        let (queue_tx, queue_rx) = unbounded::<CopyJob>();
-        let inflight = Arc::new(InflightTable::new(default_shard_count()));
-        let generation = Arc::new(AtomicU64::new(0));
-        let mut threads = Vec::with_capacity(movers.max(1));
-        for m in 0..movers.max(1) {
-            let rx: Receiver<CopyJob> = queue_rx.clone();
-            let cache = cache.clone();
-            let pfs = pfs.clone();
-            let metrics = metrics.clone();
-            let inflight = inflight.clone();
-            let generation = generation.clone();
-            let handle = std::thread::Builder::new()
-                .name(format!("hvac-mover-{name}-{m}"))
-                .spawn(move || {
-                    while let Ok(job) = rx.recv() {
-                        // A crash-stop wiped this job's waiters; executing
-                        // it would resurrect pre-crash state into the
-                        // freshly-emptied cache, so skip it entirely (any
-                        // post-crash request for the same key enqueued its
-                        // own job under the new generation).
-                        if job.generation != generation.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        // Step ⑥ of §III-D: copy PFS -> node-local store,
-                        // then hand the fetched bytes to every waiter. A
-                        // refused insert still serves them: one PFS read
-                        // per miss, cached or not.
-                        let fetched = match job.range {
-                            None => pfs.read_all(&job.path),
-                            Some((offset, len)) => pfs.read_at(&job.path, offset, len as usize),
-                        };
-                        let idx = inflight.stripe_of(&job.key);
-                        let mut stripe = inflight.lock(idx, &metrics);
-                        // A crash-stop during the fetch wiped this copy's
-                        // waiters and purged the cache; any waiters on the
-                        // key now belong to the new generation and its own
-                        // copy. So a stale copy neither inserts nor answers
-                        // them. A crash wipes this stripe before it purges,
-                        // so inserting under the stripe orders the insert
-                        // before that purge.
-                        if job.generation != generation.load(Ordering::Relaxed) {
-                            continue;
-                        }
-                        let result: CopyResult = fetched.map_err(Arc::new).map(|data| {
-                            // lockgraph: acquires CACHE_POLICY
-                            let found = match cache.insert(&job.key, data.clone()) {
-                                Ok(outcome) => {
-                                    let n = data.len() as u64;
-                                    let evicted = outcome.evicted.len() as u64;
-                                    metrics.pfs_copies.fetch_add(1, Ordering::Relaxed);
-                                    metrics.pfs_bytes.fetch_add(n, Ordering::Relaxed);
-                                    metrics.evictions.fetch_add(evicted, Ordering::Relaxed);
-                                    Found::Copied
-                                }
-                                Err(_) => Found::Refused,
-                            };
-                            (data, found)
-                        });
-                        let waiters = stripe.remove(&job.key).unwrap_or_default();
-                        drop(stripe);
-                        for w in waiters {
-                            let _ = w.send(result.clone());
-                        }
-                    }
-                });
-            match handle {
-                Ok(h) => threads.push(h),
-                Err(e) => {
-                    // Closing the queue lets the already-spawned movers exit.
-                    drop(queue_tx);
-                    for t in threads {
-                        let _ = t.join();
-                    }
-                    return Err(HvacError::Io(e));
-                }
-            }
-        }
+    fn new(copier: Copier, movers: usize, name: &str) -> Result<Self> {
         Ok(Self {
-            queue_tx,
-            inflight,
-            generation,
-            threads: OrderedMutex::new(classes::SERVER_THREADS, threads),
+            copier: Arc::new(copier),
+            pool: SqPool::new(&format!("mover-{name}"), movers)?,
         })
+    }
+
+    /// Queue a copy of `path` (optionally a byte range of it) into cache
+    /// entry `key`, stamped with the current generation.
+    fn enqueue(&self, path: &Path, key: &Path, range: Option<(u64, u64)>) {
+        let job = CopyJob {
+            path: path.to_path_buf(),
+            key: key.to_path_buf(),
+            range,
+            generation: self.copier.generation.load(Ordering::Relaxed),
+        };
+        let copier = self.copier.clone();
+        self.pool.submit(move || copier.copy(job));
     }
 
     /// Crash-stop: discard every queued copy job (by bumping the
     /// generation) and error out all parked waiters.
     fn crash(&self) {
-        self.generation.fetch_add(1, Ordering::Relaxed);
-        self.inflight.wipe();
+        self.copier.generation.fetch_add(1, Ordering::Relaxed);
+        self.copier.inflight.wipe();
     }
 
     /// Fire-and-forget staging: enqueue a copy of `path` (cached under
     /// `key`, which namespaces it by tenant) unless it is resident or
     /// already in flight (used by the §IV-C prefetch extension). Returns
     /// whether a new copy job was enqueued.
-    fn request_copy(
-        &self,
-        cache: &CacheManager,
-        metrics: &ServerMetrics,
-        path: &Path,
-        key: &Path,
-    ) -> bool {
+    fn request_copy(&self, path: &Path, key: &Path) -> bool {
+        let Copier {
+            cache,
+            metrics,
+            inflight,
+            ..
+        } = &*self.copier;
         if cache.contains(key) {
             return false;
         }
-        let idx = self.inflight.stripe_of(key);
-        let mut inflight = self.inflight.lock(idx, metrics);
+        let mut stripe = inflight.lock(inflight.stripe_of(key), metrics);
         // lockgraph: acquires STORE_SHARD
-        if cache.contains(key) || inflight.contains_key(key) {
+        if cache.contains(key) || stripe.contains_key(key) {
             return false;
         }
-        inflight.insert(key.to_path_buf(), Vec::new());
-        self.queue_tx
-            .send(CopyJob {
-                path: path.to_path_buf(),
-                key: key.to_path_buf(),
-                range: None,
-                generation: self.generation.load(Ordering::Relaxed),
-            })
-            .is_ok()
+        stripe.insert(key.to_path_buf(), Vec::new());
+        self.enqueue(path, key, None);
+        true
     }
 
     /// Start looking up cache entry `key`, sourced from `path` (optionally
@@ -343,22 +323,21 @@ impl DataMover {
     /// [wait](Started::wait) on: a waiter takes the bytes the copy fetched,
     /// so it never reads the cache back and an eviction cannot take them
     /// away.
-    fn start(
-        &self,
-        cache: &CacheManager,
-        metrics: &ServerMetrics,
-        path: &Path,
-        key: &Path,
-        range: Option<(u64, u64)>,
-    ) -> Result<Started> {
-        let idx = self.inflight.stripe_of(key);
+    fn start(&self, path: &Path, key: &Path, range: Option<(u64, u64)>) -> Started {
+        let Copier {
+            cache,
+            metrics,
+            inflight,
+            ..
+        } = &*self.copier;
+        let idx = inflight.stripe_of(key);
         let mut recheck = true;
         loop {
             if let Some(entry) = cache.read_all(key) {
                 metrics.stripe_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(Started::Resident(entry));
+                return Started::Resident(entry);
             }
-            let mut inflight = self.inflight.lock(idx, metrics);
+            let mut stripe = inflight.lock(idx, metrics);
             // Re-check under the lock: a copy may have landed, and left the
             // in-flight table, since the lookup above; go back and read it.
             // Only once, so an entry evicted again at once is copied afresh.
@@ -368,34 +347,36 @@ impl DataMover {
             }
             metrics.stripe_misses.fetch_add(1, Ordering::Relaxed);
             let (tx, rx) = bounded::<CopyResult>(1);
-            match inflight.get_mut(key) {
+            match stripe.get_mut(key) {
                 Some(waiters) => {
                     // Piggyback on the in-flight copy (§III-D dedup).
                     waiters.push(tx);
                     metrics.dedup_waits.fetch_add(1, Ordering::Relaxed);
                 }
                 None => {
-                    inflight.insert(key.to_path_buf(), vec![tx]);
-                    self.queue_tx
-                        .send(CopyJob {
-                            path: path.to_path_buf(),
-                            key: key.to_path_buf(),
-                            range,
-                            generation: self.generation.load(Ordering::Relaxed),
-                        })
-                        .map_err(|_| HvacError::Rpc("data mover queue closed".into()))?;
+                    stripe.insert(key.to_path_buf(), vec![tx]);
+                    self.enqueue(path, key, range);
                 }
             }
-            return Ok(Started::Copy(rx));
+            return Started::Copy(rx);
         }
     }
 }
 
-/// Cache key of a file segment: `<path>#<offset>+<len>`.
+/// Joins a segment key's path to its range: NUL, the one byte no file
+/// name can hold, so no file's key equals another file's segment key.
+const SEGMENT_SEP: char = '\0';
+
+/// Cache key of a file segment: `<path>NUL<offset>+<len>`.
 pub fn segment_key(path: &Path, offset: u64, len: u64) -> PathBuf {
     let mut s = path.as_os_str().to_os_string();
-    s.push(format!("#{offset}+{len}"));
+    s.push(format!("{SEGMENT_SEP}{offset}+{len}"));
     PathBuf::from(s)
+}
+
+/// Whether cache key `key` is a [`segment_key`] rather than a whole file's.
+pub fn is_segment_key(key: &Path) -> bool {
+    key.as_os_str().to_string_lossy().contains(SEGMENT_SEP)
 }
 
 /// Rebuild an owned error from a shared one (HvacError is not `Clone`
@@ -437,8 +418,8 @@ struct ReadItem<'a> {
     len: u64,
 }
 
-/// A served read: the entry's size, whether it was a hit, and the bytes.
-type Served = (u64, bool, Bytes);
+/// A served read: the entry's size and the bytes.
+type Served = (u64, Bytes);
 
 /// One HVAC server instance.
 pub struct HvacServer {
@@ -471,13 +452,14 @@ impl HvacServer {
         name: &str,
     ) -> Result<Arc<Self>> {
         let metrics = Arc::new(ServerMetrics::default());
-        let mover = DataMover::spawn(
-            cache.clone(),
-            pfs.clone(),
-            metrics.clone(),
-            options.movers,
-            name,
-        )?;
+        let copier = Copier {
+            cache: cache.clone(),
+            pfs: pfs.clone(),
+            metrics: metrics.clone(),
+            inflight: InflightTable::new(default_shard_count()),
+            generation: AtomicU64::new(0),
+        };
+        let mover = DataMover::new(copier, options.movers, name)?;
         let sched = TenantScheduler::with_options(options.job_weights, options.qos);
         Ok(Arc::new(Self {
             cache,
@@ -507,7 +489,7 @@ impl HvacServer {
 
     /// Crash-stop this instance's volatile state: queued copy jobs are
     /// discarded, every parked waiter is errored out with `ServerDown`,
-    /// and the node cache is purged. The threads and endpoint survive —
+    /// and the node cache is purged. The movers and endpoint survive —
     /// a restarted server answers at the same address but `ENOENT`s
     /// everything it used to own, which is the crash-stop model DESIGN.md
     /// §6.1 describes (the harness-level wrapper is
@@ -564,28 +546,17 @@ impl HvacServer {
                     len,
                 };
                 match self.read(job, &[item]).map(|mut served| served.pop()) {
-                    Ok(Some((total_size, cache_hit, data))) => (
-                        Response::Data {
-                            total_size,
-                            cache_hit,
-                        },
-                        Some(data.into()),
-                    ),
+                    Ok(Some((total_size, data))) => {
+                        (Response::Data { total_size }, Some(data.into()))
+                    }
                     Ok(None) => unreachable!("a read serves one entry per item"),
                     Err(e) => (Response::from_error(&e), None),
                 }
             }
-            Request::Purge => {
-                self.cache.purge();
-                (Response::Ok, None)
-            }
             Request::Prefetch { paths } => {
                 for path in &paths {
                     let key = tenant_key(job, path);
-                    if self
-                        .mover
-                        .request_copy(&self.cache, &self.metrics, path, &key)
-                    {
+                    if self.mover.request_copy(path, &key) {
                         self.metrics.prefetches.fetch_add(1, Ordering::Relaxed);
                     }
                 }
@@ -617,7 +588,7 @@ impl HvacServer {
                 };
                 let mut lens = Vec::with_capacity(served.len());
                 let mut parts = Vec::with_capacity(served.len());
-                for (_, _, data) in served {
+                for (_, data) in served {
                     let Ok(len) = u32::try_from(data.len()) else {
                         return (
                             Response::from_error(&HvacError::Protocol(
@@ -640,7 +611,7 @@ impl HvacServer {
     /// in-flight copies via the §III-D dedup). It waits as one more waiter
     /// on each copy, so it wakes on the copy's own completion.
     pub fn drain_prefetches(&self) {
-        for copy in self.mover.inflight.watch_all() {
+        for copy in self.mover.copier.inflight.watch_all() {
             let _ = copy.recv();
         }
     }
@@ -710,11 +681,11 @@ impl HvacServer {
             .served_bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         self.tenants.read(job.0, data.len() as u64);
-        Ok((total_size, false, data))
+        Ok((total_size, data))
     }
 
-    /// Serve `items`, returning each item's entry size, whether it was a
-    /// hit, and its bytes, in item order. The request takes one QoS
+    /// Serve `items`, returning each item's entry size and its bytes, in
+    /// item order. The request takes one QoS
     /// admission, charged the sum of its items' costs and held until its
     /// last item is served; a shed request reads every item straight from
     /// the PFS. Otherwise every item's lookup starts before any is waited
@@ -739,19 +710,16 @@ impl HvacServer {
                 })
                 .collect();
         };
-        let started: Vec<Result<Started>> = items
+        let started: Vec<Started> = items
             .iter()
-            .map(|item| {
-                self.mover
-                    .start(&self.cache, &self.metrics, item.path, &item.key, item.copy)
-            })
+            .map(|item| self.mover.start(item.path, &item.key, item.copy))
             .collect();
         started
             .into_iter()
             .zip(items)
             .map(|(started, item)| {
                 self.metrics.reads.fetch_add(1, Ordering::Relaxed);
-                let (entry, found) = started?.wait()?;
+                let (entry, found) = started.wait()?;
                 Ok(self.deliver(job, found, &entry, item.at, item.len))
             })
             .collect()
@@ -775,20 +743,18 @@ impl HvacServer {
             .served_bytes
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         self.tenants.read(job.0, data.len() as u64);
-        (entry.len() as u64, found == Found::Resident, data)
+        (entry.len() as u64, data)
     }
 }
 
 impl RpcHandler for HvacServer {
     fn handle(&self, request: Bytes) -> Reply {
-        let mut job = JobId::DEFAULT;
         let (response, bulk) = match Request::decode_with_ctx(request) {
             // A sender on an *older* epoch may be addressing the wrong home
             // — bounce it with the current view so it can re-resolve.
             // Newer-epoch requests are served: this server just hasn't
             // heard yet, and placement only has to be right at the sender.
-            Ok((req_epoch, req_job, _)) if req_epoch < self.view.epoch() => {
-                job = req_job;
+            Ok((req_epoch, _, _)) if req_epoch < self.view.epoch() => {
                 self.metrics
                     .stale_view_redirects
                     .fetch_add(1, Ordering::Relaxed);
@@ -799,28 +765,12 @@ impl RpcHandler for HvacServer {
                     None,
                 )
             }
-            Ok((_, req_job, req)) => {
-                job = req_job;
-                self.handle_request_for(req_job, req)
-            }
+            Ok((_, job, req)) => self.handle_request_for(job, req),
             Err(e) => (Response::from_error(&e), None),
         };
         Reply {
-            // Echo the sender's job id so the response status byte stays
-            // byte-identical to older versions for the default tenant.
-            header: response.encode_for(job),
+            header: response.encode(),
             bulk,
-        }
-    }
-}
-
-impl Drop for DataMover {
-    fn drop(&mut self) {
-        // Closing the queue lets mover threads drain and exit.
-        let (dead_tx, _) = unbounded();
-        self.queue_tx = dead_tx;
-        for t in std::mem::take(&mut *self.threads.lock()) {
-            let _ = t.join();
         }
     }
 }
@@ -977,30 +927,17 @@ mod tests {
             offset: 0,
             len: 100,
         });
-        match resp {
-            Response::Data {
-                total_size,
-                cache_hit,
-            } => {
-                assert_eq!(total_size, 100);
-                assert!(!cache_hit);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
+        assert_eq!(resp, Response::Data { total_size: 100 });
         assert_eq!(bulk.unwrap().len(), 100);
+        assert_eq!(server.metrics().snapshot().cache_misses, 1);
 
         let (resp, _) = server.handle_request(Request::Read {
             path: p.clone(),
             offset: 0,
             len: 100,
         });
-        assert!(matches!(
-            resp,
-            Response::Data {
-                cache_hit: true,
-                ..
-            }
-        ));
+        assert_eq!(resp, Response::Data { total_size: 100 });
+        assert_eq!(server.metrics().snapshot().cache_hits, 1);
 
         let snap = server.metrics().snapshot();
         assert_eq!(snap.reads, 2);
@@ -1067,7 +1004,7 @@ mod tests {
         server.crash();
         assert_eq!(stat(sample(1)), Response::Stat { size: 100 });
         assert_eq!(opens(), 2, "a crash forgets the size");
-        server.handle_request(Request::Purge);
+        server.cache().purge();
         assert_eq!(stat(sample(1)), Response::Stat { size: 100 });
         assert_eq!(opens(), 3, "so does a purge");
         // A failed lookup is not remembered.
@@ -1168,8 +1105,7 @@ mod tests {
             len: 1,
         });
         assert_eq!(server.cache().resident_count(), 1);
-        let (resp, _) = server.handle_request(Request::Purge);
-        assert_eq!(resp, Response::Ok);
+        server.cache().purge();
         assert_eq!(server.cache().resident_count(), 0);
     }
 
@@ -1186,13 +1122,7 @@ mod tests {
             offset: 0,
             len: 1 << 20,
         });
-        assert_eq!(
-            resp,
-            Response::Data {
-                total_size: 100,
-                cache_hit: false
-            }
-        );
+        assert_eq!(resp, Response::Data { total_size: 100 });
         assert_eq!(expected, bulk.unwrap().to_vec());
         let after = pfs.stats().snapshot();
         assert_eq!(after.0 - before.0, 0, "no open_meta");
@@ -1213,11 +1143,11 @@ mod tests {
         // file, so its size needs no open_meta; any other read does.
         for (offset, len, opens) in [(0, 1 << 20, 0), (0, 100, 1), (0, 40, 1), (10, 1 << 20, 1)] {
             let before = pfs.stats().snapshot();
-            let (total_size, hit, data) = server
+            let (total_size, data) = server
                 .pfs_bypass_read(JobId::DEFAULT, &p, offset, len)
                 .unwrap();
             let after = pfs.stats().snapshot();
-            assert_eq!((total_size, hit), (100, false), "read at {offset} of {len}");
+            assert_eq!(total_size, 100, "read at {offset} of {len}");
             assert_eq!(data, slice_read_at(&expected, offset, len as usize));
             assert_eq!(after.0 - before.0, opens, "read at {offset} of {len}");
             assert_eq!(after.1 - before.1, 1, "read at {offset} of {len}");
@@ -1313,19 +1243,15 @@ mod tests {
         // The instance is still alive: the same file is re-copied from the
         // PFS and served byte-exact.
         let expected = pfs.read_all(&sample(0)).unwrap();
+        let misses = server.metrics().snapshot().cache_misses;
         let (resp, bulk) = server.handle_request(Request::Read {
             path: sample(0),
             offset: 0,
             len: 100,
         });
-        assert!(matches!(
-            resp,
-            Response::Data {
-                cache_hit: false,
-                ..
-            }
-        ));
+        assert_eq!(resp, Response::Data { total_size: 100 });
         assert_eq!(expected, bulk.unwrap().to_vec());
+        assert_eq!(server.metrics().snapshot().cache_misses, misses + 1);
         assert!(
             server.metrics().snapshot().pfs_copies >= 5,
             "the post-crash read re-faulted from the PFS"
@@ -1544,13 +1470,7 @@ mod tests {
         // The one mover finishes K's stale copy before it takes K2's job.
         let fresh = read(1);
         drop(open_gate);
-        assert!(matches!(
-            fresh.join().unwrap(),
-            Response::Data {
-                cache_hit: false,
-                ..
-            }
-        ));
+        assert!(matches!(fresh.join().unwrap(), Response::Data { .. }));
         assert!(server.cache().contains(&k2));
         assert!(!server.cache().contains(&k), "the stale copy inserted K");
         let (resp, bulk) = server.handle_request(Request::Read {
@@ -1558,14 +1478,9 @@ mod tests {
             offset: 0,
             len: 100,
         });
-        assert!(matches!(
-            resp,
-            Response::Data {
-                cache_hit: false,
-                ..
-            }
-        ));
+        assert!(matches!(resp, Response::Data { .. }));
         assert_eq!(bulk.unwrap().to_vec(), pfs.read_all(&k).unwrap());
+        assert_eq!(server.metrics().snapshot().cache_hits, 0, "both misses");
     }
 
     #[test]

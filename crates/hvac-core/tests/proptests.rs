@@ -28,17 +28,14 @@ fn arb_request() -> impl Strategy<Value = Request> {
             offset,
             len
         }),
-        Just(Request::Purge),
+        proptest::collection::vec(arb_path(), 0..4).prop_map(|paths| Request::Prefetch { paths }),
     ]
 }
 
 fn arb_response() -> impl Strategy<Value = Response> {
     prop_oneof![
         any::<u64>().prop_map(|size| Response::Stat { size }),
-        (any::<u64>(), any::<bool>()).prop_map(|(total_size, cache_hit)| Response::Data {
-            total_size,
-            cache_hit
-        }),
+        any::<u64>().prop_map(|total_size| Response::Data { total_size }),
         Just(Response::Ok),
         (any::<i32>(), "[ -~]{0,80}").prop_map(|(code, message)| Response::Err { code, message }),
     ]

@@ -9,11 +9,10 @@
 //! The body reuses the existing `hvac-net::wire` conventions (little-endian
 //! integers, `u32` length prefixes) and comes in two shapes:
 //!
-//! * **request** — `[kind u8 = 1][req_id u64][deadline_ms u32][payload…]`.
-//!   The reply echoes `req_id`, and the caller checks it against the
-//!   request it sent; `deadline_ms` carries the caller's remaining per-call
-//!   budget at send time. The tenant rides inside the payload (the protocol
-//!   layer's `JOB_FLAG`), not in the frame.
+//! * **request** — `[kind u8 = 4][req_id u64][payload…]`. The reply echoes
+//!   `req_id`, and the caller checks it against the request it sent. The
+//!   caller enforces its own deadline, so the frame carries none, and the
+//!   tenant rides inside the payload (the protocol layer's `JOB_FLAG`).
 //! * **reply** — `[kind u8 = 2][req_id u64][flags u8][hdr_len u32][header…]
 //!   [bulk…]`. Bit 0 of `flags` says whether a bulk payload follows the
 //!   header — the same header/bulk split the loopback [`Reply`] models
@@ -44,10 +43,11 @@ pub const FRAME_MAGIC: u32 = u32::from_le_bytes(*b"HVAC");
 /// guards against corrupt or hostile length prefixes.
 pub const DEFAULT_MAX_FRAME: usize = 64 << 20;
 
-const KIND_REQUEST: u8 = 1;
 const KIND_REPLY: u8 = 2;
-// Kind 3 was a tenant-stamped request that no sender produced; retired,
-// never reuse it.
+const KIND_REQUEST: u8 = 4;
+// Kind 1 was a request carrying the caller's remaining deadline, which no
+// server read, and kind 3 a tenant-stamped request that no sender produced;
+// both retired, never reuse them.
 const FLAG_HAS_BULK: u8 = 1;
 
 /// A decoded request frame body.
@@ -55,9 +55,6 @@ const FLAG_HAS_BULK: u8 = 1;
 pub struct RequestFrame {
     /// Id the reply echoes, so a caller can match it to its request.
     pub req_id: u64,
-    /// Remaining per-call deadline at send time, in milliseconds
-    /// (saturated).
-    pub deadline_ms: u32,
     /// The opaque RPC payload (the protocol layer's encoded `Request`).
     pub payload: Bytes,
 }
@@ -91,16 +88,10 @@ pub fn encode_frame(body: &[u8], max_frame: usize) -> Result<Vec<u8>> {
 }
 
 /// Encode a request frame (header + body) ready to write to a stream.
-pub fn encode_request(
-    req_id: u64,
-    deadline_ms: u32,
-    payload: &[u8],
-    max_frame: usize,
-) -> Result<Vec<u8>> {
-    let mut body = Vec::with_capacity(13 + payload.len());
+pub fn encode_request(req_id: u64, payload: &[u8], max_frame: usize) -> Result<Vec<u8>> {
+    let mut body = Vec::with_capacity(9 + payload.len());
     body.push(KIND_REQUEST);
     body.extend_from_slice(&req_id.to_le_bytes());
-    body.extend_from_slice(&deadline_ms.to_le_bytes());
     body.extend_from_slice(payload);
     encode_frame(&body, max_frame)
 }
@@ -216,10 +207,8 @@ pub fn decode_request(mut body: Bytes) -> Result<RequestFrame> {
         )));
     }
     let req_id = crate::wire::get_u64(&mut body)?;
-    let deadline_ms = crate::wire::get_u32(&mut body)?;
     Ok(RequestFrame {
         req_id,
-        deadline_ms,
         payload: body,
     })
 }
@@ -341,28 +330,34 @@ mod tests {
 
     #[test]
     fn request_frame_round_trip() {
-        let frame = encode_request(42, 1500, b"payload", DEFAULT_MAX_FRAME).unwrap();
+        let frame = encode_request(42, b"payload", DEFAULT_MAX_FRAME).unwrap();
         let body = read_frame(&mut Cursor::new(&frame), DEFAULT_MAX_FRAME)
             .unwrap()
             .unwrap();
         let req = decode_request(body).unwrap();
         assert_eq!(req.req_id, 42);
-        assert_eq!(req.deadline_ms, 1500);
         assert_eq!(&req.payload[..], b"payload");
     }
 
     #[test]
     fn retired_request_kind_3_is_rejected() {
-        // Kind 3 was a tenant-stamped request: kind 1's layout with a u64
-        // job after the deadline. Its body is now an unknown kind.
-        let mut body = vec![3u8];
-        body.extend_from_slice(&42u64.to_le_bytes());
-        body.extend_from_slice(&1500u32.to_le_bytes());
-        body.extend_from_slice(&7u64.to_le_bytes());
-        body.extend_from_slice(b"payload");
-        match decode_request(Bytes::from(body)) {
-            Err(HvacError::Protocol(msg)) => assert!(msg.ends_with("got kind 3"), "{msg}"),
-            other => panic!("expected a Protocol error, got {other:?}"),
+        // Kind 1 was a request with a u32 deadline after its id, and kind 3
+        // kind 1's layout with a u64 job after the deadline. Either body is
+        // now an unknown kind.
+        for (kind, job) in [(1u8, false), (3, true)] {
+            let mut body = vec![kind];
+            body.extend_from_slice(&42u64.to_le_bytes());
+            body.extend_from_slice(&1500u32.to_le_bytes());
+            if job {
+                body.extend_from_slice(&7u64.to_le_bytes());
+            }
+            body.extend_from_slice(b"payload");
+            match decode_request(Bytes::from(body)) {
+                Err(HvacError::Protocol(msg)) => {
+                    assert!(msg.ends_with(&format!("got kind {kind}")), "{msg}")
+                }
+                other => panic!("expected a Protocol error, got {other:?}"),
+            }
         }
     }
 
@@ -493,7 +488,7 @@ mod tests {
 
     #[test]
     fn clean_eof_is_none_midframe_eof_is_protocol() {
-        let frame = encode_request(1, 0, b"x", DEFAULT_MAX_FRAME).unwrap();
+        let frame = encode_request(1, b"x", DEFAULT_MAX_FRAME).unwrap();
         // Clean EOF at a boundary.
         assert!(read_frame(&mut Cursor::new(&[][..]), DEFAULT_MAX_FRAME)
             .unwrap()
@@ -510,7 +505,7 @@ mod tests {
 
     #[test]
     fn bad_magic_and_oversized_length_are_typed_errors() {
-        let mut junk = encode_request(1, 0, b"x", DEFAULT_MAX_FRAME).unwrap();
+        let mut junk = encode_request(1, b"x", DEFAULT_MAX_FRAME).unwrap();
         junk[0] ^= 0xff;
         assert!(matches!(
             read_frame(&mut Cursor::new(&junk), DEFAULT_MAX_FRAME),
@@ -566,7 +561,7 @@ mod tests {
 
     #[test]
     fn wrong_kind_and_unknown_flags_are_rejected() {
-        let req = encode_request(5, 0, b"p", DEFAULT_MAX_FRAME).unwrap();
+        let req = encode_request(5, b"p", DEFAULT_MAX_FRAME).unwrap();
         let body = read_frame(&mut Cursor::new(&req), DEFAULT_MAX_FRAME)
             .unwrap()
             .unwrap();

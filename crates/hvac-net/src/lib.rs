@@ -28,10 +28,12 @@
 //!   behind the zero-copy data plane (return-to-pool on last `Bytes` drop),
 //! * [`plan`] — the adjacent-segment coalescer and per-destination batch
 //!   planner plus the batch payload codec,
-//! * [`sq`] — the client's persistent [`SqPool`](sq::SqPool) of dispatch
-//!   workers: every client RPC is an entry of a plan, and
+//! * [`sq`] — [`SqPool`](sq::SqPool), the one persistent worker pool:
+//!   every client RPC is an entry of a plan, and
 //!   [`SqPool::run_all`](sq::SqPool::run_all) runs a plan's entries as
-//!   jobs, each walking the client's replica ladder, the first inline.
+//!   jobs, each walking the client's replica ladder, the first inline; each
+//!   server instance runs its data-mover copies as
+//!   [`SqPool::submit`](sq::SqPool::submit) jobs on a pool of its own.
 //!
 //! The loopback fabric hands real bytes to the handler on the calling
 //! thread; latency and bandwidth of the modeled interconnect are accounted

@@ -390,11 +390,8 @@ impl SocketBackend {
         discard_reply: bool,
         stats: &FabricStats,
     ) -> Result<Reply> {
-        let deadline_ms = u32::try_from(clock.remaining().as_millis())
-            .unwrap_or(u32::MAX)
-            .max(1);
         let req_id = self.next_req_id.fetch_add(1, Ordering::Relaxed);
-        let frame = framing::encode_request(req_id, deadline_ms, &request, self.config.max_frame)?;
+        let frame = framing::encode_request(req_id, &request, self.config.max_frame)?;
         let key = uri.to_string();
         let mut pooled = self.idle.lock().get_mut(&key).and_then(Vec::pop);
         loop {
@@ -617,8 +614,8 @@ impl Drop for Registered<'_> {
 /// One connection's whole life on the server: read a request, run the
 /// handler, write the reply — in order, on this thread. Any protocol
 /// violation or I/O failure ends the connection (a desynced stream cannot
-/// be re-synchronized). The wire's `deadline_ms` is not consulted: the
-/// request is read as soon as it arrives, so it never waits in a queue.
+/// be re-synchronized). The request is read as soon as it arrives, so it
+/// never waits in a queue.
 fn serve_connection(mut stream: Stream, id: u64, shared: &ServerShared) {
     let _registered = Registered {
         conns: &shared.conns,

@@ -153,16 +153,10 @@ proptest! {
             0..32,
         ),
         req_id in any::<u64>(),
-        deadline_ms in any::<u32>(),
     ) {
         let mut payload = BytesMut::new();
         encode_batch_items(&mut payload, &items).unwrap();
-        let wire_bytes = framing::encode_request(
-            req_id,
-            deadline_ms,
-            &payload,
-            framing::DEFAULT_MAX_FRAME,
-        ).unwrap();
+        let wire_bytes = framing::encode_request(req_id, &payload, framing::DEFAULT_MAX_FRAME).unwrap();
         let mut cursor = &wire_bytes[..];
         let body = framing::read_frame(&mut cursor, framing::DEFAULT_MAX_FRAME)
             .unwrap()

@@ -70,15 +70,13 @@ proptest! {
     #[test]
     fn framing_request_round_trips(
         req_id in any::<u64>(),
-        deadline_ms in any::<u32>(),
         payload in proptest::collection::vec(any::<u8>(), 0..4096),
     ) {
-        let wire_bytes = framing::encode_request(req_id, deadline_ms, &payload, framing::DEFAULT_MAX_FRAME).unwrap();
+        let wire_bytes = framing::encode_request(req_id, &payload, framing::DEFAULT_MAX_FRAME).unwrap();
         let mut cursor = &wire_bytes[..];
         let body = framing::read_frame(&mut cursor, framing::DEFAULT_MAX_FRAME).unwrap().unwrap();
         let decoded = framing::decode_request(body).unwrap();
         prop_assert_eq!(decoded.req_id, req_id);
-        prop_assert_eq!(decoded.deadline_ms, deadline_ms);
         prop_assert_eq!(decoded.payload.as_ref(), &payload[..]);
         // Clean EOF after the frame, not an error.
         prop_assert!(framing::read_frame(&mut cursor, framing::DEFAULT_MAX_FRAME).unwrap().is_none());
@@ -130,7 +128,7 @@ proptest! {
     ) {
         // Every strict prefix of a valid frame must decode to a typed
         // Protocol error (mid-frame EOF), never a panic or a bogus frame.
-        let frame = framing::encode_request(9, 1000, &payload, framing::DEFAULT_MAX_FRAME).unwrap();
+        let frame = framing::encode_request(9, &payload, framing::DEFAULT_MAX_FRAME).unwrap();
         let cut = ((frame.len() as f64) * cut_fraction) as usize;
         prop_assume!(cut < frame.len());
         if cut == 0 {

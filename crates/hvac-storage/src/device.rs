@@ -15,8 +15,6 @@ pub struct DeviceModel {
     pub op_latency: SimTime,
     /// Sequential read bandwidth.
     pub read_bandwidth: Bandwidth,
-    /// Sequential write bandwidth.
-    pub write_bandwidth: Bandwidth,
     /// Random-read operations-per-second ceiling.
     pub max_iops: u64,
 }
@@ -33,7 +31,6 @@ impl DeviceModel {
         Self {
             op_latency: SimTime::from_nanos(cfg.op_latency_ns),
             read_bandwidth: cfg.read_bandwidth,
-            write_bandwidth: cfg.write_bandwidth,
             max_iops: cfg.max_iops,
         }
     }
@@ -43,7 +40,6 @@ impl DeviceModel {
         Self {
             op_latency: SimTime::from_micros(80),
             read_bandwidth: Bandwidth::mib_per_sec(550.0),
-            write_bandwidth: Bandwidth::mib_per_sec(500.0),
             max_iops: 90_000,
         }
     }
@@ -119,7 +115,6 @@ mod tests {
         let hdd = DeviceModel {
             op_latency: SimTime::from_millis(8),
             read_bandwidth: Bandwidth::mib_per_sec(180.0),
-            write_bandwidth: Bandwidth::mib_per_sec(160.0),
             max_iops: 120,
         }
         .read_time(sz);

@@ -875,7 +875,6 @@ mod tests {
         let model = DeviceModel {
             op_latency: hvac_types::SimTime::from_millis(2),
             read_bandwidth: hvac_types::Bandwidth::mib_per_sec(1e9),
-            write_bandwidth: hvac_types::Bandwidth::mib_per_sec(1e9),
             max_iops: u64::MAX,
         };
         let mut one = LocalStore::in_memory_striped(ByteSize(10_000), 1);

@@ -8,9 +8,8 @@
 //!
 //! A thread may acquire classes left-to-right along this chain (skipping
 //! levels is fine) but never right-to-left. Leaf classes — `CLIENT_FDS`,
-//! `CLIENT_HEALTH`, `FABRIC_THREADS`, `SERVER_THREADS`,
-//! `CACHE_SIZE_MEMO`, `HASH_RINGS`, `NET_SOCKET_POOL`, `NET_SOCKET_CONN`,
-//! `PFS_THROTTLE_SLOTS` —
+//! `CLIENT_HEALTH`, `FABRIC_THREADS`, `CACHE_SIZE_MEMO`, `HASH_RINGS`,
+//! `NET_SOCKET_POOL`, `NET_SOCKET_CONN`, `PFS_THROTTLE_SLOTS` —
 //! are never held while acquiring any other class. The
 //! debug-build order checker in this crate turns any violation into an
 //! immediate panic naming the pair, and the static verifier in
@@ -61,9 +60,6 @@ pub const SERVER_SCHED: &str = "core.server.sched";
 /// All stripes share this class: stripes of one table are interchangeable
 /// for ordering purposes, and a thread never holds two stripes at once.
 pub const SERVER_INFLIGHT_STRIPE: &str = "core.server.inflight_stripe";
-
-/// Data-mover worker-thread list; held only briefly at spawn/join.
-pub const SERVER_THREADS: &str = "core.server.threads";
 
 /// Eviction policy state (`hvac-core::cache`). Nests inside server locks,
 /// outside store locks.
@@ -159,7 +155,6 @@ pub const LEAVES: &[&str] = &[
     CLIENT_FDS,
     CLIENT_HEALTH,
     FABRIC_THREADS,
-    SERVER_THREADS,
     CACHE_SIZE_MEMO,
     HASH_RINGS,
     NET_SOCKET_POOL,
@@ -213,7 +208,6 @@ mod tests {
         CLIENT_HEALTH,
         SERVER_SCHED,
         SERVER_INFLIGHT_STRIPE,
-        SERVER_THREADS,
         CACHE_POLICY,
         CACHE_SIZE_MEMO,
         STORE_TENANT,

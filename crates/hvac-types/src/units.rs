@@ -66,16 +66,6 @@ impl ByteSize {
     pub fn saturating_sub(self, rhs: ByteSize) -> ByteSize {
         ByteSize(self.0.saturating_sub(rhs.0))
     }
-
-    /// `self / rhs` as a dimensionless ratio.
-    #[inline]
-    pub fn ratio(self, rhs: ByteSize) -> f64 {
-        if rhs.0 == 0 {
-            0.0
-        } else {
-            self.0 as f64 / rhs.0 as f64
-        }
-    }
 }
 
 impl Add for ByteSize {
@@ -241,12 +231,6 @@ mod tests {
         c += b;
         c -= b;
         assert_eq!(c, a);
-    }
-
-    #[test]
-    fn ratio_handles_zero() {
-        assert_eq!(ByteSize(10).ratio(ByteSize(0)), 0.0);
-        assert!((ByteSize(10).ratio(ByteSize(20)) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -123,6 +123,32 @@ fn file_bigger_than_any_single_node_cache_is_servable_via_segments() {
 }
 
 #[test]
+fn a_file_named_like_a_segment_key_reads_its_own_bytes() {
+    // On one node, `x`'s two 100-byte segments coalesce into one cached
+    // 200-byte range of `x`. A file whose name spells that range out in a
+    // path-like key form (`#offset+len`) must still read as itself.
+    let pfs = Arc::new(MemStore::new());
+    let x = MemStore::sample_content(1, 200);
+    let twin = MemStore::sample_content(2, 300);
+    pfs.put("/gpfs/train/x", x.clone());
+    pfs.put("/gpfs/train/x#0+200", twin.clone());
+    let cluster = Cluster::new(
+        pfs,
+        ClusterOptions::new(1, 1)
+            .dataset_dir("/gpfs/train")
+            .cache_capacity(ByteSize::mib(1)),
+    )
+    .unwrap();
+    let client = cluster.client(0);
+    let segmented = client
+        .read_file_segmented(Path::new("/gpfs/train/x"), 100)
+        .unwrap();
+    assert_eq!(segmented, x);
+    let whole = client.read_file(Path::new("/gpfs/train/x#0+200")).unwrap();
+    assert_eq!(whole, twin, "read another file's cached segment");
+}
+
+#[test]
 fn zero_segment_size_is_rejected() {
     let (_pfs, cluster) = setup(2, ByteSize::mib(4));
     assert!(cluster
